@@ -2,7 +2,8 @@
 
 Subcommands: symbol, matrix, det, table, verify. Results go to stdout (or
 a file via -o); diagnostics go to stderr. Exit codes: 0 on success, 1
-when verify finds a failing claim, 2 on invalid input.
+when verify finds a failing claim, 2 on invalid input or when the output
+file cannot be written.
 """
 
 import argparse
@@ -10,11 +11,11 @@ import os
 import sys
 from pathlib import Path
 
-from .matrices import CubeDiffPlusOne, DiffPlusC, EvenPowerPlusC, SumPlusC, build_matrix
+from .matrices import CubeDiffPlusOne, build_matrix
 from .determinant import determinant
 from .render import emit_ansi, emit_csv, emit_svg, matrix_text, table_text
 from .residues import Prime, cube_root, cubic_residue_symbol
-from .tables import EXTENDED_EXTRA_ORDERS, generate_table
+from .tables import EXTENDED_EXTRA_ORDERS, family_formula, generate_table
 from .verify import report_lines, report_text, verify_all
 
 __all__ = ["main", "build_parser"]
@@ -34,27 +35,33 @@ def _check_order(n: int, max_order: int) -> None:
         raise ValueError(f"order {n} exceeds the cap of {max_order}; raise it with --max-order")
 
 
-def _formula_args(parser: argparse.ArgumentParser, with_cube: bool) -> None:
+def _formula_args(parser: argparse.ArgumentParser, single_matrix: bool) -> None:
+    """The family flags and --t; a single matrix (matrix, det) also takes
+    --cube-diff and a shift, which a table sweeps instead."""
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--diff", action="store_true", help="entries from j - i + c")
     group.add_argument("--sum", action="store_true", help="entries from j + i + c")
-    if with_cube:
+    if single_matrix:
         group.add_argument("--cube-diff", action="store_true", help="entries from (j - i)**3 + 1")
     group.add_argument("--even-power", action="store_true", help="entries from (j - i)**(2t) + c")
-    parser.add_argument("-c", "--shift", type=int, default=0, metavar="C",
-                        help="shift c in the formula (default 0)")
+    if single_matrix:
+        parser.add_argument("-c", "--shift", type=int, default=0, metavar="C",
+                            help="shift c in the formula (default 0)")
     parser.add_argument("--t", type=int, default=1, metavar="T",
                         help="half-exponent t for --even-power (default 1)")
 
 
-def _formula(args: argparse.Namespace):
+def _family(args: argparse.Namespace) -> str:
+    """The table family chosen by the flags (--cube-diff is not one)."""
     if args.diff:
-        return DiffPlusC(args.shift)
-    if args.sum:
-        return SumPlusC(args.shift)
-    if getattr(args, "cube_diff", False):
+        return "diff"
+    return "sum" if args.sum else "even-power"
+
+
+def _formula(args: argparse.Namespace):
+    if args.cube_diff:
         return CubeDiffPlusOne()
-    return EvenPowerPlusC(args.t, args.shift)
+    return family_formula(_family(args), args.shift, args.t)
 
 
 def _write(text: str, path: "str | None") -> None:
@@ -90,7 +97,7 @@ def _cmd_det(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     p = _prime_arg(args.p)
-    family = "diff" if args.diff else ("sum" if args.sum else "even-power")
+    family = _family(args)
     explicit_n = args.n_min is not None or args.n_max is not None
     if args.extended and explicit_n:
         raise ValueError("--extended replaces the default order range; drop --n-min/--n-max")
@@ -151,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_symbol)
 
     m = sub.add_parser("matrix", help="print the symbol matrix for a formula")
-    _formula_args(m, with_cube=True)
+    _formula_args(m, single_matrix=True)
     m.add_argument("-p", type=int, required=True, help="odd prime modulus")
     m.add_argument("-n", type=int, required=True, help="matrix order")
     m.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
@@ -159,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=_cmd_matrix)
 
     d = sub.add_parser("det", help="exact determinant of the symbol matrix")
-    _formula_args(d, with_cube=True)
+    _formula_args(d, single_matrix=True)
     d.add_argument("-p", type=int, required=True, help="odd prime modulus")
     d.add_argument("-n", type=int, required=True, help="matrix order")
     d.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
@@ -167,12 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=_cmd_det)
 
     t = sub.add_parser("table", help="determinant table over orders and shifts")
-    group = t.add_mutually_exclusive_group(required=True)
-    group.add_argument("--diff", action="store_true", help="family j - i + c")
-    group.add_argument("--sum", action="store_true", help="family j + i + c")
-    group.add_argument("--even-power", action="store_true", help="family (j - i)**(2t) + c")
-    t.add_argument("--t", type=int, default=1, metavar="T",
-                   help="half-exponent t for --even-power (default 1)")
+    _formula_args(t, single_matrix=False)
     t.add_argument("-p", type=int, required=True, help="odd prime modulus")
     t.add_argument("--n-min", type=int, default=None, help="first order (default 1)")
     t.add_argument("--n-max", type=int, default=None, help="last order (default p)")
@@ -205,6 +207,6 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

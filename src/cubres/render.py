@@ -22,9 +22,6 @@ __all__ = [
     "emit_svg",
 ]
 
-RGB = "tuple[int, int, int]"
-
-
 @dataclass(frozen=True)
 class ColorScheme:
     """Fill colors per sign class; defaults are blue / orange / green."""

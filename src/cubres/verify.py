@@ -2,9 +2,12 @@
 
 Each checker sweeps the full stated parameter range of one claim for one
 prime, comparing the value predicted by the claim's closed form against
-the value computed from a freshly built matrix and the exact determinant
-engine. Checkers never abort early: every counterexample in range is
-collected, and a report passes exactly when none were found.
+the value computed from freshly built matrices and the exact determinant
+engine. Eight of the matrix claims are predicates over cells of one
+difference-family determinant table, which verify_all computes once per
+prime and shares between them. Checkers never abort early: every
+counterexample in range is collected, and a report passes exactly when
+none were found.
 
 Claims are cataloged by stable ids (the CLAIMS tuple); preconditions on
 the prime's residue class are enforced with ValueError so a checker can
@@ -12,6 +15,7 @@ never silently run outside its domain.
 """
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -172,45 +176,89 @@ def check_propositions(p: "Prime | int", a_bound: "int | None" = None) -> list[T
     return out
 
 
+@dataclass(frozen=True)
+class _TableClaim:
+    """A claim read off the difference-family table: the box of cells it
+    reads and its cases, in sweep order, as (n, c, expected, actual,
+    detail) over those cells."""
+
+    claim: str
+    n_range: tuple[int, int]
+    c_range: tuple[int, int]
+    cases: Callable[[Mapping[tuple[int, int], int]], Iterable[tuple[int, int, int, int, str]]]
+    notes: Callable[[], list[str]] = list
+
+
+def _t3_4_notes(p: Prime) -> list[str]:
+    interior = range(2, p.value - 1)
+    box = [(n, c) for n in interior for c in interior]
+    misses = [(n, c) for n, c in box
+              if int((build_matrix(DiffPlusC(c), p, n).entries == 1).all(axis=0).sum()) < 2]
+    notes = [f"all-ones column pairs present in {len(box) - len(misses)}/{len(box)} cases"]
+    if misses:
+        notes.append(f"mechanism absent at {misses[:5]}")
+    return notes
+
+
+def _table_claims(p: Prime) -> tuple[_TableClaim, ...]:
+    """The eight table claims for one prime, in catalog order. Expected
+    values come from the closed forms, never from the cell under test;
+    TABLE_PERIOD compares two cells computed independently."""
+    pv = p.value
+    interior = range(2, pv - 1)
+    return (
+        _TableClaim("T3_1", (1, pv), (0, 0), lambda d: (
+            (n, 0, (-1) ** (n - 1) * (n - 1), d[n, 0], "") for n in range(1, pv + 1))),
+        _TableClaim("T3_2", (2, pv - 1), (-1, 1), lambda d: (
+            (n, c, 1, d[n, c], "") for c in (1, -1) for n in range(2, pv))),
+        _TableClaim("T3_3", (pv, pv), (1, pv - 1), lambda d: (
+            (pv, c, pv - 1, d[pv, c], "") for c in range(1, pv))),
+        _TableClaim("T3_4", (2, pv - 2), (2, pv - 2), lambda d: (
+            (n, c, 0, d[n, c], "") for n in interior for c in interior),
+            lambda: _t3_4_notes(p)),
+        _TableClaim("T3_5", (pv - 1, pv - 1), (1, pv - 1), lambda d: (
+            (pv - 1, c, 1, d[pv - 1, c], "") for c in range(1, pv))),
+        _TableClaim("ROW_PERIOD_NP", (pv + 1, pv + 10), (0, pv - 1), lambda d: (
+            (n, c, 0, d[n, c], "") for n in range(pv + 1, pv + 11) for c in range(pv))),
+        _TableClaim("TABLE_PERIOD", (1, pv), (0, 2 * pv - 1), lambda d: (
+            (n, c, d[n, c], d[n, c + pv], f"column {c} vs {c + pv}")
+            for c in range(pv) for n in range(1, pv + 1))),
+        _TableClaim("REMARK_N1", (1, 1), (0, 2 * pv - 1), lambda d: (
+            (1, c, 0 if c % pv == 0 else 1, d[1, c], "") for c in range(2 * pv))),
+    )
+
+
+def _evaluate(spec: _TableClaim, p: Prime, cells: Mapping[tuple[int, int], int]) -> TheoremReport:
+    ces = []
+    cases = 0
+    for n, c, expected, actual, detail in spec.cases(cells):
+        cases += 1
+        if actual != expected:
+            ces.append(Counterexample(n, c, expected, actual, detail))
+    return TheoremReport(spec.claim, p, cases, ces, spec.notes())
+
+
+def _check_table_claim(claim: str, p: "Prime | int") -> TheoremReport:
+    """One table claim on its own, over a table of just its box."""
+    p = as_prime(p)
+    _require_form_3k2(p, claim)
+    spec = next(s for s in _table_claims(p) if s.claim == claim)
+    return _evaluate(spec, p, generate_table("diff", p, spec.n_range, spec.c_range).cells)
+
+
 def check_t3_1(p: "Prime | int") -> TheoremReport:
     """Shift 0: det equals (-1)**(n-1) * (n-1) for every order 1 <= n <= p."""
-    p = as_prime(p)
-    _require_form_3k2(p, "T3_1")
-    ces = []
-    for n in range(1, p.value + 1):
-        expected = (-1) ** (n - 1) * (n - 1)
-        actual = determinant(build_matrix(DiffPlusC(0), p, n))
-        if actual != expected:
-            ces.append(Counterexample(n, 0, expected, actual))
-    return TheoremReport("T3_1", p, p.value, ces)
+    return _check_table_claim("T3_1", p)
 
 
 def check_t3_2(p: "Prime | int") -> TheoremReport:
     """Shifts +1 and -1: det equals 1 for every order 1 < n <= p - 1."""
-    p = as_prime(p)
-    _require_form_3k2(p, "T3_2")
-    ces = []
-    cases = 0
-    for c in (1, -1):
-        for n in range(2, p.value):
-            cases += 1
-            actual = determinant(build_matrix(DiffPlusC(c), p, n))
-            if actual != 1:
-                ces.append(Counterexample(n, c, 1, actual))
-    return TheoremReport("T3_2", p, cases, ces)
+    return _check_table_claim("T3_2", p)
 
 
 def check_t3_3(p: "Prime | int") -> TheoremReport:
     """Full order n = p: det equals p - 1 for every shift 1 <= c <= p - 1."""
-    p = as_prime(p)
-    _require_form_3k2(p, "T3_3")
-    pv = p.value
-    ces = []
-    for c in range(1, pv):
-        actual = determinant(build_matrix(DiffPlusC(c), p, pv))
-        if actual != pv - 1:
-            ces.append(Counterexample(pv, c, pv - 1, actual))
-    return TheoremReport("T3_3", p, pv - 1, ces)
+    return _check_table_claim("T3_3", p)
 
 
 def check_t3_4(p: "Prime | int") -> TheoremReport:
@@ -220,38 +268,12 @@ def check_t3_4(p: "Prime | int") -> TheoremReport:
     least two all-ones columns); a case without it is noted, never failed,
     since the determinant value is the claim under test.
     """
-    p = as_prime(p)
-    _require_form_3k2(p, "T3_4")
-    pv = p.value
-    ces = []
-    cases = 0
-    mechanism_misses = []
-    for n in range(2, pv - 1):
-        for c in range(2, pv - 1):
-            cases += 1
-            m = build_matrix(DiffPlusC(c), p, n)
-            actual = determinant(m)
-            if actual != 0:
-                ces.append(Counterexample(n, c, 0, actual))
-            if int((m.entries == 1).all(axis=0).sum()) < 2:
-                mechanism_misses.append((n, c))
-    notes = [f"all-ones column pairs present in {cases - len(mechanism_misses)}/{cases} cases"]
-    if mechanism_misses:
-        notes.append(f"mechanism absent at {mechanism_misses[:5]}")
-    return TheoremReport("T3_4", p, cases, ces, notes)
+    return _check_table_claim("T3_4", p)
 
 
 def check_t3_5(p: "Prime | int") -> TheoremReport:
     """Order n = p - 1: det equals 1 for every shift 1 <= c <= p - 1."""
-    p = as_prime(p)
-    _require_form_3k2(p, "T3_5")
-    pv = p.value
-    ces = []
-    for c in range(1, pv):
-        actual = determinant(build_matrix(DiffPlusC(c), p, pv - 1))
-        if actual != 1:
-            ces.append(Counterexample(pv - 1, c, 1, actual))
-    return TheoremReport("T3_5", p, pv - 1, ces)
+    return _check_table_claim("T3_5", p)
 
 
 def check_t3_6(p: "Prime | int") -> TheoremReport:
@@ -272,11 +294,6 @@ def check_t3_6(p: "Prime | int") -> TheoremReport:
                 Counterexample(n, 1, a.entry(i0 + 1, j0 + 1), b.entry(i0 + 1, j0 + 1),
                                f"entries differ at ({i0 + 1}, {j0 + 1})")
             )
-            continue
-        da = determinant(a)
-        db = determinant(b)
-        if da != db:
-            ces.append(Counterexample(n, 1, da, db, "determinants differ"))
     return TheoremReport("T3_6", p, cases, ces)
 
 
@@ -334,64 +351,32 @@ def check_t3_7(p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremRepor
 def check_row_period_np(p: "Prime | int") -> TheoremReport:
     """Orders past p: rows repeat with period p, so det equals 0 for every
     p < n <= p + 10 and every shift 0 <= c <= p - 1."""
-    p = as_prime(p)
-    _require_form_3k2(p, "ROW_PERIOD_NP")
-    pv = p.value
-    ces = []
-    cases = 0
-    for n in range(pv + 1, pv + 11):
-        for c in range(pv):
-            cases += 1
-            actual = determinant(build_matrix(DiffPlusC(c), p, n))
-            if actual != 0:
-                ces.append(Counterexample(n, c, 0, actual))
-    return TheoremReport("ROW_PERIOD_NP", p, cases, ces)
+    return _check_table_claim("ROW_PERIOD_NP", p)
 
 
 def check_table_period(p: "Prime | int") -> TheoremReport:
     """Table columns repeat horizontally: cell(n, c) = cell(n, c + p) over
     the default two-period table."""
-    p = as_prime(p)
-    _require_form_3k2(p, "TABLE_PERIOD")
-    pv = p.value
-    table = generate_table("diff", p)
-    ces = []
-    cases = 0
-    for c in range(pv):
-        for n in table.orders():
-            cases += 1
-            expected = table.cells[n, c]
-            actual = table.cells[n, c + pv]
-            if actual != expected:
-                ces.append(Counterexample(n, c, expected, actual, f"column {c} vs {c + pv}"))
-    return TheoremReport("TABLE_PERIOD", p, cases, ces)
+    return _check_table_claim("TABLE_PERIOD", p)
 
 
 def check_remark_n1(p: "Prime | int") -> TheoremReport:
     """Order 1: the lone entry is the symbol of c, so det equals 1 for
     every shift not divisible by p and 0 otherwise; swept over both
     periods 0 <= c <= 2p - 1."""
-    p = as_prime(p)
-    _require_form_3k2(p, "REMARK_N1")
-    pv = p.value
-    ces = []
-    cases = 0
-    for c in range(2 * pv):
-        cases += 1
-        expected = 0 if c % pv == 0 else 1
-        actual = determinant(build_matrix(DiffPlusC(c), p, 1))
-        if actual != expected:
-            ces.append(Counterexample(1, c, expected, actual))
-    return TheoremReport("REMARK_N1", p, cases, ces)
+    return _check_table_claim("REMARK_N1", p)
 
 
 def verify_all(p_max: int, t_max: int = 3, n_max: int = 8) -> list[TheoremReport]:
     """Run every applicable checker for every odd prime 5 <= p <= p_max.
 
     The symbol propositions run for every prime; the determinant claims
-    require the 3k+2 form and are skipped elsewhere. Failures are
-    collected in the reports, never raised. Reports come back sorted by
-    claim id (catalog order) and then prime.
+    require the 3k+2 form and are skipped elsewhere. For each such prime
+    the eight table claims read one shared difference-family table,
+    orders 1..p over shifts -1..2p-1 plus orders p+1..p+10 over shifts
+    0..p-1, with every cell computed on its own (c and c + p included).
+    Failures are collected in the reports, never raised. Reports come
+    back sorted by claim id (catalog order) and then prime.
     """
     if p_max < 5:
         raise ValueError(f"p_max must be at least 5, got {p_max}")
@@ -402,16 +387,12 @@ def verify_all(p_max: int, t_max: int = 3, n_max: int = 8) -> list[TheoremReport
         p = Prime(q)
         reports.extend(check_propositions(p))
         if p.mod3 == 2:
-            reports.append(check_t3_1(p))
-            reports.append(check_t3_2(p))
-            reports.append(check_t3_3(p))
-            reports.append(check_t3_4(p))
-            reports.append(check_t3_5(p))
+            cells: dict[tuple[int, int], int] = {}
+            for n_range, c_range in (((1, q), (-1, 2 * q - 1)), ((q + 1, q + 10), (0, q - 1))):
+                cells.update(generate_table("diff", p, n_range, c_range).cells)
+            reports.extend(_evaluate(spec, p, cells) for spec in _table_claims(p))
             reports.append(check_t3_6(p))
             reports.append(check_t3_7(p, t_max, n_max))
-            reports.append(check_row_period_np(p))
-            reports.append(check_table_period(p))
-            reports.append(check_remark_n1(p))
     reports.sort(key=lambda r: (CLAIMS.index(r.claim), r.prime.value))
     return reports
 

@@ -176,10 +176,23 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "--cube-diff", "-p", "5"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--diff", "-c", "1", "-p", "5"])
+    assert exc.value.code == 2
     with pytest.raises(SystemExit):
         cli.main(["matrix", "--diff", "--sum", "-p", "5", "-n", "2"])
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    for argv in (("table", "-p", "5", "--diff", "-o", str(tmp_path / "missing" / "x.csv")),
+                 ("verify", "--p-max", "11", "-o", str(tmp_path / "missing" / "x.txt"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / "missing") in err
 
 
 def test_even_power_rejects_bad_t(capsys):

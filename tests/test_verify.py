@@ -2,7 +2,7 @@
 
 import pytest
 
-import cubres.verify as verify
+import cubres.tables as tables
 from cubres import (
     CLAIMS,
     Counterexample,
@@ -208,15 +208,15 @@ def test_report_text_truncates_counterexamples():
 
 
 def test_corrupted_engine_is_caught(monkeypatch):
-    # sabotage the determinant seen by the checkers: the sweep must
+    # sabotage the determinant seen by the table builder: the sweep must
     # collect the mismatches rather than raise or stop early
-    real = verify.determinant
+    real = tables.determinant
 
     def crooked(matrix):
         v = real(matrix)
         return v + 1 if getattr(matrix, "order", 0) == 3 else v
 
-    monkeypatch.setattr(verify, "determinant", crooked)
+    monkeypatch.setattr(tables, "determinant", crooked)
     r = check_t3_1(11)
     assert not r.passed
     assert r.cases_checked == 11
@@ -228,3 +228,31 @@ def test_corrupted_engine_is_caught(monkeypatch):
     assert [(-1) in [ce.c for ce in r2.counterexamples],
             1 in [ce.c for ce in r2.counterexamples]] == [True, True]
     assert len(r2.counterexamples) == 2  # one per shift, all collected
+
+    # the shared table of verify_all sees the same sabotage
+    shared = {r.claim: r for r in verify_all(11) if r.prime.value == 11}
+    assert shared["T3_1"].counterexamples == r.counterexamples
+    assert shared["T3_2"].counterexamples == r2.counterexamples
+
+
+@pytest.mark.parametrize("sabotaged", [False, True])
+def test_verify_all_matches_standalone_table_checkers(monkeypatch, sabotaged):
+    # the shared-table path and the one-box-per-claim path must agree,
+    # also on counterexamples: the sabotage depends on the shift, so that
+    # it breaks TABLE_PERIOD as well as the closed forms
+    if sabotaged:
+        real = tables.determinant
+        monkeypatch.setattr(tables, "determinant",
+                            lambda m: real(m) + ((m.order + m.formula.c) % 5 == 0))
+    standalone = {
+        "T3_1": check_t3_1, "T3_2": check_t3_2, "T3_3": check_t3_3,
+        "T3_4": check_t3_4, "T3_5": check_t3_5, "ROW_PERIOD_NP": check_row_period_np,
+        "TABLE_PERIOD": check_table_period, "REMARK_N1": check_remark_n1,
+    }
+    pairs = [(r, standalone[r.claim](r.prime)) for r in verify_all(17) if r.claim in standalone]
+    assert sorted({r.prime.value for r, _ in pairs}) == [5, 11, 17]
+    assert len(pairs) == 8 * 3
+    for shared, alone in pairs:
+        assert (shared.claim, shared.cases_checked, shared.counterexamples, shared.notes) == \
+            (alone.claim, alone.cases_checked, alone.counterexamples, alone.notes)
+    assert {r.claim for r, _ in pairs if r.counterexamples} == (set(standalone) if sabotaged else set())
