@@ -1,16 +1,26 @@
 """Exact integer determinants.
 
-The engine is fraction-free elimination: every intermediate quantity is a
-minor of the input matrix, every interior division is exact (checked, not
-assumed), and the result is the exact determinant however large it grows.
-Inputs whose values fit comfortably in machine words run through a
-vectorized int64 path; anything at risk of overflow is recomputed with
-Python's unbounded integers using the same elimination.
+Inputs whose values fit comfortably in machine words first run through
+fraction-free (Bareiss) elimination, vectorized over int64: every
+intermediate quantity is a minor of the input, every interior division
+is exact (checked, not assumed), and the path bails out before any step
+whose products could overflow. A ResidueMatrix goes straight to this
+path, since its entries are already known to lie in {-1, 0, 1}.
 
-A cofactor-expansion oracle for tiny orders is included for
-cross-validation. It shares no code with the elimination paths.
+Everything else, bailouts and entries above 2**30 alike, is computed
+modulo primes just below 2**31 by elimination over F_q, one prime at a
+time, and combined by the Chinese remainder theorem. The number of
+primes is fixed before any elimination from Hadamard's bound
+|det|**2 <= prod of the squared row norms: once their product M
+satisfies M**2 > 4 * bound, the residue nearest zero is the
+determinant. Nothing is sampled, and no result is kept between calls.
+
+Two references share no code with these paths: `_eliminate_bigint`,
+the same fraction-free elimination over Python ints, and a
+cofactor-expansion oracle for tiny orders.
 """
 
+from math import isqrt
 from numbers import Integral
 
 import numpy as np
@@ -22,6 +32,10 @@ __all__ = ["determinant", "determinant_oracle"]
 # Products of two values at or below this bound cannot overflow int64,
 # even after the subtraction in the elimination update.
 _I64_SAFE = 1 << 30
+
+# Moduli of the CRT path lie below this, so a product of two residues
+# stays below 2**62.
+_Q_TOP = 1 << 31
 
 _ORACLE_MAX_ORDER = 7
 
@@ -54,26 +68,29 @@ def determinant(matrix) -> int:
     """Exact determinant of a square integer matrix.
 
     Accepts a ResidueMatrix, a numpy integer array, or nested sequences
-    of ints. O(n^3) ring operations; the fraction-free update keeps the
-    intermediate values polynomial in size instead of exploding the way
-    naive division-free elimination would.
+    of ints. O(n^3) word operations on the int64 path, and that times
+    the number of CRT primes, which grows like n log(n * max|entry|),
+    on the modular path.
     """
-    rows = _to_rows(matrix)
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    largest = max(abs(v) for row in rows for v in row)
-    if largest <= _I64_SAFE:
-        result = _eliminate_int64(np.array(rows, dtype=np.int64))
+    if isinstance(matrix, ResidueMatrix):
+        a = matrix.entries.astype(np.int64)
+    else:
+        rows = _to_rows(matrix)
+        small = max(abs(v) for row in rows for v in row) <= _I64_SAFE
+        a = np.array(rows, dtype=np.int64 if small else object)
+    if a.shape[0] == 1:
+        return int(a[0, 0])
+    if a.dtype == np.int64:
+        result = _eliminate_int64(a.copy())
         if result is not None:
             return result
-    return _eliminate_bigint(rows)
+    return _det_crt(a)
 
 
 def _eliminate_int64(a: np.ndarray) -> "int | None":
-    """Vectorized elimination. Bails out (returns None) before any step
-    whose products could leave int64 range; the caller then reruns the
-    computation on unbounded integers."""
+    """Vectorized fraction-free elimination. Mutates a. Bails out
+    (returns None) before any step whose products could leave int64
+    range; the caller then falls back to the CRT path."""
     n = a.shape[0]
     sign = 1
     prev = 1
@@ -98,9 +115,81 @@ def _eliminate_int64(a: np.ndarray) -> "int | None":
     return sign * int(a[n - 1, n - 1])
 
 
+def _det_crt(a: np.ndarray) -> int:
+    """Determinant from its residues modulo enough primes below 2**31.
+
+    a holds integers, int64 or Python ints in an object array. The
+    primes are taken until their product M satisfies M**2 > 4 * h2, with
+    h2 the product of the squared row norms, so that M > 2 * |det| and
+    the residue nearest zero is exact.
+    """
+    h2 = 1
+    for row in a.tolist():
+        h2 *= sum(v * v for v in row)
+    x, m, i = 0, 1, 0
+    while m * m <= 4 * h2:
+        q = _crt_prime(i)
+        r = _det_mod((a % q).astype(np.int64), q)
+        x += m * ((r - x) * pow(m, -1, q) % q)
+        m *= q
+        i += 1
+    return x if 2 * x < m else x - m
+
+
+def _det_mod(a: np.ndarray, q: int) -> int:
+    """Determinant mod q of an int64 matrix with entries in [0, q), by
+    Gaussian elimination over F_q. Mutates a."""
+    n = a.shape[0]
+    det = 1
+    for k in range(n):
+        nz = np.flatnonzero(a[k:, k])
+        if nz.size == 0:
+            return 0
+        r = k + int(nz[0])
+        if r != k:
+            a[[k, r]] = a[[r, k]]
+            det = -det
+        piv = int(a[k, k])
+        det = det * piv % q
+        if k + 1 < n:
+            f = a[k + 1:, k] * pow(piv, -1, q) % q
+            rest = a[k + 1:, k + 1:]
+            rest -= np.outer(f, a[k, k + 1:])
+            rest %= q
+    return det % q
+
+
+# Primes below _Q_TOP, largest first, and the trial divisors that find
+# them; both are built on the first fallback and grown on demand.
+_CRT_PRIMES: list[int] = []
+_SMALL_PRIMES: "np.ndarray | None" = None
+
+
+def _crt_prime(i: int) -> int:
+    """The i-th largest prime below 2**31 (i = 0 gives 2**31 - 1), found
+    by trial division with every prime up to sqrt(2**31)."""
+    global _SMALL_PRIMES
+    if _SMALL_PRIMES is None:
+        root = isqrt(_Q_TOP)
+        sieve = np.ones(root + 1, dtype=bool)
+        sieve[:2] = False
+        for f in range(2, isqrt(root) + 1):
+            if sieve[f]:
+                sieve[f * f::f] = False
+        _SMALL_PRIMES = np.flatnonzero(sieve)
+    q = _CRT_PRIMES[-1] if _CRT_PRIMES else _Q_TOP + 1
+    while len(_CRT_PRIMES) <= i:
+        q -= 2
+        if (q % _SMALL_PRIMES).all():
+            _CRT_PRIMES.append(q)
+    return _CRT_PRIMES[i]
+
+
 def _eliminate_bigint(rows: list[list[int]]) -> int:
-    """Reference elimination over unbounded ints. Mutates rows, which the
-    caller hands over as scratch."""
+    """Fraction-free elimination over unbounded ints. Mutates rows.
+
+    Not on the production path: it is the independent reference the
+    tests compare the int64 and CRT paths against."""
     n = len(rows)
     sign = 1
     prev = 1

@@ -79,7 +79,11 @@ Formula = Union[DiffPlusC, SumPlusC, CubeDiffPlusOne, EvenPowerPlusC]
 
 @dataclass(frozen=True, eq=False)
 class ResidueMatrix:
-    """An immutable n x n grid of symbol values plus its provenance."""
+    """An immutable n x n grid of symbol values plus its provenance.
+
+    The entries are stored as a read-only copy with an integer dtype and
+    values in {-1, 0, 1}; the determinant engine relies on all three.
+    """
 
     order: int
     entries: np.ndarray
@@ -87,7 +91,12 @@ class ResidueMatrix:
     formula: Formula
 
     def __post_init__(self) -> None:
-        e = self.entries
+        # A read-only copy: the caller's array cannot change it later.
+        e = np.array(self.entries)
+        e.setflags(write=False)
+        object.__setattr__(self, "entries", e)
+        if not np.issubdtype(e.dtype, np.integer):
+            raise TypeError(f"entries must have an integer dtype, got {e.dtype}")
         if e.shape != (self.order, self.order):
             raise ValueError(f"entries must be {self.order} x {self.order}, got shape {e.shape}")
         if e.size and (np.abs(e) > 1).any():
@@ -147,9 +156,7 @@ def build_matrix(formula: Formula, p: "Prime | int", n: int) -> ResidueMatrix:
             for d in range(1 - n, n)
         ]
         key = idx[None, :] - idx[:, None] + (n - 1)
-    entries = np.asarray(line, dtype=np.int8)[key]
-    entries.setflags(write=False)
-    return ResidueMatrix(n, entries, p, formula)
+    return ResidueMatrix(n, np.asarray(line, dtype=np.int8)[key], p, formula)
 
 
 def matrices_equal(a: ResidueMatrix, b: ResidueMatrix) -> bool:

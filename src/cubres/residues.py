@@ -101,13 +101,43 @@ def cubic_residue_symbol(a: int, p: "Prime | int") -> int:
 
 
 def cube_root(a: int, p: "Prime | int") -> "int | None":
-    """Smallest x in [0, p-1] with x**3 = a (mod p), or None. O(p) scan."""
+    """Smallest x in [0, p-1] with x**3 = a (mod p), or None.
+
+    O(log^2 p) multiplications. When p % 3 != 1, cubing permutes the
+    residues and x = a**e with 3e = 1 mod p - 1 (e = (2p - 1)/3 for
+    p % 3 == 2). When p % 3 == 1, write p - 1 = 3**s * t with t prime to
+    3 and take the Adleman-Manders-Miller route: x = a**(1/3 mod t) cubes
+    to a times an element b of the 3-Sylow subgroup, which c = z**t
+    generates for a cubic nonresidue z. The discrete log of b base c is
+    read off one base-3 digit at a time, and x / c**(log/3) is a root.
+    The other two roots are that times w and w*w, with w a primitive
+    cube root of 1.
+    """
     p = as_prime(p)
-    r = a % p.value
-    for x in range(p.value):
-        if pow(x, 3, p.value) == r:
-            return x
-    return None
+    pv = p.value
+    r = a % pv
+    if r == 0:
+        return 0
+    if p.mod3 != 1:
+        return pow(r, pow(3, -1, pv - 1), pv)
+    if pow(r, (pv - 1) // 3, pv) != 1:
+        return None
+    s, t = 0, pv - 1
+    while t % 3 == 0:
+        s, t = s + 1, t // 3
+    z = next(z for z in range(2, pv) if pow(z, (pv - 1) // 3, pv) != 1)
+    c = pow(z, t, pv)  # generates the 3-Sylow subgroup, of order 3**s
+    w = pow(c, 3 ** (s - 1), pv)
+    x = pow(r, pow(3, -1, t), pv)
+    # b = x**3 / r lies in the 3-Sylow subgroup; find e with c**e == b.
+    b = pow(x, 3, pv) * pow(r, -1, pv) % pv
+    e = 0
+    for i in range(s):
+        digit = pow(b * pow(c, -e, pv) % pv, 3 ** (s - 1 - i), pv)
+        e += 3**i * (0 if digit == 1 else 1 if digit == w else 2)
+    # b is a cube, so 3 divides e, and x / c**(e/3) cubes to r.
+    x = x * pow(c, -(e // 3), pv) % pv
+    return min(x, x * w % pv, x * w * w % pv)
 
 
 def cubic_residue_set(p: "Prime | int") -> set[int]:

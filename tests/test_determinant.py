@@ -1,12 +1,30 @@
-"""Exact determinant engine against the cofactor oracle."""
+"""Exact determinant engine against the cofactor oracle, the bigint
+reference elimination and sympy."""
 
+import importlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
 
-from cubres import DiffPlusC, build_matrix, determinant, determinant_oracle
-from cubres.determinant import _eliminate_bigint, _eliminate_int64, _to_rows
+from cubres import (
+    DiffPlusC,
+    SumPlusC,
+    build_matrix,
+    determinant,
+    determinant_oracle,
+    odd_primes_up_to,
+)
+from cubres.determinant import (
+    _crt_prime,
+    _det_crt,
+    _eliminate_bigint,
+    _eliminate_int64,
+    _to_rows,
+)
 
 EXAMPLE_3X3 = [[0, 1, -1], [1, 0, 1], [-1, 1, 0]]
 
@@ -79,8 +97,9 @@ def test_both_elimination_paths_agree_on_corpus_sample():
         if len(rows) == 1:
             continue
         fast = _eliminate_int64(np.array(rows, dtype=np.int64))
+        crt = _det_crt(np.array(rows, dtype=np.int64))
         slow = _eliminate_bigint([list(r) for r in rows])
-        assert fast == slow == determinant_oracle(rows)
+        assert fast == crt == slow == determinant_oracle(rows)
 
 
 def test_row_swap_antisymmetry_on_corpus():
@@ -123,16 +142,100 @@ def test_big_entries_use_exact_arithmetic():
         assert determinant(rows) == determinant_oracle(rows)
 
 
-def test_fast_path_hands_off_midway():
-    # entries pass the initial bound but products outgrow it immediately
+def test_fast_path_hands_off_midway(monkeypatch):
+    # entries pass the initial bound but products outgrow it immediately;
+    # every bail goes to the CRT path and none to the bigint reference
+    engine = importlib.import_module("cubres.determinant")
+    handoffs = []
+
+    def crt(a):
+        handoffs.append(a.shape[0])
+        return _det_crt(a)
+
+    def no_bigint(rows):
+        raise AssertionError("the bigint reference ran on the production path")
+
+    monkeypatch.setattr(engine, "_det_crt", crt)
+    monkeypatch.setattr(engine, "_eliminate_bigint", no_bigint)
     rng = random.Random(5)
+    bails = 0
     for _ in range(25):
         n = rng.randint(3, 6)
         rows = [[rng.randint(-(2**29), 2**29) for _ in range(n)] for _ in range(n)]
         fast = _eliminate_int64(np.array(rows, dtype=np.int64))
         big = _eliminate_bigint([list(r) for r in rows])
         assert fast is None or fast == big
+        calls = len(handoffs)
         assert determinant(rows) == big == determinant_oracle(rows)
+        assert len(handoffs) - calls == (fast is None)
+        bails += fast is None
+    assert bails > 0
+
+
+def _sylvester_hadamard(n):
+    h = np.ones((1, 1), dtype=np.int64)
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_sylvester_hadamard_meets_the_bound_with_equality(n):
+    # H H^T = n I, so |det H| = n**(n/2): the Hadamard bound exactly
+    h = _sylvester_hadamard(n)
+    assert (h @ h.T == n * np.eye(n, dtype=np.int64)).all()
+    assert _eliminate_int64(h.copy()) is None
+    want = _eliminate_bigint(h.tolist())
+    assert abs(want) == n ** (n // 2)
+    assert determinant(h) == want
+    h[n // 3] *= -1
+    assert determinant(h) == -want
+    assert determinant(h.tolist()) == -want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_crt_stopping_rule_at_prime_product_boundaries(k):
+    # diag(d, 1) meets the Hadamard bound with equality; d just below the
+    # product M of the first k CRT primes needs more than k primes,
+    # because the residue nearest zero is exact only when M > 2|d|
+    m = 1
+    for i in range(k):
+        m *= _crt_prime(i)
+    for d in (m // 2, m // 2 + 1, m - 1, m, m + 1, 2 * m):
+        for sign in (1, -1):
+            assert determinant([[sign * d, 0], [0, 1]]) == sign * d
+            assert determinant([[1, sign * d], [1, 0]]) == -sign * d
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.integers(8, 40),
+    bits=st.integers(0, 100),
+    seed=st.integers(0, 2**32 - 1),
+    singular=st.booleans(),
+)
+def test_engine_matches_sympy_bareiss(n, bits, seed, singular):
+    rng = random.Random(seed)
+    bound = min(10**30, 2**bits)
+    rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    if singular:
+        rows[-1] = [x - y for x, y in zip(rows[0], rows[1])]
+    assert determinant(rows) == Matrix(rows).det(method="bareiss")
+
+
+_PRIMES_3K1 = [m for m in odd_primes_up_to(400) if m % 3 == 1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.sampled_from(_PRIMES_3K1),
+    family=st.sampled_from([DiffPlusC, SumPlusC]),
+    n=st.integers(2, 60),
+    c=st.integers(-1, 1000),
+)
+def test_engine_matches_bigint_on_3k1_residue_matrices(m, family, n, c):
+    a = build_matrix(family(c), m, n)
+    assert determinant(a) == _eliminate_bigint(a.rows())
 
 
 def test_hollow_ones_determinant_formula():
@@ -148,6 +251,8 @@ def test_singular_matrices_report_zero():
     n = 40
     rows = [[(i + j) % 5 for j in range(n)] for i in range(n)]  # rank <= 5
     assert determinant(rows) == 0
+    # a zero row gives a Hadamard bound of 0: no CRT prime is needed
+    assert determinant([[10**40, 1], [0, 0]]) == 0
 
 
 def test_to_rows_copies():

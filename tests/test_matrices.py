@@ -8,8 +8,11 @@ from cubres import (
     DiffPlusC,
     EvenPowerPlusC,
     Prime,
+    ResidueMatrix,
     SumPlusC,
+    as_prime,
     build_matrix,
+    determinant,
     entry_value,
     matrices_equal,
     odd_primes_up_to,
@@ -175,6 +178,25 @@ def test_matrix_accessors_and_immutability():
     with pytest.raises(ValueError):
         m.entries[0, 0] = 1
     assert m.prime == Prime(7)
+
+
+def test_residue_matrix_rejects_non_integer_entries():
+    entries = np.array([[0.5, 1.0], [1.0, 1.0]])
+    with pytest.raises(TypeError):
+        ResidueMatrix(2, entries, as_prime(5), DiffPlusC(0))
+    with pytest.raises(TypeError):
+        ResidueMatrix(2, np.ones((2, 2), dtype=bool), as_prime(5), DiffPlusC(0))
+
+
+def test_residue_matrix_keeps_a_private_read_only_copy():
+    e = np.array([[1, 0], [-1, 1]], dtype=np.int64)
+    m = ResidueMatrix(2, e, as_prime(5), DiffPlusC(0))
+    e[0, 0] = 5
+    e[1, 1] = 5
+    assert m.entry(1, 1) == 1 and m.entry(2, 2) == 1
+    assert determinant(m) == 1
+    with pytest.raises(ValueError):
+        m.entries[0, 0] = 0
 
 
 def test_build_rejects_bad_order():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import cubres.cli as cli
 from cubres import (
     Prime,
     as_prime,
@@ -106,11 +107,49 @@ def test_cubic_residue_set_sizes():
             assert s == set(range(1, m))
 
 
+def _smallest_cube_roots(m: int) -> dict[int, int]:
+    """Linear scan: each cube mod m mapped to its smallest root. Kept
+    here so the checks below do not run the code they test."""
+    roots = {}
+    for x in range(m - 1, -1, -1):
+        roots[pow(x, 3, m)] = x
+    return roots
+
+
 def test_symbol_against_brute_force_small():
     for m in odd_primes_up_to(60):
+        roots = _smallest_cube_roots(m)
         for a in range(m):
-            want = 0 if a == 0 else (1 if cube_root(a, m) is not None else -1)
+            want = 0 if a == 0 else (1 if a in roots else -1)
             assert cubic_residue_symbol(a, m) == want, (a, m)
+
+
+# 3**4, 3**5 and 3**6 divide p - 1 for the last three 3k+1 primes.
+@pytest.mark.parametrize("m", [7, 13, 163, 487, 1459, 3, 5, 11, 17, 101, 1451])
+def test_cube_root_against_linear_scan_for_every_residue(m):
+    roots = _smallest_cube_roots(m)
+    for a in range(m):
+        assert cube_root(a, m) == roots.get(a), (a, m)
+        assert cube_root(a + 3 * m, m) == cube_root(a - m, m) == roots.get(a)
+
+
+def _cube_roots_of_unity(m: int) -> list[int]:
+    g = next(g for g in range(2, m) if pow(g, (m - 1) // 3, m) != 1)
+    w = pow(g, (m - 1) // 3, m)
+    assert pow(w, 3, m) == 1
+    return [1, w, w * w % m]
+
+
+def test_symbol_verbose_witness_near_the_prime_cap(capsys):
+    m = 2147483647  # 3k+1, the largest prime the CLI accepts
+    x = m - 2
+    a = pow(x, 3, m)
+    want = min(x * u % m for u in _cube_roots_of_unity(m))
+    assert cli.main(["symbol", str(a), str(m), "--verbose"]) == 0
+    assert capsys.readouterr().out == f"1\nwitness: {want}**3 = {a} (mod {m})\n"
+    m = 2147483579  # 3k+2: the only root is m - 2
+    assert cli.main(["symbol", str(m - 8), str(m), "--verbose"]) == 0
+    assert capsys.readouterr().out == f"1\nwitness: {m - 2}**3 = {m - 8} (mod {m})\n"
 
 
 def test_cube_root_is_smallest_witness():
