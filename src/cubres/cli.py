@@ -105,14 +105,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if explicit_n:
         n_range = (args.n_min if args.n_min is not None else 1,
                    args.n_max if args.n_max is not None else p.value)
-    c_range = None
-    if args.c_min is not None or args.c_max is not None:
-        c_range = (args.c_min if args.c_min is not None else 0,
-                   args.c_max if args.c_max is not None else 2 * p.value - 1)
+    c_range = (args.c_min if args.c_min is not None else 0,
+               args.c_max if args.c_max is not None else 2 * p.value - 1)
     top_order = (n_range[1] if n_range
                  else p.value + EXTENDED_EXTRA_ORDERS if args.extended
                  else p.value)
     _check_order(top_order, args.max_order)
+    shifts = c_range[1] - c_range[0] + 1
+    if shifts > 2 * args.max_order:
+        raise ValueError(f"{shifts} shifts exceed the cap of {2 * args.max_order} "
+                         "(twice the order cap); raise it with --max-order")
     table = generate_table(family, p, n_range, c_range, t=args.t, extended=args.extended)
     if args.format == "csv":
         out = emit_csv(table)

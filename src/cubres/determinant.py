@@ -11,23 +11,30 @@ Everything else, bailouts and entries above 2**30 alike, is computed
 modulo primes just below 2**31 by elimination over F_q, one prime at a
 time, and combined by the Chinese remainder theorem. The number of
 primes is fixed before any elimination from Hadamard's bound
-|det|**2 <= prod of the squared row norms: once their product M
-satisfies M**2 > 4 * bound, the residue nearest zero is the
-determinant. Nothing is sampled, and no result is kept between calls.
+|det|**2 <= prod of the squared row norms, with a zero row counted as
+1: once their product M satisfies M**2 > 4 * bound, the residue
+nearest zero is the determinant. Nothing is sampled, and no result is
+kept between calls.
+
+`leading_minors` gives det A[:n, :n] for every order n of one matrix
+from a single elimination per prime over F_q, with no row swaps, under
+a Hadamard bound that covers every leading block; the tables read each
+column of orders from it. It shares the primes, the bound and the CRT
+step with the fallback above.
 
 Two references share no code with these paths: `_eliminate_bigint`,
 the same fraction-free elimination over Python ints, and a
 cofactor-expansion oracle for tiny orders.
 """
 
-from math import isqrt
+from math import isqrt, prod
 from numbers import Integral
 
 import numpy as np
 
 from .matrices import ResidueMatrix
 
-__all__ = ["determinant", "determinant_oracle"]
+__all__ = ["determinant", "determinant_oracle", "leading_minors"]
 
 # Products of two values at or below this bound cannot overflow int64,
 # even after the subtraction in the elimination update.
@@ -115,25 +122,121 @@ def _eliminate_int64(a: np.ndarray) -> "int | None":
     return sign * int(a[n - 1, n - 1])
 
 
+def leading_minors(matrix) -> list[int]:
+    """Exact det A[:n, :n] for every order n = 1..N of a square integer
+    matrix A of order N, as a list indexed by n - 1.
+
+    Accepts what `determinant` accepts. One elimination per CRT prime q
+    gives every leading minor at once: rows are taken top to bottom, and
+    each row, once the rows above have been applied, pivots on its
+    leftmost nonzero entry mod q, whose column is then cleared in the
+    rows below by adding multiples of the pivot row. That is A = L B with
+    L unit lower triangular and no row swaps, so A_n = L_n B_n for every
+    leading block, and the pivot columns of distinct rows are distinct.
+    Clearing the entries right of each pivot, row by row from the top,
+    would take column operations that each change only their own row;
+    they form a unit upper-triangular U with B = R U, R holding only the
+    pivots, so det A_n = det R_n and U is never formed: when the first n
+    rows pivot in columns below n, det A_n is the pivots' product signed
+    by the parity of their column order, and otherwise a row of B_n is
+    zero and det A_n = 0. Zero minors anywhere need no special case.
+
+    Exactness: with H the product over all rows of max(1, squared row
+    norm), Hadamard's bound gives |det A_n|**2 <= H for every n, since
+    the rows of A_n are truncated rows of A and every factor left out is
+    at least 1. The prime count is fixed from H before any elimination,
+    so that the product M of the primes satisfies M**2 > 4 * H; then
+    M > 2 * |det A_n| and the residue nearest zero is exact for every n.
+    There is no early exit and nothing is kept between calls. The cost is
+    O(N^3) word operations times the number of primes.
+    """
+    if isinstance(matrix, ResidueMatrix):
+        a = matrix.entries.astype(np.int64)
+        norms2 = np.count_nonzero(a, axis=1).tolist()  # entries lie in {-1, 0, 1}
+    else:
+        a = np.array(_to_rows(matrix), dtype=object)
+        norms2 = _row_norms2(a)
+    primes = _crt_primes(norms2)
+    residues = _leading_minors_mod(np.stack([(a % q).astype(np.int64) for q in primes]), primes)
+    return _crt_lift(residues, primes)
+
+
+def _leading_minors_mod(a: np.ndarray, primes: list[int]) -> np.ndarray:
+    """Every leading minor modulo each prime, by the pivoting of
+    `leading_minors`, batched over primes: a[k] is the matrix reduced mod
+    primes[k], and the result's [k, n - 1] is det A_n mod primes[k].
+    Mutates a. Entries stay in [0, q), so every product is below 2**62."""
+    count, n = a.shape[:2]
+    qs = np.array(primes, dtype=np.int64)
+    ks = np.arange(count)
+    out = np.zeros((count, n), dtype=np.int64)
+    cols = np.zeros((count, n), dtype=np.int64)  # pivot column of each row
+    det = np.ones(count, dtype=np.int64)  # signed pivot product so far
+    top = np.zeros(count, dtype=np.int64)  # largest pivot column so far
+    for i in range(n):
+        row = a[:, i, :]
+        nonzero = row != 0
+        has = nonzero.any(axis=1)
+        j = nonzero.argmax(axis=1)
+        piv = row[ks, j]  # 0 for a prime where the row has no pivot
+        cols[:, i] = j
+        # each earlier pivot right of this one is one more inversion
+        det = det * piv % qs * (1 - 2 * ((cols[:, :i] > j[:, None]).sum(axis=1) & 1)) % qs
+        np.maximum(top, j, out=top)
+        out[:, i] = np.where(top <= i, det, 0)
+        if i + 1 == n or not has.any():
+            continue
+        inv = np.array([pow(v, -1, q) if v else 0 for v, q in zip(piv.tolist(), primes)],
+                       dtype=np.int64)
+        lo = int(j[has].min())
+        f = a[ks, i + 1:, j] * inv[:, None] % qs[:, None]
+        rest = a[:, i + 1:, lo:]
+        rest -= f[:, :, None] * row[:, None, lo:]
+        rest %= qs[:, None, None]
+    return out
+
+
 def _det_crt(a: np.ndarray) -> int:
     """Determinant from its residues modulo enough primes below 2**31.
 
     a holds integers, int64 or Python ints in an object array. The
-    primes are taken until their product M satisfies M**2 > 4 * h2, with
-    h2 the product of the squared row norms, so that M > 2 * |det| and
-    the residue nearest zero is exact.
+    primes are taken until their product M satisfies M**2 > 4 * H, with
+    H the product of the squared row norms (each at least 1), so that
+    M > 2 * |det| and the residue nearest zero is exact.
     """
-    h2 = 1
-    for row in a.tolist():
-        h2 *= sum(v * v for v in row)
-    x, m, i = 0, 1, 0
-    while m * m <= 4 * h2:
-        q = _crt_prime(i)
-        r = _det_mod((a % q).astype(np.int64), q)
-        x += m * ((r - x) * pow(m, -1, q) % q)
-        m *= q
-        i += 1
-    return x if 2 * x < m else x - m
+    primes = _crt_primes(_row_norms2(a))
+    return _crt_lift([[_det_mod((a % q).astype(np.int64), q)] for q in primes], primes)[0]
+
+
+def _row_norms2(a: np.ndarray) -> list[int]:
+    """Squared 2-norm of every row, as Python ints."""
+    return [sum(v * v for v in row) for row in a.tolist()]
+
+
+def _crt_primes(norms2: list[int]) -> list[int]:
+    """The largest primes below 2**31, as few as make their product M
+    satisfy M**2 > 4 * H, with H the product of max(1, v) over the
+    squared row norms v: H bounds the squared determinant of the matrix
+    and of each of its leading blocks (Hadamard)."""
+    h = 1
+    for v in norms2:
+        h *= max(1, v)
+    primes, m = [], 1
+    while m * m <= 4 * h:
+        primes.append(_crt_prime(len(primes)))
+        m *= primes[-1]
+    return primes
+
+
+def _crt_lift(residues, primes: list[int]) -> list[int]:
+    """Chinese remaindering, one value per column: entry k of the result
+    is the integer nearest zero congruent to residues[i][k] modulo
+    primes[i] for every i. Exact when the product of the primes is more
+    than twice its absolute value."""
+    m = prod(primes)
+    basis = np.array([m // q * pow(m // q, -1, q) for q in primes], dtype=object)
+    x = basis.dot(np.array(residues, dtype=object)) % m
+    return [v if 2 * v < m else v - m for v in x.tolist()]
 
 
 def _det_mod(a: np.ndarray, q: int) -> int:

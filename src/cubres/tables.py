@@ -2,8 +2,11 @@
 
 A table fixes the prime and the formula family and tabulates the exact
 determinant for every matrix order n in a vertical range and every shift
-c in a horizontal range. Sign classes drive the color-coded views in the
-render module.
+c in a horizontal range. In every family the entry at (i, j) does not
+depend on the order, so the order-n matrix is the leading n x n block of
+the largest one: a column of the table is the leading minors of a single
+matrix, all read from one `leading_minors` call. Sign classes drive the
+color-coded views in the render module.
 """
 
 import enum
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .determinant import determinant
+from .determinant import leading_minors
 from .matrices import DiffPlusC, EvenPowerPlusC, Formula, SumPlusC, build_matrix
 from .residues import Prime, as_prime
 
@@ -98,8 +101,10 @@ def generate_table(
 
     Defaults cover orders 1..p and shifts 0..2p-1, two horizontal periods
     of the difference family. extended=True stretches the orders to p+10
-    instead, exposing the all-zero band past n = p. The result is a pure
-    function of the arguments, whatever order the cells are evaluated in.
+    instead, exposing the all-zero band past n = p. Each shift costs one
+    matrix of order n_hi and one `leading_minors` call, whatever n_lo is;
+    shifts c and c + p are separate columns, computed independently. The
+    result is a pure function of the arguments.
     """
     p = as_prime(p)
     if family not in FAMILIES:
@@ -119,8 +124,8 @@ def generate_table(
         raise ValueError(f"orders start at 1, got n_range ({n_lo}, {n_hi})")
     if n_hi < n_lo or c_hi < c_lo:
         raise ValueError("order and shift ranges must be nonempty")
-    cells: dict[tuple[int, int], int] = {}
-    for n in range(n_lo, n_hi + 1):
-        for c in range(c_lo, c_hi + 1):
-            cells[n, c] = determinant(build_matrix(family_formula(family, c, t), p, n))
+    columns = {c: leading_minors(build_matrix(family_formula(family, c, t), p, n_hi))
+               for c in range(c_lo, c_hi + 1)}
+    cells = {(n, c): columns[c][n - 1]
+             for n in range(n_lo, n_hi + 1) for c in range(c_lo, c_hi + 1)}
     return DeterminantTable(p, family, t, (n_lo, n_hi), (c_lo, c_hi), MappingProxyType(cells))

@@ -190,10 +190,17 @@ class _TableClaim:
 
 
 def _t3_4_notes(p: Prime) -> list[str]:
+    """Count the (n, c) of the T3_4 box whose matrix has at least two
+    all-ones columns. D(n, c) is the leading block of D(p - 2, c), so
+    column j <= n of D(n, c) is all ones exactly when column j of
+    D(p - 2, c) starts with a run of at least n ones."""
     interior = range(2, p.value - 1)
+    runs = {}
+    for c in interior:
+        ones = build_matrix(DiffPlusC(c), p, p.value - 2).entries == 1
+        runs[c] = np.where(ones.all(axis=0), len(ones), ones.argmin(axis=0))
     box = [(n, c) for n in interior for c in interior]
-    misses = [(n, c) for n, c in box
-              if int((build_matrix(DiffPlusC(c), p, n).entries == 1).all(axis=0).sum()) < 2]
+    misses = [(n, c) for n, c in box if int((runs[c][:n] >= n).sum()) < 2]
     notes = [f"all-ones column pairs present in {len(box) - len(misses)}/{len(box)} cases"]
     if misses:
         notes.append(f"mechanism absent at {misses[:5]}")
@@ -373,8 +380,8 @@ def verify_all(p_max: int, t_max: int = 3, n_max: int = 8) -> list[TheoremReport
     The symbol propositions run for every prime; the determinant claims
     require the 3k+2 form and are skipped elsewhere. For each such prime
     the eight table claims read one shared difference-family table,
-    orders 1..p over shifts -1..2p-1 plus orders p+1..p+10 over shifts
-    0..p-1, with every cell computed on its own (c and c + p included).
+    orders 1..p+10 over shifts -1..2p-1, from one `generate_table` call;
+    every column is computed on its own (c and c + p included).
     Failures are collected in the reports, never raised. Reports come
     back sorted by claim id (catalog order) and then prime.
     """
@@ -387,9 +394,7 @@ def verify_all(p_max: int, t_max: int = 3, n_max: int = 8) -> list[TheoremReport
         p = Prime(q)
         reports.extend(check_propositions(p))
         if p.mod3 == 2:
-            cells: dict[tuple[int, int], int] = {}
-            for n_range, c_range in (((1, q), (-1, 2 * q - 1)), ((q + 1, q + 10), (0, q - 1))):
-                cells.update(generate_table("diff", p, n_range, c_range).cells)
+            cells = generate_table("diff", p, (1, q + 10), (-1, 2 * q - 1)).cells
             reports.extend(_evaluate(spec, p, cells) for spec in _table_claims(p))
             reports.append(check_t3_6(p))
             reports.append(check_t3_7(p, t_max, n_max))

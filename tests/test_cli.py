@@ -77,6 +77,18 @@ def test_order_cap_and_override(capsys):
     assert (code, out) == (0, "0\n")  # order past p duplicates rows
 
 
+def test_table_shift_cap_follows_the_order_cap(capsys):
+    # the 2p default shifts of p = 11 are 22: over twice an order cap of 10
+    code, out, err = run(capsys, "table", "--diff", "-p", "11", "--n-max", "2", "--max-order", "10")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: 22 shifts") and "--max-order" in err
+    code, _, err = run(capsys, "table", "--diff", "-p", "11", "--n-max", "2", "--c-min", "-1",
+                       "--c-max", "21", "--max-order", "11")
+    assert code == 2 and "23 shifts" in err
+    code, out, _ = run(capsys, "table", "--diff", "-p", "11", "--n-max", "2", "--max-order", "11")
+    assert code == 0 and len(parse_csv(out)) == 2 * 22
+
+
 def test_table_csv_default(capsys):
     code, out, _ = run(capsys, "table", "--diff", "-p", "11")
     assert code == 0

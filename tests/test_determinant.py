@@ -20,6 +20,7 @@ from cubres import (
 )
 from cubres.determinant import (
     _crt_prime,
+    leading_minors,
     _det_crt,
     _eliminate_bigint,
     _eliminate_int64,
@@ -205,6 +206,8 @@ def test_crt_stopping_rule_at_prime_product_boundaries(k):
         for sign in (1, -1):
             assert determinant([[sign * d, 0], [0, 1]]) == sign * d
             assert determinant([[1, sign * d], [1, 0]]) == -sign * d
+            assert leading_minors([[sign * d, 0], [0, 1]]) == [sign * d, sign * d]
+            assert leading_minors([[sign * d, 1], [0, 1]]) == [sign * d, sign * d]
 
 
 @settings(max_examples=12, deadline=None)
@@ -251,7 +254,8 @@ def test_singular_matrices_report_zero():
     n = 40
     rows = [[(i + j) % 5 for j in range(n)] for i in range(n)]  # rank <= 5
     assert determinant(rows) == 0
-    # a zero row gives a Hadamard bound of 0: no CRT prime is needed
+    # a zero row counts as 1 in the Hadamard bound, and the residue mod
+    # the one CRT prime that bound takes is 0
     assert determinant([[10**40, 1], [0, 0]]) == 0
 
 
@@ -260,3 +264,64 @@ def test_to_rows_copies():
     got = _to_rows(rows)
     got[0][0] = 99
     assert rows[0][0] == 1
+
+
+def _minors_by_bigint(rows):
+    return [_eliminate_bigint([r[:k] for r in rows[:k]]) for k in range(1, len(rows) + 1)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    bits=st.integers(0, 100),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["full", "low-rank", "zero-run"]),
+)
+def test_leading_minors_match_bigint_on_every_leading_block(n, bits, seed, shape):
+    rng = random.Random(seed)
+    bound = min(10**30, 2**bits)
+    rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    if shape == "low-rank":
+        # every row a combination of the first few, some rows zero
+        basis = rows[:rng.randint(0, n - 1)]
+        rows = [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(n)] for _ in range(n)]
+    elif shape == "zero-run":
+        # the first k rows vanish on the first k + 1 columns, so every
+        # leading minor below order 2k + 1 is 0 and the pivots of the
+        # first rows sit right of the diagonal
+        k = rng.randint(1, max(1, n // 2))
+        for i in range(min(k, n)):
+            rows[i][:k + 1] = [0] * min(k + 1, n)
+    assert leading_minors(rows) == _minors_by_bigint(rows)
+
+
+def test_leading_minors_when_a_crt_prime_divides_a_leading_minor():
+    # mod the first CRT prime q0 the first row pivots right of the
+    # diagonal, while every other prime pivots on it
+    q0, q1 = _crt_prime(0), _crt_prime(1)
+    assert leading_minors([[q0, 1], [1, 1]]) == [q0, q0 - 1]
+    rng = random.Random(3)
+    heads = ([[q0, 0], [0, 1]], [[q0, 0], [0, q1]], [[1, 1], [1, 1 + q0]], [[q0 * q1, 1], [q0, 0]])
+    for head in heads:
+        for n in (2, 3, 8):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            for i in range(2):
+                rows[i][:2] = head[i]
+            assert leading_minors(rows) == _minors_by_bigint(rows)
+
+
+def test_leading_minors_small_orders_and_zero_rows():
+    assert leading_minors([[5]]) == [5]
+    assert leading_minors([[0]]) == [0]
+    assert leading_minors([[-(10**40)]]) == [-(10**40)]
+    # a zero row counts as 1 in the bound shared by all leading blocks
+    assert leading_minors([[10**40, 1], [0, 0]]) == [10**40, 0]
+    assert leading_minors([[2, 1, 0], [0, 0, 0], [1, 1, 1]]) == [2, 0, 0]
+    assert leading_minors(np.array([[0, 1], [1, 0]], dtype=np.int8)) == [0, -1]
+    h = _sylvester_hadamard(16)
+    assert leading_minors(h) == _minors_by_bigint(h.tolist())
+    with pytest.raises(ValueError):
+        leading_minors([[1, 2], [3]])
+    with pytest.raises(TypeError):
+        leading_minors([[1.5]])
+

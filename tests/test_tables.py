@@ -3,6 +3,7 @@
 import pytest
 
 from cubres import (
+    FAMILIES,
     DiffPlusC,
     EvenPowerPlusC,
     SignClass,
@@ -88,6 +89,18 @@ def test_cells_match_direct_determinants():
     for n in range(2, 5):
         for c in range(1, 4):
             assert t.cell(n, c) == determinant(build_matrix(DiffPlusC(c), 7, n))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("p", [19, 11])
+def test_extended_table_matches_per_cell_determinants(family, p):
+    # cell by cell is the oracle: one determinant per (n, c), no sharing
+    # between the orders of a column
+    t = 2 if family == "even-power" else 1
+    table = generate_table(family, p, extended=True, t=t)
+    assert len(table.cells) == (p + 10) * 2 * p
+    for (n, c), v in table.cells.items():
+        assert v == determinant(build_matrix(family_formula(family, c, t), p, n)), (n, c)
 
 
 def test_generation_is_deterministic():

@@ -26,6 +26,7 @@ from cubres import (
     report_text,
     verify_all,
 )
+from cubres.verify import _t3_4_notes
 
 
 def test_report_passed_tracks_counterexamples():
@@ -76,6 +77,20 @@ def test_t3_4_interior_zeros_and_mechanism():
     assert r11.passed and r11.cases_checked == 64
     # every in-range case exhibits at least two all-ones columns
     assert any("64/64" in note for note in r11.notes)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 23])
+def test_t3_4_notes_match_one_build_per_cell(p):
+    # the notes read column runs of one D(p - 2, c) per shift; rebuild
+    # every D(n, c) of the box instead, in sweep order (n outer, c inner)
+    interior = range(2, p - 1)
+    box = [(n, c) for n in interior for c in interior]
+    misses = [(n, c) for n, c in box
+              if (build_matrix(DiffPlusC(c), p, n).entries == 1).all(axis=0).sum() < 2]
+    want = [f"all-ones column pairs present in {len(box) - len(misses)}/{len(box)} cases"]
+    if misses:  # at the 3k+1 primes the mechanism is absent everywhere
+        want.append(f"mechanism absent at {misses[:5]}")
+    assert _t3_4_notes(Prime(p)) == want
 
 
 def test_t3_5_penultimate_order():
@@ -208,15 +223,15 @@ def test_report_text_truncates_counterexamples():
 
 
 def test_corrupted_engine_is_caught(monkeypatch):
-    # sabotage the determinant seen by the table builder: the sweep must
-    # collect the mismatches rather than raise or stop early
-    real = tables.determinant
+    # sabotage every order-3 cell that generate_table reads from its
+    # column engine: the sweep must collect the mismatches rather than
+    # raise or stop early
+    real = tables.leading_minors
 
     def crooked(matrix):
-        v = real(matrix)
-        return v + 1 if getattr(matrix, "order", 0) == 3 else v
+        return [v + 1 if n == 3 else v for n, v in enumerate(real(matrix), 1)]
 
-    monkeypatch.setattr(tables, "determinant", crooked)
+    monkeypatch.setattr(tables, "leading_minors", crooked)
     r = check_t3_1(11)
     assert not r.passed
     assert r.cases_checked == 11
@@ -241,9 +256,9 @@ def test_verify_all_matches_standalone_table_checkers(monkeypatch, sabotaged):
     # also on counterexamples: the sabotage depends on the shift, so that
     # it breaks TABLE_PERIOD as well as the closed forms
     if sabotaged:
-        real = tables.determinant
-        monkeypatch.setattr(tables, "determinant",
-                            lambda m: real(m) + ((m.order + m.formula.c) % 5 == 0))
+        real = tables.leading_minors
+        monkeypatch.setattr(tables, "leading_minors", lambda m: [
+            v + ((n + m.formula.c) % 5 == 0) for n, v in enumerate(real(m), 1)])
     standalone = {
         "T3_1": check_t3_1, "T3_2": check_t3_2, "T3_3": check_t3_3,
         "T3_4": check_t3_4, "T3_5": check_t3_5, "ROW_PERIOD_NP": check_row_period_np,
