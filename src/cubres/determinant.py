@@ -7,20 +7,17 @@ is exact (checked, not assumed), and the path bails out before any step
 whose products could overflow. A ResidueMatrix goes straight to this
 path, since its entries are already known to lie in {-1, 0, 1}.
 
-Everything else, bailouts and entries above 2**30 alike, is computed
-modulo primes just below 2**31 by elimination over F_q, one prime at a
-time, and combined by the Chinese remainder theorem. The number of
+Everything else, bailouts and entries above 2**30 alike, goes to the one
+modular elimination kernel, which `leading_minors` runs too: every
+leading minor modulo primes just below 2**29, by elimination over F_q
+batched over the primes in one int64 array, with the trailing block
+reduced mod q only once every 32 updates, combined by the Chinese
+remainder theorem; `determinant` takes the last one. The number of
 primes is fixed before any elimination from Hadamard's bound
 |det|**2 <= prod of the squared row norms, with a zero row counted as
 1: once their product M satisfies M**2 > 4 * bound, the residue
-nearest zero is the determinant. Nothing is sampled, and no result is
-kept between calls.
-
-`leading_minors` gives det A[:n, :n] for every order n of one matrix
-from a single elimination per prime over F_q, with no row swaps, under
-a Hadamard bound that covers every leading block; the tables read each
-column of orders from it. It shares the primes, the bound and the CRT
-step with the fallback above.
+nearest zero is the determinant of every leading block. Nothing is
+sampled, and no result is kept between calls.
 
 Two references share no code with these paths: `_eliminate_bigint`,
 the same fraction-free elimination over Python ints, and a
@@ -41,8 +38,20 @@ __all__ = ["determinant", "determinant_oracle", "leading_minors"]
 _I64_SAFE = 1 << 30
 
 # Moduli of the CRT path lie below this, so a product of two residues
-# stays below 2**62.
-_Q_TOP = 1 << 31
+# is below 2**58 ...
+_Q_TOP = 1 << 29
+
+# ... and this many such products can be subtracted from a residue
+# before it leaves int64: K * (q - 1)**2 <= 2**63 - 1 - q for every
+# q < _Q_TOP. It is 32.
+_DELAY = ((1 << 63) - 1 - _Q_TOP) // (_Q_TOP - 1) ** 2
+
+# Entries of the kernel's int64 work array, the primes of one batch
+# times N**2; its product buffer is as large again. 2**17 entries are
+# 1 MiB each, small against the 10% peak-memory bound of the benchmark
+# (about 3.5 MiB), and hold every prime of an order-81 column (9 x 81**2)
+# or 3 primes at order 200.
+_BATCH_ENTRIES = 1 << 17
 
 _ORACLE_MAX_ORDER = 7
 
@@ -71,27 +80,34 @@ def _to_rows(matrix) -> list[list[int]]:
     return [[int(v) for v in row] for row in rows]
 
 
+def _to_array(matrix) -> np.ndarray:
+    """A fresh square array of the entries: int64 when every entry is at
+    most 2**30 in absolute value, Python ints in an object array
+    otherwise. A ResidueMatrix skips the validation and the list."""
+    if isinstance(matrix, ResidueMatrix):
+        return matrix.entries.astype(np.int64)
+    rows = _to_rows(matrix)
+    small = max(abs(v) for row in rows for v in row) <= _I64_SAFE
+    return np.array(rows, dtype=np.int64 if small else object)
+
+
 def determinant(matrix) -> int:
     """Exact determinant of a square integer matrix.
 
     Accepts a ResidueMatrix, a numpy integer array, or nested sequences
-    of ints. O(n^3) word operations on the int64 path, and that times
-    the number of CRT primes, which grows like n log(n * max|entry|),
-    on the modular path.
+    of ints. O(n^3) word operations on the int64 path. The modular path
+    costs that times the number of CRT primes below 2**29, about
+    n * log2(n * max|entry|**2) / 58 of them, with the rows below the
+    pivot reduced mod q once every 32 updates.
     """
-    if isinstance(matrix, ResidueMatrix):
-        a = matrix.entries.astype(np.int64)
-    else:
-        rows = _to_rows(matrix)
-        small = max(abs(v) for row in rows for v in row) <= _I64_SAFE
-        a = np.array(rows, dtype=np.int64 if small else object)
+    a = _to_array(matrix)
     if a.shape[0] == 1:
         return int(a[0, 0])
     if a.dtype == np.int64:
         result = _eliminate_int64(a.copy())
         if result is not None:
             return result
-    return _det_crt(a)
+    return _crt_minors(a)[-1]
 
 
 def _eliminate_int64(a: np.ndarray) -> "int | None":
@@ -150,71 +166,93 @@ def leading_minors(matrix) -> list[int]:
     There is no early exit and nothing is kept between calls. The cost is
     O(N^3) word operations times the number of primes.
     """
-    if isinstance(matrix, ResidueMatrix):
-        a = matrix.entries.astype(np.int64)
-        norms2 = np.count_nonzero(a, axis=1).tolist()  # entries lie in {-1, 0, 1}
-    else:
-        a = np.array(_to_rows(matrix), dtype=object)
-        norms2 = _row_norms2(a)
-    primes = _crt_primes(norms2)
-    residues = _leading_minors_mod(np.stack([(a % q).astype(np.int64) for q in primes]), primes)
-    return _crt_lift(residues, primes)
+    return _crt_minors(_to_array(matrix))
+
+
+def _crt_minors(a: np.ndarray) -> list[int]:
+    """Every leading minor of the integer array a (int64 with entries at
+    most 2**30 in absolute value, or object), exact by CRT over the
+    primes `leading_minors` describes. The primes run in batches of as
+    many as keep a batch's work array within _BATCH_ENTRIES entries."""
+    primes = _crt_primes((a * a).sum(axis=1, dtype=object).tolist())
+    group = max(1, _BATCH_ENTRIES // a.size)
+    residues = []
+    for start in range(0, len(primes), group):
+        batch = primes[start:start + group]
+        residues.append(_leading_minors_mod(np.stack([(a % q).astype(np.int64) for q in batch]), batch))
+    return _crt_lift(np.concatenate(residues), primes)
 
 
 def _leading_minors_mod(a: np.ndarray, primes: list[int]) -> np.ndarray:
     """Every leading minor modulo each prime, by the pivoting of
     `leading_minors`, batched over primes: a[k] is the matrix reduced mod
     primes[k], and the result's [k, n - 1] is det A_n mod primes[k].
-    Mutates a. Entries stay in [0, q), so every product is below 2**62."""
+    Mutates a. This is the only modular elimination; `determinant`'s
+    fallback is its last leading minor.
+
+    Reduction is delayed. Row i is reduced mod q when it is reached, and
+    so are the entries below its pivot, from which the multipliers f come
+    (O(N) per prime). The rank-1 update of the rows below subtracts f
+    times the pivot row, both in [0, q), and is not reduced: the rows
+    below are reduced only once _DELAY updates have built up since their
+    last reduction. The pivots and their columns are recorded, and every
+    leading minor is formed from them after the loop.
+
+    Exactness in int64: every q is below 2**29, so every product of two
+    residues is below 2**58. An entry starts in [0, q) and each update
+    subtracts at most (q - 1)**2, so after k <= K = _DELAY updates it lies
+    in [-k * (q - 1)**2, q), and K * (q - 1)**2 <= 2**63 - 1 - q keeps
+    that inside int64; every value read for a pivot or a multiplier has
+    been reduced first. With the prime count fixed before any elimination
+    so that their product M satisfies M**2 > 4 * H (see `leading_minors`),
+    the residues then determine every leading minor exactly.
+    """
     count, n = a.shape[:2]
     qs = np.array(primes, dtype=np.int64)
+    q2 = qs[:, None]
     ks = np.arange(count)
-    out = np.zeros((count, n), dtype=np.int64)
     cols = np.zeros((count, n), dtype=np.int64)  # pivot column of each row
-    det = np.ones(count, dtype=np.int64)  # signed pivot product so far
-    top = np.zeros(count, dtype=np.int64)  # largest pivot column so far
+    pivs = np.zeros((count, n), dtype=np.int64)  # its pivot, 0 for none
+    buf = np.empty(a.size, dtype=np.int64)
+    pending = 0  # unreduced updates in the rows below
     for i in range(n):
         row = a[:, i, :]
-        nonzero = row != 0
-        has = nonzero.any(axis=1)
-        j = nonzero.argmax(axis=1)
+        row %= q2
+        j = (row != 0).argmax(axis=1)
         piv = row[ks, j]  # 0 for a prime where the row has no pivot
         cols[:, i] = j
-        # each earlier pivot right of this one is one more inversion
-        det = det * piv % qs * (1 - 2 * ((cols[:, :i] > j[:, None]).sum(axis=1) & 1)) % qs
-        np.maximum(top, j, out=top)
-        out[:, i] = np.where(top <= i, det, 0)
+        pivs[:, i] = piv
+        has = piv != 0
         if i + 1 == n or not has.any():
             continue
+        if pending == _DELAY:
+            a[:, i + 1:] %= q2[:, None]
+            pending = 0
         inv = np.array([pow(v, -1, q) if v else 0 for v, q in zip(piv.tolist(), primes)],
                        dtype=np.int64)
         lo = int(j[has].min())
-        f = a[ks, i + 1:, j] * inv[:, None] % qs[:, None]
+        f = a[ks, i + 1:, j] % q2 * inv[:, None] % q2
         rest = a[:, i + 1:, lo:]
-        rest -= f[:, :, None] * row[:, None, lo:]
-        rest %= qs[:, None, None]
+        update = buf[:rest.size].reshape(rest.shape)
+        np.multiply(f[:, :, None], row[:, None, lo:], out=update)
+        rest -= update
+        pending += 1
+    out = np.empty((count, n), dtype=np.int64)
+    det = np.ones(count, dtype=np.int64)
+    for i in range(n):
+        det = det * pivs[:, i] % qs
+        out[:, i] = det
+    # each pair of rows whose pivot columns are out of order is one
+    # inversion; the first n rows count those among themselves
+    inversions = np.triu(cols[:, :, None] > cols[:, None, :], 1).sum(axis=1).cumsum(axis=1)
+    out = np.where(inversions & 1, (q2 - out) % q2, out)
+    # a pivot right of column n - 1 among the first n rows makes det A_n 0
+    out[np.maximum.accumulate(cols, axis=1) >= np.arange(1, n + 1)] = 0
     return out
 
 
-def _det_crt(a: np.ndarray) -> int:
-    """Determinant from its residues modulo enough primes below 2**31.
-
-    a holds integers, int64 or Python ints in an object array. The
-    primes are taken until their product M satisfies M**2 > 4 * H, with
-    H the product of the squared row norms (each at least 1), so that
-    M > 2 * |det| and the residue nearest zero is exact.
-    """
-    primes = _crt_primes(_row_norms2(a))
-    return _crt_lift([[_det_mod((a % q).astype(np.int64), q)] for q in primes], primes)[0]
-
-
-def _row_norms2(a: np.ndarray) -> list[int]:
-    """Squared 2-norm of every row, as Python ints."""
-    return [sum(v * v for v in row) for row in a.tolist()]
-
-
 def _crt_primes(norms2: list[int]) -> list[int]:
-    """The largest primes below 2**31, as few as make their product M
+    """The largest primes below 2**29, as few as make their product M
     satisfy M**2 > 4 * H, with H the product of max(1, v) over the
     squared row norms v: H bounds the squared determinant of the matrix
     and of each of its leading blocks (Hadamard)."""
@@ -239,29 +277,6 @@ def _crt_lift(residues, primes: list[int]) -> list[int]:
     return [v if 2 * v < m else v - m for v in x.tolist()]
 
 
-def _det_mod(a: np.ndarray, q: int) -> int:
-    """Determinant mod q of an int64 matrix with entries in [0, q), by
-    Gaussian elimination over F_q. Mutates a."""
-    n = a.shape[0]
-    det = 1
-    for k in range(n):
-        nz = np.flatnonzero(a[k:, k])
-        if nz.size == 0:
-            return 0
-        r = k + int(nz[0])
-        if r != k:
-            a[[k, r]] = a[[r, k]]
-            det = -det
-        piv = int(a[k, k])
-        det = det * piv % q
-        if k + 1 < n:
-            f = a[k + 1:, k] * pow(piv, -1, q) % q
-            rest = a[k + 1:, k + 1:]
-            rest -= np.outer(f, a[k, k + 1:])
-            rest %= q
-    return det % q
-
-
 # Primes below _Q_TOP, largest first, and the trial divisors that find
 # them; both are built on the first fallback and grown on demand.
 _CRT_PRIMES: list[int] = []
@@ -269,8 +284,8 @@ _SMALL_PRIMES: "np.ndarray | None" = None
 
 
 def _crt_prime(i: int) -> int:
-    """The i-th largest prime below 2**31 (i = 0 gives 2**31 - 1), found
-    by trial division with every prime up to sqrt(2**31)."""
+    """The i-th largest prime below 2**29 (i = 0 gives 2**29 - 3), found
+    by trial division with every prime up to sqrt(2**29)."""
     global _SMALL_PRIMES
     if _SMALL_PRIMES is None:
         root = isqrt(_Q_TOP)

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior via main(argv)."""
 
+import hashlib
+
 import pytest
 
 import cubres.cli as cli
@@ -163,6 +165,29 @@ def test_verify_lines_format(capsys):
     assert len(lines) == 29
     assert all(line.split()[3] == "pass" for line in lines)
     assert lines[0].startswith("P2_3 5 ")
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (("verify", "--p-max", "30", "--format", "lines"),
+         "cd1afd985ed6adbc70e428439f47877707af909e49755035396941dbe30f41ef"),
+        # a 3k+1 table: most cells need several CRT primes
+        (("table", "-p", "37", "--sum", "--format", "csv"),
+         "6643ee3d98dc9e9d61ce6ab006eefd4044382f2534a595a86957d14ad2a779dd"),
+    ],
+    ids=["verify-lines", "table-3k1-csv"],
+)
+def test_output_bytes_are_pinned(capsys, argv, sha256):
+    # recorded from an earlier engine; a faster engine must not move a byte
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_det_on_a_3k1_prime_is_pinned(capsys):
+    code, out, _ = run(capsys, "det", "--sum", "-p", "61", "-n", "60", "-c", "5")
+    assert (code, out) == (0, "-149944540661702121879\n")
 
 
 def test_verify_rejects_tiny_p_max(capsys):

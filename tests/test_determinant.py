@@ -19,9 +19,12 @@ from cubres import (
     odd_primes_up_to,
 )
 from cubres.determinant import (
+    _BATCH_ENTRIES,
+    _DELAY,
+    _crt_minors,
     _crt_prime,
+    _crt_primes,
     leading_minors,
-    _det_crt,
     _eliminate_bigint,
     _eliminate_int64,
     _to_rows,
@@ -98,7 +101,7 @@ def test_both_elimination_paths_agree_on_corpus_sample():
         if len(rows) == 1:
             continue
         fast = _eliminate_int64(np.array(rows, dtype=np.int64))
-        crt = _det_crt(np.array(rows, dtype=np.int64))
+        crt = _crt_minors(np.array(rows, dtype=np.int64))[-1]
         slow = _eliminate_bigint([list(r) for r in rows])
         assert fast == crt == slow == determinant_oracle(rows)
 
@@ -151,12 +154,12 @@ def test_fast_path_hands_off_midway(monkeypatch):
 
     def crt(a):
         handoffs.append(a.shape[0])
-        return _det_crt(a)
+        return _crt_minors(a)
 
     def no_bigint(rows):
         raise AssertionError("the bigint reference ran on the production path")
 
-    monkeypatch.setattr(engine, "_det_crt", crt)
+    monkeypatch.setattr(engine, "_crt_minors", crt)
     monkeypatch.setattr(engine, "_eliminate_bigint", no_bigint)
     rng = random.Random(5)
     bails = 0
@@ -192,6 +195,28 @@ def test_sylvester_hadamard_meets_the_bound_with_equality(n):
     h[n // 3] *= -1
     assert determinant(h) == -want
     assert determinant(h.tolist()) == -want
+
+
+def _sylvester_det(n):
+    # H_2m = [[H_m, H_m], [H_m, -H_m]], so det H_2m = (-2)**m (det H_m)**2
+    return 1 if n == 1 else (-2) ** (n // 2) * _sylvester_det(n // 2) ** 2
+
+
+def test_sylvester_hadamard_across_prime_batches():
+    # order 128 takes 16 primes, more than one batch of the kernel holds
+    h = _sylvester_hadamard(128)
+    assert len(_crt_primes([128] * 128)) > _BATCH_ENTRIES // 128**2
+    want = _sylvester_det(128)
+    assert determinant(h) == want
+    assert leading_minors(h)[-1] == want
+    h[77] *= -1
+    assert determinant(h) == -want
+    assert leading_minors(h)[-1] == -want
+
+
+def test_3k1_residue_matrix_across_prime_batches():
+    a = build_matrix(SumPlusC(5), 157, 150)
+    assert determinant(a) == _eliminate_bigint(a.rows())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -308,6 +333,18 @@ def test_leading_minors_when_a_crt_prime_divides_a_leading_minor():
             for i in range(2):
                 rows[i][:2] = head[i]
             assert leading_minors(rows) == _minors_by_bigint(rows)
+
+
+def test_leading_minors_at_the_largest_unreduced_growth():
+    # A = L U, L unit lower triangular with -1 below the diagonal and U
+    # unit upper triangular with -1 above it: modulo every prime q each
+    # row pivots on 1, and every update multiplies f = q - 1 by row
+    # entries q - 1, the largest amount the rows below can gain between
+    # reductions; the order spans several reduction intervals
+    n = 100
+    lower = np.eye(n, dtype=np.int64) - np.tril(np.ones((n, n), dtype=np.int64), -1)
+    assert n >= 3 * _DELAY
+    assert leading_minors(lower @ lower.T) == [1] * n
 
 
 def test_leading_minors_small_orders_and_zero_rows():
