@@ -1,10 +1,9 @@
 """Residue-symbol matrix families.
 
-Four entry formulas share one shape: evaluate an integer expression in
-the 1-based row index i and column index j, reduce it mod p, and take the
-cubic residue symbol. Three of the formulas depend on i and j only
-through j - i and the fourth only through i + j, so an n x n matrix needs
-just O(n) symbol evaluations.
+Each formula class declares its kind, Toeplitz (entry (i, j) is seq(j - i))
+or Hankel (entry (i, j) is seq(i + j)), and the symbol argument of seq(k)
+at one index k. `sequence` is the one place a formula is evaluated: an
+order-n matrix reads 2n - 1 consecutive values of it, one entry reads one.
 """
 
 from dataclasses import dataclass
@@ -21,43 +20,53 @@ __all__ = [
     "EvenPowerPlusC",
     "Formula",
     "ResidueMatrix",
+    "sequence",
     "entry_value",
     "build_matrix",
     "matrices_equal",
 ]
 
+# A kind is the coefficient of the 1-based row index i in the sequence
+# index k = j + kind * i of entry (i, j).
+TOEPLITZ = -1
+HANKEL = 1
+
 
 @dataclass(frozen=True)
 class DiffPlusC:
-    """Entry argument j - i + c."""
+    """Entry argument j - i + c: Toeplitz, seq(k) = [k + c]."""
 
     c: int
+    kind = TOEPLITZ
 
-    def argument_mod(self, i: int, j: int, p: int) -> int:
-        return (j - i + self.c) % p
+    def argument(self, k: int, p: int) -> int:
+        return k + self.c
 
 
 @dataclass(frozen=True)
 class SumPlusC:
-    """Entry argument j + i + c."""
+    """Entry argument j + i + c: Hankel, seq(k) = [k + c]."""
 
     c: int
+    kind = HANKEL
 
-    def argument_mod(self, i: int, j: int, p: int) -> int:
-        return (j + i + self.c) % p
+    def argument(self, k: int, p: int) -> int:
+        return k + self.c
 
 
 @dataclass(frozen=True)
 class CubeDiffPlusOne:
-    """Entry argument (j - i)**3 + 1."""
+    """Entry argument (j - i)**3 + 1: Toeplitz, seq(k) = [k**3 + 1]."""
 
-    def argument_mod(self, i: int, j: int, p: int) -> int:
-        return (pow(j - i, 3, p) + 1) % p
+    kind = TOEPLITZ
+
+    def argument(self, k: int, p: int) -> int:
+        return pow(k, 3, p) + 1
 
 
 @dataclass(frozen=True)
 class EvenPowerPlusC:
-    """Entry argument (j - i)**(2t) + c.
+    """Entry argument (j - i)**(2t) + c: Toeplitz, seq(k) = [k**(2t) + c].
 
     The power is evaluated by modular exponentiation, so t may be large
     without the argument ever materializing as a huge integer.
@@ -65,16 +74,23 @@ class EvenPowerPlusC:
 
     t: int
     c: int
+    kind = TOEPLITZ
 
     def __post_init__(self) -> None:
         if self.t < 1:
             raise ValueError(f"t must be a positive integer, got {self.t}")
 
-    def argument_mod(self, i: int, j: int, p: int) -> int:
-        return (pow(j - i, 2 * self.t, p) + self.c) % p
+    def argument(self, k: int, p: int) -> int:
+        return pow(k, 2 * self.t, p) + self.c
 
 
 Formula = Union[DiffPlusC, SumPlusC, CubeDiffPlusOne, EvenPowerPlusC]
+
+
+def sequence(formula: Formula, p: "Prime | int", lo: int, hi: int) -> list[int]:
+    """Symbol values seq(k) of this formula for k = lo..hi."""
+    p = as_prime(p)
+    return [cubic_residue_symbol(formula.argument(k, p.value), p) for k in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,40 +139,21 @@ def entry_value(formula: Formula, p: "Prime | int", i: int, j: int) -> int:
     """Symbol value at 1-based row i, column j."""
     if i < 1 or j < 1:
         raise ValueError(f"row and column indices are 1-based, got ({i}, {j})")
-    p = as_prime(p)
-    return cubic_residue_symbol(formula.argument_mod(i, j, p.value), p)
+    k = j + formula.kind * i
+    return sequence(formula, p, k, k)[0]
 
 
 def build_matrix(formula: Formula, p: "Prime | int", n: int) -> ResidueMatrix:
-    """Construct the order-n matrix of symbol values for this formula.
-
-    A sum formula varies only with i + j and the rest only with j - i,
-    so one line of O(n) symbol values is computed and broadcast into the
-    grid by indexing.
-    """
+    """Construct the order-n matrix of symbol values for this formula:
+    2n - 1 sequence values, indexed into the grid by the formula's kind."""
     p = as_prime(p)
     if n < 1:
         raise ValueError(f"matrix order must be >= 1, got {n}")
-    pv = p.value
-    idx = np.arange(n)
-    if isinstance(formula, SumPlusC):
-        # line[k] is the value for i + j == k + 2
-        line = [
-            cubic_residue_symbol(formula.argument_mod(1, s - 1, pv), p)
-            for s in range(2, 2 * n + 1)
-        ]
-        key = idx[:, None] + idx[None, :]
-    else:
-        # line[k] is the value for j - i == k - (n - 1)
-        line = [
-            cubic_residue_symbol(
-                formula.argument_mod(1, 1 + d, pv) if d >= 0 else formula.argument_mod(1 - d, 1, pv),
-                p,
-            )
-            for d in range(1 - n, n)
-        ]
-        key = idx[None, :] - idx[:, None] + (n - 1)
-    return ResidueMatrix(n, np.asarray(line, dtype=np.int8)[key], p, formula)
+    idx = np.arange(1, n + 1)
+    k = idx[None, :] + formula.kind * idx[:, None]
+    lo = int(k.min())
+    line = np.asarray(sequence(formula, p, lo, int(k.max())), dtype=np.int8)
+    return ResidueMatrix(n, line[k - lo], p, formula)
 
 
 def matrices_equal(a: ResidueMatrix, b: ResidueMatrix) -> bool:

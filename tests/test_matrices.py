@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubres import (
     CubeDiffPlusOne,
@@ -12,11 +14,13 @@ from cubres import (
     SumPlusC,
     as_prime,
     build_matrix,
+    cubic_residue_symbol,
     determinant,
     entry_value,
     matrices_equal,
     odd_primes_up_to,
 )
+from cubres.matrices import sequence
 
 # p = 7, shift 0, order 3
 EXAMPLE_3X3 = [
@@ -127,19 +131,20 @@ def test_cube_shift_coincidence_exhaustive():
 
 
 def test_even_power_matches_plain_exponentiation():
-    for p in (7, 11, 17):
+    for p in (7, 11, 13, 17):
         for t in (1, 2, 3):
             for c in (0, 1, 4):
                 f = EvenPowerPlusC(t, c)
+                seq = sequence(f, p, -4, 4)
                 for i in range(1, 6):
                     for j in range(1, 6):
                         plain = ((j - i) ** (2 * t) + c) % p
-                        assert f.argument_mod(i, j, p) == plain
+                        assert seq[j - i + 4] == cubic_residue_symbol(plain, p)
 
 
 def test_even_power_huge_t_is_cheap():
     f = EvenPowerPlusC(10**9, 3)
-    assert f.argument_mod(1, 2, 17) == (pow(1, 2 * 10**9, 17) + 3) % 17
+    assert sequence(f, 17, 1, 1) == [cubic_residue_symbol((pow(1, 2 * 10**9, 17) + 3) % 17, 17)]
     m = build_matrix(f, 17, 4)
     assert m.order == 4
 
@@ -210,3 +215,34 @@ def test_negative_and_large_shifts():
     a = build_matrix(DiffPlusC(-1), 11, 6)
     b = build_matrix(DiffPlusC(10), 11, 6)
     assert matrices_equal(a, b)
+
+
+# each family's entry argument as a plain integer expression in (i, j)
+_PLAIN_FAMILIES = (
+    (lambda c, t: DiffPlusC(c), lambda i, j, c, t: j - i + c),
+    (lambda c, t: SumPlusC(c), lambda i, j, c, t: j + i + c),
+    (lambda c, t: CubeDiffPlusOne(), lambda i, j, c, t: (j - i) ** 3 + 1),
+    (lambda c, t: EvenPowerPlusC(t, c), lambda i, j, c, t: (j - i) ** (2 * t) + c),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(_PLAIN_FAMILIES),
+    p=st.sampled_from(odd_primes_up_to(199)),
+    c=st.integers(-(10**12), 10**12),
+    t=st.integers(1, 6),
+    orders=st.lists(st.integers(1, 30), min_size=2, max_size=2).map(sorted),
+)
+def test_build_matches_plain_expression_and_leading_blocks(family, p, c, t, orders):
+    make, plain = family
+    n, big = orders
+    formula = make(c, t)
+    m = build_matrix(formula, p, n)
+    # the symbol by cube enumeration, sharing no code with the package
+    cubes = {y**3 % p for y in range(1, p)}
+    symbol = {r: 0 if r == 0 else 1 if r in cubes else -1 for r in range(p)}
+    want = [[symbol[plain(i, j, c, t) % p] for j in range(1, n + 1)] for i in range(1, n + 1)]
+    assert m.rows() == want
+    assert m.entries.dtype == np.int8
+    assert np.array_equal(build_matrix(formula, p, big).entries[:n, :n], m.entries)
