@@ -15,7 +15,7 @@ from .matrices import CubeDiffPlusOne, build_matrix
 from .determinant import determinant
 from .render import emit_ansi, emit_csv, emit_svg, matrix_text, table_text
 from .residues import Prime, cube_root, cubic_residue_symbol
-from .tables import EXTENDED_EXTRA_ORDERS, family_formula, generate_table
+from .tables import EXTENDED_EXTRA_ORDERS, family_formula, generate_table, table_box
 from .verify import report_lines, report_text, verify_all
 
 __all__ = ["main", "build_parser"]
@@ -98,24 +98,16 @@ def _cmd_det(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     p = _prime_arg(args.p)
     family = _family(args)
-    explicit_n = args.n_min is not None or args.n_max is not None
-    if args.extended and explicit_n:
+    if args.extended and (args.n_min is not None or args.n_max is not None):
         raise ValueError("--extended replaces the default order range; drop --n-min/--n-max")
-    n_range = None
-    if explicit_n:
-        n_range = (args.n_min if args.n_min is not None else 1,
-                   args.n_max if args.n_max is not None else p.value)
-    c_range = (args.c_min if args.c_min is not None else 0,
-               args.c_max if args.c_max is not None else 2 * p.value - 1)
-    top_order = (n_range[1] if n_range
-                 else p.value + EXTENDED_EXTRA_ORDERS if args.extended
-                 else p.value)
-    _check_order(top_order, args.max_order)
+    n_range, c_range = table_box(p, None if args.extended else (args.n_min, args.n_max),
+                                 (args.c_min, args.c_max), extended=args.extended)
+    _check_order(n_range[1], args.max_order)
     shifts = c_range[1] - c_range[0] + 1
     if shifts > 2 * args.max_order:
         raise ValueError(f"{shifts} shifts exceed the cap of {2 * args.max_order} "
                          "(twice the order cap); raise it with --max-order")
-    table = generate_table(family, p, n_range, c_range, t=args.t, extended=args.extended)
+    table = generate_table(family, p, n_range, c_range, t=args.t)
     if args.format == "csv":
         out = emit_csv(table)
     elif args.format == "svg":

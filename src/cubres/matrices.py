@@ -107,6 +107,8 @@ class ResidueMatrix:
     formula: Formula
 
     def __post_init__(self) -> None:
+        if self.order < 1:
+            raise ValueError("matrix must have order >= 1")
         # A read-only copy: the caller's array cannot change it later.
         e = np.array(self.entries)
         e.setflags(write=False)
@@ -115,7 +117,7 @@ class ResidueMatrix:
             raise TypeError(f"entries must have an integer dtype, got {e.dtype}")
         if e.shape != (self.order, self.order):
             raise ValueError(f"entries must be {self.order} x {self.order}, got shape {e.shape}")
-        if e.size and (np.abs(e) > 1).any():
+        if (np.abs(e) > 1).any():
             raise ValueError("entries must lie in {-1, 0, 1}")
 
     def entry(self, i: int, j: int) -> int:

@@ -174,10 +174,6 @@ def _distinct_prime_factors(n: int) -> list[int]:
     return out
 
 
-def _is_generator(g: int, pv: int, order_factors: list[int]) -> bool:
-    return all(pow(g, (pv - 1) // q, pv) != 1 for q in order_factors)
-
-
 def primitive_root(p: "Prime | int") -> int:
     """Smallest generator of the multiplicative group mod p.
 
@@ -185,13 +181,7 @@ def primitive_root(p: "Prime | int") -> int:
     dividing p - 1; candidates are tried in increasing order, so the
     choice is reproducible run to run.
     """
-    p = as_prime(p)
-    pv = p.value
-    order_factors = _distinct_prime_factors(pv - 1)
-    for g in range(2, pv):
-        if _is_generator(g, pv, order_factors):
-            return g
-    raise ArithmeticError(f"no primitive root found modulo {pv}")
+    return next_primitive_root(p, 1)
 
 
 def next_primitive_root(p: "Prime | int", after: int) -> int:
@@ -200,6 +190,6 @@ def next_primitive_root(p: "Prime | int", after: int) -> int:
     pv = p.value
     order_factors = _distinct_prime_factors(pv - 1)
     for g in range(after + 1, pv):
-        if _is_generator(g, pv, order_factors):
+        if all(pow(g, (pv - 1) // q, pv) != 1 for q in order_factors):
             return g
     raise ValueError(f"no primitive root modulo {pv} above {after}")

@@ -25,6 +25,7 @@ __all__ = [
     "sign_classify",
     "family_formula",
     "DeterminantTable",
+    "table_box",
     "generate_table",
 ]
 
@@ -88,6 +89,33 @@ class DeterminantTable:
         return [self.cells[n, c] for n in self.orders()]
 
 
+def table_box(p: "Prime | int", n_range: "tuple | None" = None, c_range: "tuple | None" = None,
+              *, extended: bool = False) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The inclusive (order, shift) box of a table, as (n_range, c_range).
+
+    Defaults: orders 1..p, or 1..p+EXTENDED_EXTRA_ORDERS when extended (the
+    all-zero band past n = p), and shifts 0..2p-1, two horizontal periods.
+    An end given as None takes its default. p = 3, an empty box and orders
+    below 1 raise ValueError.
+    """
+    pv = as_prime(p).value
+    if pv == 3:
+        raise ValueError("tables need a prime of the form 3k+1 or 3k+2; 3 is neither")
+    if extended and n_range is not None:
+        raise ValueError("pass either n_range or extended, not both")
+    n_lo, n_hi = (None, None) if n_range is None else n_range
+    c_lo, c_hi = (None, None) if c_range is None else c_range
+    n_lo = 1 if n_lo is None else int(n_lo)
+    n_hi = (pv + EXTENDED_EXTRA_ORDERS if extended else pv) if n_hi is None else int(n_hi)
+    c_lo = 0 if c_lo is None else int(c_lo)
+    c_hi = 2 * pv - 1 if c_hi is None else int(c_hi)
+    if n_lo < 1:
+        raise ValueError(f"orders start at 1, got n_range ({n_lo}, {n_hi})")
+    if n_hi < n_lo or c_hi < c_lo:
+        raise ValueError("order and shift ranges must be nonempty")
+    return (n_lo, n_hi), (c_lo, c_hi)
+
+
 def generate_table(
     family: str,
     p: "Prime | int",
@@ -99,31 +127,15 @@ def generate_table(
 ) -> DeterminantTable:
     """Tabulate cell(n, c) = det of the order-n matrix built with shift c.
 
-    Defaults cover orders 1..p and shifts 0..2p-1, two horizontal periods
-    of the difference family. extended=True stretches the orders to p+10
-    instead, exposing the all-zero band past n = p. Each shift costs one
-    matrix of order n_hi and one `leading_minors` call, whatever n_lo is;
-    shifts c and c + p are separate columns, computed independently. The
-    result is a pure function of the arguments.
+    The ranges and extended resolve to a box as in `table_box`. Each shift
+    costs one matrix of order n_hi and one `leading_minors` call, whatever
+    n_lo is; shifts c and c + p are separate columns, computed
+    independently. The result is a pure function of the arguments.
     """
     p = as_prime(p)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if p.value == 3:
-        raise ValueError("tables need a prime of the form 3k+1 or 3k+2; 3 is neither")
-    if extended and n_range is not None:
-        raise ValueError("pass either n_range or extended, not both")
-    pv = p.value
-    if n_range is None:
-        n_range = (1, pv + EXTENDED_EXTRA_ORDERS) if extended else (1, pv)
-    if c_range is None:
-        c_range = (0, 2 * pv - 1)
-    n_lo, n_hi = (int(v) for v in n_range)
-    c_lo, c_hi = (int(v) for v in c_range)
-    if n_lo < 1:
-        raise ValueError(f"orders start at 1, got n_range ({n_lo}, {n_hi})")
-    if n_hi < n_lo or c_hi < c_lo:
-        raise ValueError("order and shift ranges must be nonempty")
+    (n_lo, n_hi), (c_lo, c_hi) = table_box(p, n_range, c_range, extended=extended)
     columns = {c: leading_minors(build_matrix(family_formula(family, c, t), p, n_hi))
                for c in range(c_lo, c_hi + 1)}
     cells = {(n, c): columns[c][n - 1]

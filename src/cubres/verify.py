@@ -30,7 +30,7 @@ from .residues import (
     odd_primes_up_to,
     primitive_root,
 )
-from .tables import generate_table
+from .tables import EXTENDED_EXTRA_ORDERS, generate_table
 
 __all__ = [
     "CLAIMS",
@@ -191,16 +191,15 @@ class _TableClaim:
 
 def _t3_4_notes(p: Prime) -> list[str]:
     """Count the (n, c) of the T3_4 box whose matrix has at least two
-    all-ones columns. D(n, c) is the leading block of D(p - 2, c), so
-    column j <= n of D(n, c) is all ones exactly when column j of
-    D(p - 2, c) starts with a run of at least n ones."""
+    all-ones columns. Entry (i, j) of D(n, c) is s(j - i + c), so column j
+    of D(n, c) is all ones exactly when column j + c of one D(2(p - 2), 0)
+    starts with a run of at least n ones."""
+    m = p.value - 2
+    ones = build_matrix(DiffPlusC(0), p, 2 * m).entries[:m] == 1
+    run = np.where(ones.all(axis=0), m, ones.argmin(axis=0))  # run[k]: column k + 1
     interior = range(2, p.value - 1)
-    runs = {}
-    for c in interior:
-        ones = build_matrix(DiffPlusC(c), p, p.value - 2).entries == 1
-        runs[c] = np.where(ones.all(axis=0), len(ones), ones.argmin(axis=0))
     box = [(n, c) for n in interior for c in interior]
-    misses = [(n, c) for n, c in box if int((runs[c][:n] >= n).sum()) < 2]
+    misses = [(n, c) for n, c in box if int((run[c:c + n] >= n).sum()) < 2]
     notes = [f"all-ones column pairs present in {len(box) - len(misses)}/{len(box)} cases"]
     if misses:
         notes.append(f"mechanism absent at {misses[:5]}")
@@ -213,6 +212,7 @@ def _table_claims(p: Prime) -> tuple[_TableClaim, ...]:
     TABLE_PERIOD compares two cells computed independently."""
     pv = p.value
     interior = range(2, pv - 1)
+    band_top = pv + EXTENDED_EXTRA_ORDERS
     return (
         _TableClaim("T3_1", (1, pv), (0, 0), lambda d: (
             (n, 0, (-1) ** (n - 1) * (n - 1), d[n, 0], "") for n in range(1, pv + 1))),
@@ -225,8 +225,8 @@ def _table_claims(p: Prime) -> tuple[_TableClaim, ...]:
             lambda: _t3_4_notes(p)),
         _TableClaim("T3_5", (pv - 1, pv - 1), (1, pv - 1), lambda d: (
             (pv - 1, c, 1, d[pv - 1, c], "") for c in range(1, pv))),
-        _TableClaim("ROW_PERIOD_NP", (pv + 1, pv + 10), (0, pv - 1), lambda d: (
-            (n, c, 0, d[n, c], "") for n in range(pv + 1, pv + 11) for c in range(pv))),
+        _TableClaim("ROW_PERIOD_NP", (pv + 1, band_top), (0, pv - 1), lambda d: (
+            (n, c, 0, d[n, c], "") for n in range(pv + 1, band_top + 1) for c in range(pv))),
         _TableClaim("TABLE_PERIOD", (1, pv), (0, 2 * pv - 1), lambda d: (
             (n, c, d[n, c], d[n, c + pv], f"column {c} vs {c + pv}")
             for c in range(pv) for n in range(1, pv + 1))),
@@ -361,7 +361,8 @@ def check_t3_7(p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremRepor
 
 def check_row_period_np(p: "Prime | int") -> TheoremReport:
     """Orders past p: rows repeat with period p, so det equals 0 for every
-    p < n <= p + 10 and every shift 0 <= c <= p - 1."""
+    order of the extended band p < n <= p + EXTENDED_EXTRA_ORDERS and every
+    shift 0 <= c <= p - 1."""
     return _check_table_claim("ROW_PERIOD_NP", p)
 
 
@@ -383,9 +384,9 @@ def verify_all(p_max: int, t_max: int = 3, n_max: int = 8) -> list[TheoremReport
 
     The symbol propositions run for every prime; the determinant claims
     require the 3k+2 form and are skipped elsewhere. For each such prime
-    the eight table claims read one shared difference-family table,
-    orders 1..p+10 over shifts -1..2p-1, from one `generate_table` call;
-    every column is computed on its own (c and c + p included).
+    the eight table claims read one shared difference-family table, the
+    smallest box holding every claim's box, from one `generate_table`
+    call; every column is computed on its own (c and c + p included).
     Failures are collected in the reports, never raised. Reports come
     back sorted by claim id (catalog order) and then prime.
     """
@@ -398,8 +399,11 @@ def verify_all(p_max: int, t_max: int = 3, n_max: int = 8) -> list[TheoremReport
         p = Prime(q)
         reports.extend(check_propositions(p))
         if p.mod3 == 2:
-            cells = generate_table("diff", p, (1, q + 10), (-1, 2 * q - 1)).cells
-            reports.extend(_evaluate(spec, p, cells) for spec in _table_claims(p))
+            specs = _table_claims(p)
+            box = [(min(lo for lo, _ in ranges), max(hi for _, hi in ranges))
+                   for ranges in ([s.n_range for s in specs], [s.c_range for s in specs])]
+            cells = generate_table("diff", p, *box).cells
+            reports.extend(_evaluate(spec, p, cells) for spec in specs)
             reports.append(check_t3_6(p))
             reports.append(check_t3_7(p, t_max, n_max))
     reports.sort(key=lambda r: (CLAIMS.index(r.claim), r.prime.value))

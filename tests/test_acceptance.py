@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 The expensive full sweep is computed once and shared.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -21,6 +22,8 @@ from cubres import (
     generate_table,
     odd_primes_up_to,
     parse_csv,
+    report_lines,
+    report_text,
     verify_all,
 )
 
@@ -145,3 +148,14 @@ def test_criterion_8_emit_determinism():
     ok = csv_a == csv_b and svg_a == svg_b
     ok = ok and parse_csv(csv_a) == dict(a.cells)
     _verdict(ok, "criterion 8: byte-identical CSV/SVG re-emits and CSV round-trip")
+
+
+def test_report_bytes_are_pinned(full_sweep):
+    # the bytes `cubres verify --p-max 60` writes in each format, notes included;
+    # recorded from an earlier engine, so no rewrite of a checker may move one
+    text = report_text(full_sweep).encode()
+    lines = ("\n".join(report_lines(full_sweep)) + "\n").encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "20c63e20a3fd9e88a7576b1edb630984c00b702d1e8a4761abbc4a41c73e0cfa")
+    assert hashlib.sha256(lines).hexdigest() == (
+        "de49aebb0067dfd0fa23387f3e40c416a942aa16b6c2ac94d089ff3e36c0991d")

@@ -70,13 +70,22 @@ def test_det_examples(capsys):
     assert code == 0
 
 
-def test_order_cap_and_override(capsys):
+def test_order_cap_and_override(capsys, monkeypatch):
     code, _, err = run(capsys, "det", "--diff", "-c", "0", "-p", "5", "-n", "201")
     assert code == 2
     assert "--max-order" in err
     code, out, _ = run(capsys, "det", "--diff", "-c", "0", "-p", "5", "-n", "201",
                        "--max-order", "250")
     assert (code, out) == (0, "0\n")  # order past p duplicates rows
+    # the extended box of p = 193 tops out at order 203; refused before any table work
+    monkeypatch.setattr(cli, "generate_table", None)
+    code, out, err = run(capsys, "table", "--diff", "-p", "193", "--extended")
+    assert (code, out) == (2, "")
+    assert err == "error: order 203 exceeds the cap of 200; raise it with --max-order\n"
+    # a range that is both invalid and over the cap reports the range first
+    code, _, err = run(capsys, "table", "--diff", "-p", "11", "--n-min", "0", "--n-max", "300")
+    assert code == 2
+    assert err == "error: orders start at 1, got n_range (0, 300)\n"
 
 
 def test_table_shift_cap_follows_the_order_cap(capsys):
@@ -149,6 +158,10 @@ def test_table_custom_ranges(capsys):
                        "--n-min", "2", "--n-max", "4", "--c-min", "0", "--c-max", "2")
     cells = parse_csv(out)
     assert set(cells) == {(n, c) for n in (2, 3, 4) for c in (0, 1, 2)}
+    # --n-min alone keeps the default top order p and the default shifts
+    code, out, _ = run(capsys, "table", "--diff", "-p", "11", "--n-min", "9")
+    assert code == 0
+    assert set(parse_csv(out)) == {(n, c) for n in (9, 10, 11) for c in range(22)}
 
 
 def test_verify_small_sweep(capsys):

@@ -209,6 +209,9 @@ def test_build_rejects_bad_order():
         build_matrix(DiffPlusC(0), 7, 0)
     with pytest.raises(ValueError):
         build_matrix(DiffPlusC(0), 7, -2)
+    # the constructor applies the same rule, as determinant([]) does
+    with pytest.raises(ValueError, match="order >= 1"):
+        ResidueMatrix(0, np.zeros((0, 0), dtype=np.int8), as_prime(7), DiffPlusC(0))
 
 
 def test_negative_and_large_shifts():

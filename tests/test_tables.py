@@ -14,6 +14,7 @@ from cubres import (
     generate_table,
     sign_classify,
 )
+from cubres.tables import table_box
 
 
 def test_sign_classify():
@@ -36,12 +37,21 @@ def test_default_extents():
     assert t.c_range == (0, 9)
     assert len(t.cells) == 50
     assert set(t.cells) == {(n, c) for n in range(1, 6) for c in range(10)}
+    assert table_box(5) == ((1, 5), (0, 9))
+    # an end given as None takes its default, the other is kept
+    assert table_box(5, (3, None), (None, 4)) == ((3, 5), (0, 4))
+    assert table_box(11, (None, 2), (-1, None)) == ((1, 2), (-1, 21))
+    assert table_box(11, (None, None), (None, None)) == table_box(11)
 
 
 def test_extended_extents():
     t = generate_table("diff", 5, extended=True)
     assert t.n_range == (1, 15)
     assert len(t.cells) == 150
+    assert table_box(5, extended=True) == ((1, 15), (0, 9))
+    assert table_box(7, c_range=(None, 3), extended=True) == ((1, 17), (0, 3))
+    with pytest.raises(ValueError, match="either n_range or extended"):
+        table_box(5, (1, None), extended=True)
 
 
 def test_shift_zero_column_alternates():
@@ -140,6 +150,12 @@ def test_rejects_p3_and_bad_ranges():
         generate_table("diff", 11, n_range=(1, 5), extended=True)
     with pytest.raises(ValueError):
         generate_table("nope", 11)
+    with pytest.raises(ValueError, match="3 is neither"):
+        table_box(3)
+    with pytest.raises(ValueError, match="orders start at 1"):
+        table_box(11, (0, None))
+    with pytest.raises(ValueError, match="nonempty"):
+        table_box(11, (12, None))
 
 
 def test_cells_mapping_is_read_only():

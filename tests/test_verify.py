@@ -79,9 +79,9 @@ def test_t3_4_interior_zeros_and_mechanism():
     assert any("64/64" in note for note in r11.notes)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 23])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 23, 59])
 def test_t3_4_notes_match_one_build_per_cell(p):
-    # the notes read column runs of one D(p - 2, c) per shift; rebuild
+    # the notes read column runs of one D(2(p - 2), 0); rebuild
     # every D(n, c) of the box instead, in sweep order (n outer, c inner)
     interior = range(2, p - 1)
     box = [(n, c) for n in interior for c in interior]
