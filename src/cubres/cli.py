@@ -22,6 +22,11 @@ __all__ = ["main", "build_parser"]
 
 DEFAULT_MAX_ORDER = 200
 PRIME_CAP = 2**31
+# verify caps: with all three at once the sweep takes under a minute. T3_7
+# takes one determinant per order up to --n-max for each (shift, t) case.
+P_MAX_CAP = 400
+T_MAX_CAP = 5
+N_MAX_CAP = 20
 
 
 def _prime_arg(value: int) -> Prime:
@@ -124,6 +129,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.p_max < 5:
         raise ValueError(f"--p-max must be at least 5, got {args.p_max}")
+    for flag, value, cap in (("--p-max", args.p_max, P_MAX_CAP), ("--t-max", args.t_max, T_MAX_CAP),
+                             ("--n-max", args.n_max, N_MAX_CAP)):
+        if value > cap:
+            raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
     reports = verify_all(args.p_max, args.t_max, args.n_max)
     if args.format == "lines":
         out = "\n".join(report_lines(reports)) + "\n"
@@ -186,10 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=_cmd_table)
 
     v = sub.add_parser("verify", help="sweep the identity catalog over primes up to a bound")
-    v.add_argument("--p-max", type=int, default=60, help="largest prime to check (default 60)")
-    v.add_argument("--t-max", type=int, default=3, help="largest half-exponent t (default 3)")
+    v.add_argument("--p-max", type=int, default=60,
+                   help=f"largest prime to check (default 60, at most {P_MAX_CAP})")
+    v.add_argument("--t-max", type=int, default=3,
+                   help=f"largest half-exponent t (default 3, at most {T_MAX_CAP})")
     v.add_argument("--n-max", type=int, default=8,
-                   help="largest order for the even-power sweeps (default 8)")
+                   help="largest order for the even-power sweeps "
+                        f"(default 8, at most {N_MAX_CAP})")
     v.add_argument("--format", choices=("text", "lines"), default="text")
     v.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
     v.set_defaults(func=_cmd_verify)

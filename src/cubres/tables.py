@@ -2,11 +2,12 @@
 
 A table fixes the prime and the formula family and tabulates the exact
 determinant for every matrix order n in a vertical range and every shift
-c in a horizontal range. In every family the entry at (i, j) does not
-depend on the order, so the order-n matrix is the leading n x n block of
-the largest one: a column of the table is the leading minors of a single
-matrix, all read from one `leading_minors` call. Sign classes drive the
-color-coded views in the render module.
+c in a horizontal range. Every cell is read off a number wall (see the
+wall module), in O(1) exact integer steps per cell: a difference-family
+cell is the Toeplitz determinant W(n, c) of s(m) = [m/p], a sum-family
+cell is the same wall read at W(n, c + n + 1) with the sign of reversing
+n columns, and each even-power column is the centre line of its own
+wall. Sign classes drive the color-coded views in the render module.
 """
 
 import enum
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .determinant import leading_minors
-from .matrices import DiffPlusC, EvenPowerPlusC, Formula, SumPlusC, build_matrix
+from .matrices import DiffPlusC, EvenPowerPlusC, Formula, SumPlusC, sequence
 from .residues import Prime, as_prime
+from .wall import number_wall
 
 __all__ = [
     "FAMILIES",
@@ -127,17 +128,34 @@ def generate_table(
 ) -> DeterminantTable:
     """Tabulate cell(n, c) = det of the order-n matrix built with shift c.
 
-    The ranges and extended resolve to a box as in `table_box`. Each shift
-    costs one matrix of order n_hi and one `leading_minors` call, whatever
-    n_lo is; shifts c and c + p are separate columns, computed
-    independently. The result is a pure function of the arguments.
+    The ranges and extended resolve to a box as in `table_box`. A diff or
+    sum table is one number wall of s(m) = [m/p], over the terms its box
+    reads; an even-power table is one wall per shift, each over the 2n_hi - 1
+    terms of its own column. Rows 1..n_hi are computed whatever n_lo is, at
+    O(1) exact integer steps per wall cell. Shifts c and c + p are separate
+    cells, computed from s(m) over different m. The result is a pure
+    function of the arguments.
     """
     p = as_prime(p)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     (n_lo, n_hi), (c_lo, c_hi) = table_box(p, n_range, c_range, extended=extended)
-    columns = {c: leading_minors(build_matrix(family_formula(family, c, t), p, n_hi))
-               for c in range(c_lo, c_hi + 1)}
-    cells = {(n, c): columns[c][n - 1]
-             for n in range(n_lo, n_hi + 1) for c in range(c_lo, c_hi + 1)}
+    orders, shifts = range(n_lo, n_hi + 1), range(c_lo, c_hi + 1)
+    if family == "diff":
+        lo = c_lo - n_hi + 1
+        wall = number_wall(sequence(DiffPlusC(0), p, lo, c_hi + n_hi - 1), n_hi, first=lo)
+        cells = {(n, c): wall(n, c) for n in orders for c in shifts}
+    elif family == "sum":
+        # reversing the columns of the Hankel block turns it into a Toeplitz one
+        lo = c_lo + 2
+        wall = number_wall(sequence(SumPlusC(0), p, lo, c_hi + 2 * n_hi), n_hi, first=lo)
+        cells = {(n, c): (-1) ** (n * (n - 1) // 2) * wall(n, c + n + 1)
+                 for n in orders for c in shifts}
+    else:
+        columns = {}
+        for c in shifts:
+            column = sequence(EvenPowerPlusC(t, c), p, 1 - n_hi, n_hi - 1)
+            wall = number_wall(column, n_hi, first=1 - n_hi)
+            columns[c] = [wall(n, 0) for n in orders]
+        cells = {(n, c): columns[c][n - n_lo] for n in orders for c in shifts}
     return DeterminantTable(p, family, t, (n_lo, n_hi), (c_lo, c_hi), MappingProxyType(cells))

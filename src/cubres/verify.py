@@ -2,10 +2,10 @@
 
 Each checker sweeps the full stated parameter range of one claim for one
 prime, comparing the value predicted by the claim's closed form against
-the value computed from freshly built matrices and the exact determinant
-engine. Eight of the matrix claims are predicates over cells of one
-difference-family determinant table, which verify_all computes once per
-prime and shares between them. Checkers never abort early: every
+the value computed from freshly built matrices, the exact determinant
+engine or the number wall. Eight of the matrix claims are predicates over
+cells of one difference-family determinant table, which verify_all
+computes once per prime and shares between them. Checkers never abort early: every
 counterexample in range is collected, and a report passes exactly when
 none were found.
 
@@ -386,7 +386,8 @@ def verify_all(p_max: int, t_max: int = 3, n_max: int = 8) -> list[TheoremReport
     require the 3k+2 form and are skipped elsewhere. For each such prime
     the eight table claims read one shared difference-family table, the
     smallest box holding every claim's box, from one `generate_table`
-    call; every column is computed on its own (c and c + p included).
+    call; columns c and c + p are separate cells, computed from different
+    terms of the symbol sequence.
     Failures are collected in the reports, never raised. Reports come
     back sorted by claim id (catalog order) and then prime.
     """

@@ -1,0 +1,177 @@
+"""The number wall of an integer sequence, over Python ints.
+
+The number wall of s is W(n, c) = det(s(c + j - i)) for i, j = 1..n, the
+order-n Toeplitz determinant centred on s(c), with W(0, c) = 1 and
+W(-1, c) = 0 (Conway and Guy, The Book of Numbers, 1996, pp. 85-89). By
+Desnanot-Jacobi (Dodgson condensation) its rows obey
+
+    W(n, c) * W(n - 2, c) = W(n - 1, c)**2 - W(n - 1, c - 1) * W(n - 1, c + 1),
+
+so each cell costs O(1) exact integer steps, and every division is
+checked. The zeros of a wall form g x g square windows with a nonzero
+inner frame. Where the divisor W(n - 2, c) lies in a window, the cell is
+either zero (inside the window) or on one of the two rows below it, which
+come from Lunnon's frame theorem (W. F. Lunnon, "The number-wall
+algorithm: an LFSR cookbook", J. Integer Sequences 4, 2001). Index the
+inner frame's top side A and left side B from its top-left corner, its
+right side C and bottom side D from its bottom-right corner, and call the
+outer frame next to them E, F, G and H. Then A, B, C and D are geometric
+with ratios P, Q, R and S, where PS/QR = (-1)**g, and for 1 <= k <= g
+
+    Q*E_k/A_k + (-1)**k * P*F_k/B_k = R*H_k/D_k + (-1)**k * S*G_k/C_k.
+
+A finite sequence gives a triangle: row n holds the cells whose
+determinant reads only known terms. A window whose top row touches the
+triangle's edge is cut: only the square of its visible top run is known
+to be zero, and none of its bottom frame lies inside the triangle.
+"""
+
+from typing import Callable, Sequence
+
+__all__ = ["number_wall"]
+
+
+def _broken(what: str) -> ArithmeticError:
+    return ArithmeticError(f"{what}; number-wall invariant broken")
+
+
+def _exact(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise _broken("inexact division")
+    return q
+
+
+def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Callable[[int, int], int]:
+    """The number wall of seq down to row depth, as a function W(n, c).
+
+    seq[i] is the term s(first + i). W(n, c) is defined for -1 <= n <= depth
+    and c in [first + n - 1, first + len(seq) - n], the cells whose
+    determinant reads only terms of seq; anything else raises IndexError.
+    A broken invariant (an inexact division, or a zero divisor outside
+    every known window) raises ArithmeticError.
+    """
+    size = len(seq)
+    if size < 1 or depth < 0:
+        raise ValueError(f"need a nonempty sequence and depth >= 0, got {size} terms, depth {depth}")
+    # rows[n + 1][c - first + 2] holds W(n, c); row n has cells at indices
+    # n + 1 .. size + 2 - n, none past row (size + 1) // 2. Rows start
+    # zero-filled, so a window's interior needs no write.
+    depth = min(depth, (size + 1) // 2)
+    width = size + 4
+    rows = [[0] * width for _ in range(depth + 2)]
+    rows[1][1:size + 3] = [1] * (size + 2)
+    if depth >= 1:
+        rows[2][2:size + 2] = [int(v) for v in seq]
+
+    def at(n: int, j: int) -> int:
+        if not (-1 <= n <= depth and n + 1 <= j <= size + 2 - n):
+            raise _broken(f"frame read at ({n}, {j}) outside the triangle")
+        return rows[n + 1][j]
+
+    # windows as (t, a, b, frame): first zero row t, array indices a..b,
+    # and what `_inner_frame` returns, or None for a cut window
+    windows: list[tuple] = []
+    if depth >= 1:
+        _open_windows(rows, 1, size, windows, at)
+    for n in range(2, depth + 1):
+        up2, up, row = rows[n - 1], rows[n], rows[n + 1]
+        j_lo, j_hi = n + 1, size + 2 - n
+        zeros = 0
+        for j in range(j_lo, j_hi + 1):
+            d = up2[j]
+            if d:
+                x = up[j]
+                q, r = divmod(x * x - up[j - 1] * up[j + 1], d)
+                if r:
+                    raise _broken("inexact Dodgson division")
+                row[j] = q
+            else:
+                zeros += 1
+        owned = 0
+        for t, a, b, frame in windows:
+            if not t <= n - 2 <= t + b - a:
+                continue
+            lo, hi = max(a, j_lo), min(b, j_hi)
+            owned += max(0, hi - lo + 1)
+            if frame is not None and n - t > b - a:
+                _solve_frame(row, n - t == b - a + 1, t, a, b, frame, lo, hi, at)
+        if zeros != owned:
+            raise _broken(f"{zeros} zero divisors in row {n}, {owned} inside windows")
+        # keep the windows whose outer bottom row t + g + 1 is still to come
+        windows = [w for w in windows if w[0] + (w[2] - w[1] + 1) + 1 > n]
+        _open_windows(rows, n, size, windows, at)
+
+    def cell(n: int, c: int) -> int:
+        j = c - first + 2
+        if not (-1 <= n <= depth and n + 1 <= j <= size + 2 - n):
+            raise IndexError(f"W({n}, {c}) is outside the wall of {size} terms from {first} "
+                             f"down to row {depth}")
+        return rows[n + 1][j]
+
+    return cell
+
+
+def _open_windows(rows: list, n: int, size: int, windows: list, at) -> None:
+    """Register every window whose first zero row is n: a maximal run of
+    zeros in row n under nonzero cells of row n - 1."""
+    row, up = rows[n + 1], rows[n]
+    j_lo, j_hi = n + 1, size + 2 - n
+    if 0 not in row[j_lo:j_hi + 1]:
+        return
+    tops = [j for j in range(j_lo, j_hi + 1) if not row[j] and up[j]]
+    i = 0
+    while i < len(tops):
+        a = b = tops[i]
+        while i + 1 < len(tops) and tops[i + 1] == b + 1:
+            i += 1
+            b += 1
+        i += 1
+        if a == j_lo or b == j_hi:
+            # cut: the run's square ends before the rows past it, so none
+            # of its bottom frame is inside the triangle
+            v = b - a + 1
+            if max(a, n + v + 1) <= min(b, size + 2 - n - v):
+                raise _broken(f"cut window at row {n} has frame cells inside the triangle")
+            windows.append((n, a, b, None))
+        else:
+            windows.append((n, a, b, _inner_frame(n, a, b, at)))
+
+
+def _inner_frame(t: int, a: int, b: int, at) -> tuple:
+    """P, Q, R and S of the window with zero rows t.. and columns a..b, as
+    numerator-denominator pairs from its top two frame rows, and its inner
+    bottom row D_0..D_g.
+
+    A_k = W(t - 1, a - 1 + k), B_k = W(t - 1 + k, a - 1), C_k = W(t + g - k, b + 1)
+    and D_k = W(t + g, b + 1 - k). The corners C_0 and D_{g+1} may lie
+    outside the triangle, so C_0 = C_g / R**g, with R = A_{g+1} / C_g."""
+    g = b - a + 1
+    a0, a1, ag1 = at(t - 1, a - 1), at(t - 1, a), at(t - 1, b + 1)
+    b1, cg = at(t, a - 1), at(t, b + 1)
+    # S = (-1)**g * Q * R / P with P = A_1/A_0, Q = B_1/A_0, R = A_{g+1}/C_g
+    s_num, s_den = (-1) ** g * b1 * ag1, a1 * cg
+    d = [_exact(cg ** (g + 1), ag1 ** g)]
+    for _ in range(g):
+        d.append(_exact(d[-1] * s_num, s_den))
+    return a0, a1, ag1, b1, cg, s_num, s_den, d
+
+
+def _solve_frame(row: list, inner: bool, t: int, a: int, b: int, frame: tuple,
+                 lo: int, hi: int, at) -> None:
+    """Write the cells lo..hi of the window's inner bottom row D (inner) or
+    outer bottom row H into row."""
+    a0, a1, ag1, b1, cg, s_num, s_den, d = frame
+    g = b - a + 1
+    for j in range(lo, hi + 1):
+        k = b + 1 - j
+        if inner:
+            row[j] = d[k]
+            continue
+        # H_k = (D_k / R) * (Q E_k/A_k + (-1)**k * (P F_k/B_k - S G_k/C_k))
+        ak, ek = at(t - 1, a - 1 + k), at(t - 2, a - 1 + k)
+        bk, fk = at(t - 1 + k, a - 1), at(t - 1 + k, a - 2)
+        ck, gk = at(t + g - k, b + 1), at(t + g - k, b + 2)
+        num = b1 * ek * bk * s_den * ck + (-1) ** k * ak * (
+            a1 * fk * s_den * ck - s_num * gk * a0 * bk)
+        row[j] = _exact(d[k] * cg * num, ag1 * a0 * ak * bk * s_den * ck)

@@ -188,8 +188,21 @@ def test_verify_lines_format(capsys):
         # a 3k+1 table: most cells need several CRT primes
         (("table", "-p", "37", "--sum", "--format", "csv"),
          "6643ee3d98dc9e9d61ce6ab006eefd4044382f2534a595a86957d14ad2a779dd"),
+        # a large 3k+2 wall with its zero band
+        (("table", "-p", "101", "--diff", "--extended", "--format", "csv"),
+         "f66509e01723a5fedc4c404f906149d6cba8016904b356295e3113a23e139f63"),
+        # 3k+1, multi-prime cells
+        (("table", "-p", "61", "--diff", "--format", "csv"),
+         "e70b6e26a6434b17621862336b2230b17dc3ede7dce86396a43a45f063df5479"),
+        # box offsets and negative shifts on the sum wall
+        (("table", "-p", "43", "--sum", "--n-min", "5", "--c-min", "-7", "--c-max", "20",
+          "--format", "csv"),
+         "a43a38ef07904af353b53e671e3c0568876cfd9e84a8e21c7cbddf92cc4acb10"),
+        (("table", "-p", "29", "--even-power", "--t", "2", "--format", "csv"),
+         "e75a339f633f30e34ba7addd3251118e544476507c497d186897868a7dea2668"),
     ],
-    ids=["verify-lines", "table-3k1-csv"],
+    ids=["verify-lines", "table-3k1-csv", "table-3k2-p101-extended", "table-3k1-diff",
+         "table-sum-offset-box", "table-even-power-t2"],
 )
 def test_output_bytes_are_pinned(capsys, argv, sha256):
     # recorded from an earlier engine; a faster engine must not move a byte
@@ -206,6 +219,25 @@ def test_det_on_a_3k1_prime_is_pinned(capsys):
 def test_verify_rejects_tiny_p_max(capsys):
     code, _, err = run(capsys, "verify", "--p-max", "4")
     assert code == 2
+
+
+def test_verify_caps(capsys, monkeypatch):
+    # checked before any work: verify_all is never called beyond a cap
+    monkeypatch.setattr(cli, "verify_all", None)
+    for argv, err in (
+            (("--p-max", "401"), "error: --p-max 401 exceeds the cap of 400\n"),
+            (("--t-max", "6"), "error: --t-max 6 exceeds the cap of 5\n"),
+            (("--n-max", "21"), "error: --n-max 21 exceeds the cap of 20\n"),
+            (("--p-max", "1000", "--n-max", "30"), "error: --p-max 1000 exceeds the cap of 400\n")):
+        assert run(capsys, "verify", *argv) == (2, "", err)
+    calls = []
+    monkeypatch.setattr(cli, "verify_all", lambda *args: calls.append(args) or [])
+    code, _, _ = run(capsys, "verify", "--p-max", "400", "--t-max", "5", "--n-max", "20")
+    assert code == 0 and calls == [(400, 5, 20)]
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert all(f"at most {cap})" in help_text for cap in (400, 5, 20))
 
 
 def test_verify_reports_failure_with_nonzero_exit(capsys, monkeypatch):

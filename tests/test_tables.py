@@ -12,6 +12,8 @@ from cubres import (
     determinant,
     family_formula,
     generate_table,
+    leading_minors,
+    odd_primes_up_to,
     sign_classify,
 )
 from cubres.tables import table_box
@@ -111,6 +113,32 @@ def test_extended_table_matches_per_cell_determinants(family, p):
     assert len(table.cells) == (p + 10) * 2 * p
     for (n, c), v in table.cells.items():
         assert v == determinant(build_matrix(family_formula(family, c, t), p, n)), (n, c)
+
+
+def _matches_column_minors(table):
+    # the oracle: leading_minors of each column's order-n_hi build. Shifts
+    # c and c + p build equal matrices, so each distinct matrix is
+    # eliminated once; every cell is still compared with its own column
+    minors = {}
+    for c in table.shifts():
+        m = build_matrix(family_formula(table.family, c, table.t), table.prime, table.n_range[1])
+        key = m.entries.tobytes()
+        if key not in minors:
+            minors[key] = leading_minors(m)
+        for n in table.orders():
+            assert table.cell(n, c) == minors[key][n - 1], (table.family, table.t, n, c)
+
+
+@pytest.mark.parametrize("family, t, extended", [
+    ("diff", 1, True), ("sum", 1, False), ("even-power", 1, False), ("even-power", 2, False)])
+@pytest.mark.parametrize("p", [q for q in odd_primes_up_to(60) if q >= 5])
+def test_every_cell_matches_leading_minors(family, t, extended, p):
+    _matches_column_minors(generate_table(family, p, t=t, extended=extended))
+
+
+@pytest.mark.parametrize("family, p, extended", [("diff", 101, True), ("sum", 97, False)])
+def test_large_tables_match_leading_minors(family, p, extended):
+    _matches_column_minors(generate_table(family, p, extended=extended))
 
 
 def test_generation_is_deterministic():

@@ -224,14 +224,15 @@ def test_report_text_truncates_counterexamples():
 
 def test_corrupted_engine_is_caught(monkeypatch):
     # sabotage every order-3 cell that generate_table reads from its
-    # column engine: the sweep must collect the mismatches rather than
+    # number wall: the sweep must collect the mismatches rather than
     # raise or stop early
-    real = tables.leading_minors
+    real = tables.number_wall
 
-    def crooked(matrix):
-        return [v + 1 if n == 3 else v for n, v in enumerate(real(matrix), 1)]
+    def crooked(*args, **kwargs):
+        wall = real(*args, **kwargs)
+        return lambda n, c: wall(n, c) + (n == 3)
 
-    monkeypatch.setattr(tables, "leading_minors", crooked)
+    monkeypatch.setattr(tables, "number_wall", crooked)
     r = check_t3_1(11)
     assert not r.passed
     assert r.cases_checked == 11
@@ -256,9 +257,13 @@ def test_verify_all_matches_standalone_table_checkers(monkeypatch, sabotaged):
     # also on counterexamples: the sabotage depends on the shift, so that
     # it breaks TABLE_PERIOD as well as the closed forms
     if sabotaged:
-        real = tables.leading_minors
-        monkeypatch.setattr(tables, "leading_minors", lambda m: [
-            v + ((n + m.formula.c) % 5 == 0) for n, v in enumerate(real(m), 1)])
+        real = tables.number_wall
+
+        def crooked(*args, **kwargs):
+            wall = real(*args, **kwargs)
+            return lambda n, c: wall(n, c) + ((n + c) % 5 == 0)
+
+        monkeypatch.setattr(tables, "number_wall", crooked)
     standalone = {
         "T3_1": check_t3_1, "T3_2": check_t3_2, "T3_3": check_t3_3,
         "T3_4": check_t3_4, "T3_5": check_t3_5, "ROW_PERIOD_NP": check_row_period_np,

@@ -1,0 +1,120 @@
+"""The number wall against the leading minors of Toeplitz matrices."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cubres.wall as wall_module
+from cubres import leading_minors
+from cubres.wall import number_wall
+
+
+def _check_against_minors(seq, first, depth):
+    """Every cell of the wall's triangle equals the matching leading minor
+    of the Toeplitz matrix (s(c + j - i)) of its column c."""
+    w = number_wall(seq, depth, first=first)
+    last = first + len(seq) - 1
+    for c in range(first, last + 1):
+        top = min(depth, c - first + 1, last - c + 1)
+        if top < 1:
+            continue
+        block = [[seq[c + j - i - first] for j in range(top)] for i in range(top)]
+        assert [w(n, c) for n in range(1, top + 1)] == leading_minors(block), c
+    for c in range(first - 1, last + 2):
+        assert (w(0, c), w(-1, c)) == (1, 0)
+
+
+def _spy_frames(monkeypatch):
+    """Count the inner (D) and outer (H) bottom-row solves."""
+    seen = {True: 0, False: 0}
+    real = wall_module._solve_frame
+
+    def spy(row, inner, *args):
+        seen[inner] += 1
+        return real(row, inner, *args)
+
+    monkeypatch.setattr(wall_module, "_solve_frame", spy)
+    return seen
+
+
+FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+
+
+@pytest.mark.parametrize("seq, first", [
+    # a zero run in the sequence: a window in row 1, under row -1 (E = 0)
+    ([1, -1, 1, 0, 0, 0, 1, 1, -1, 1, -1, 1, 1, 1, -1], 0),
+    # a second-order recurrence between noise: a window from row 3 whose
+    # bottom frame rows lie inside the triangle
+    ([1, -1, 0, 1, 1] + FIB + [2, -1, 0, 1, 1, 1], -4),
+    # a third-order recurrence, started again further on
+    ([0, 1, -1] + [1, 0, 0, 1, 1, 1, 2, 3, 4, 6, 9, 13, 19, 28] + [-1, 1, 1, 0, 1, 1, 1], 7),
+])
+def test_windows_with_frames_inside_the_triangle(monkeypatch, seq, first):
+    seen = _spy_frames(monkeypatch)
+    _check_against_minors(seq, first, (len(seq) + 1) // 2)
+    # both bottom rows of a window, inner (D) and outer (H), were solved
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def test_cut_windows_at_both_edges():
+    # zero runs at both ends of the sequence, and a recurrence up to the
+    # right edge: the triangle cuts their windows
+    _check_against_minors([0, 0, 0, 1, -1, 1, 1, 1, -1, 0, 0], 0, 6)
+    _check_against_minors([1, 0, 1, -1, 1, 1, 0, 1] + FIB, 3, 9)
+    # a periodic sequence: every row past its period is zero
+    w = number_wall([1, -1, 0, 1] * 6, 12)
+    assert all(w(n, c) == 0 for n in range(5, 13) for c in range(n - 1, 25 - n))
+
+
+def test_triangle_bounds():
+    w = number_wall([2, -1, 3], 2, first=10)
+    assert [w(1, c) for c in (10, 11, 12)] == [2, -1, 3]
+    assert w(2, 11) == (-1) ** 2 - 2 * 3
+    for n, c in ((1, 9), (1, 13), (2, 10), (2, 12), (3, 11), (0, 8), (0, 14), (-2, 11)):
+        with pytest.raises(IndexError):
+            w(n, c)
+    assert number_wall([5], 0)(0, 1) == 1
+    # rows past the triangle's apex hold no cells, whatever depth asks for
+    deep = number_wall([1, 2, 3], 10**9)
+    assert deep(2, 1) == 2**2 - 1 * 3
+    with pytest.raises(IndexError):
+        deep(3, 1)
+    with pytest.raises(ValueError):
+        number_wall([], 1)
+    with pytest.raises(ValueError):
+        number_wall([1, 2], -1)
+
+
+def test_zero_divisor_outside_every_window_is_an_error(monkeypatch):
+    # with window detection switched off, the first zero divisor has no
+    # window to answer for it: the wall raises rather than return a zero
+    monkeypatch.setattr(wall_module, "_open_windows", lambda *args: None)
+    assert number_wall([1, 1, 2, 3, 5], 3)(2, 2) == 1
+    with pytest.raises(ArithmeticError, match="zero divisors"):
+        number_wall([1, -1, 1, 0, 0, 0, 1, 1, -1], 4)
+
+
+@st.composite
+def sequences(draw):
+    alphabet = draw(st.sampled_from([(-1, 0, 1), (0, 1), (0, 0, 0, 1, -1), tuple(range(-3, 4))]))
+    size = draw(st.integers(1, 32))
+    seq = draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        # a planted linear recurrence over a stretch: a window below it,
+        # unbounded (cut) when the stretch reaches an end of the sequence
+        coeffs = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=4))
+        start = draw(st.integers(len(coeffs), max(len(coeffs), size)))
+        stop = draw(st.integers(start, max(start, size)))
+        for i in range(start, stop):
+            seq[i] = sum(a * seq[i - 1 - m] for m, a in enumerate(coeffs))
+    for at, length in draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(1, 10)),
+                                    max_size=3)):
+        # planted zero runs: windows in row 1, cut at the ends
+        seq[at:at + length] = [0] * len(seq[at:at + length])
+    return seq
+
+
+@settings(max_examples=150, deadline=None)
+@given(seq=sequences(), first=st.integers(-6, 6), extra=st.integers(-2, 2))
+def test_wall_matches_leading_minors(seq, first, extra):
+    _check_against_minors(seq, first, max(0, (len(seq) + 1) // 2 + extra))
