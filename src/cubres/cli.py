@@ -4,6 +4,10 @@ Subcommands: symbol, matrix, det, table, verify. Results go to stdout (or
 a file via -o); diagnostics go to stderr. Exit codes: 0 on success, 1
 when verify finds a failing claim, 2 on invalid input or when the output
 file cannot be written.
+
+`det` prints the last of `tables.formula_minors`, read off one number
+wall, and `table` reads its cells off walls too, so `symbol`, `det` and
+`table` run without importing numpy; `matrix` and `verify` load it.
 """
 
 import argparse
@@ -12,10 +16,9 @@ import sys
 from pathlib import Path
 
 from .matrices import CubeDiffPlusOne, build_matrix
-from .determinant import determinant
 from .render import emit_ansi, emit_csv, emit_svg, matrix_text, table_text
 from .residues import Prime, cube_root, cubic_residue_symbol
-from .tables import EXTENDED_EXTRA_ORDERS, family_formula, generate_table, table_box
+from .tables import EXTENDED_EXTRA_ORDERS, family_formula, formula_minors, generate_table, table_box
 from .verify import report_lines, report_text, verify_all
 
 __all__ = ["main", "build_parser"]
@@ -96,7 +99,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 def _cmd_det(args: argparse.Namespace) -> int:
     p = _prime_arg(args.p)
     _check_order(args.n, args.max_order)
-    print(determinant(build_matrix(_formula(args), p, args.n)))
+    print(formula_minors(_formula(args), p, args.n)[-1])
     return 0
 
 

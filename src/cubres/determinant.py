@@ -22,14 +22,21 @@ sampled, and no result is kept between calls.
 Two references share no code with these paths: `_eliminate_bigint`,
 the same fraction-free elimination over Python ints, and a
 cofactor-expansion oracle for tiny orders.
+
+Importing the module does not import numpy; each function that uses it
+imports it when called.
 """
+
+from __future__ import annotations
 
 from math import isqrt, prod
 from numbers import Integral
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .matrices import ResidueMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["determinant", "determinant_oracle", "leading_minors"]
 
@@ -58,6 +65,8 @@ _ORACLE_MAX_ORDER = 7
 
 def _to_rows(matrix) -> list[list[int]]:
     """Normalize to a fresh square list of Python ints."""
+    import numpy as np
+
     if isinstance(matrix, ResidueMatrix):
         return matrix.entries.tolist()
     if isinstance(matrix, np.ndarray):
@@ -84,6 +93,8 @@ def _to_array(matrix) -> np.ndarray:
     """A fresh square array of the entries: int64 when every entry is at
     most 2**30 in absolute value, Python ints in an object array
     otherwise. A ResidueMatrix skips the validation and the list."""
+    import numpy as np
+
     if isinstance(matrix, ResidueMatrix):
         return matrix.entries.astype(np.int64)
     rows = _to_rows(matrix)
@@ -100,6 +111,8 @@ def determinant(matrix) -> int:
     n * log2(n * max|entry|**2) / 58 of them, with the rows below the
     pivot reduced mod q once every 32 updates.
     """
+    import numpy as np
+
     a = _to_array(matrix)
     if a.shape[0] == 1:
         return int(a[0, 0])
@@ -114,6 +127,8 @@ def _eliminate_int64(a: np.ndarray) -> "int | None":
     """Vectorized fraction-free elimination. Mutates a. Bails out
     (returns None) before any step whose products could leave int64
     range; the caller then falls back to the CRT path."""
+    import numpy as np
+
     n = a.shape[0]
     sign = 1
     prev = 1
@@ -174,6 +189,8 @@ def _crt_minors(a: np.ndarray) -> list[int]:
     most 2**30 in absolute value, or object), exact by CRT over the
     primes `leading_minors` describes. The primes run in batches of as
     many as keep a batch's work array within _BATCH_ENTRIES entries."""
+    import numpy as np
+
     primes = _crt_primes((a * a).sum(axis=1, dtype=object).tolist())
     group = max(1, _BATCH_ENTRIES // a.size)
     residues = []
@@ -207,6 +224,8 @@ def _leading_minors_mod(a: np.ndarray, primes: list[int]) -> np.ndarray:
     so that their product M satisfies M**2 > 4 * H (see `leading_minors`),
     the residues then determine every leading minor exactly.
     """
+    import numpy as np
+
     count, n = a.shape[:2]
     qs = np.array(primes, dtype=np.int64)
     q2 = qs[:, None]
@@ -271,6 +290,8 @@ def _crt_lift(residues, primes: list[int]) -> list[int]:
     is the integer nearest zero congruent to residues[i][k] modulo
     primes[i] for every i. Exact when the product of the primes is more
     than twice its absolute value."""
+    import numpy as np
+
     m = prod(primes)
     basis = np.array([m // q * pow(m // q, -1, q) for q in primes], dtype=object)
     x = basis.dot(np.array(residues, dtype=object)) % m
@@ -288,6 +309,8 @@ def _crt_prime(i: int) -> int:
     by trial division with every prime up to sqrt(2**29)."""
     global _SMALL_PRIMES
     if _SMALL_PRIMES is None:
+        import numpy as np
+
         root = isqrt(_Q_TOP)
         sieve = np.ones(root + 1, dtype=bool)
         sieve[:2] = False

@@ -4,14 +4,22 @@ Each formula class declares its kind, Toeplitz (entry (i, j) is seq(j - i))
 or Hankel (entry (i, j) is seq(i + j)), and the symbol argument of seq(k)
 at one index k. `sequence` is the one place a formula is evaluated: an
 order-n matrix reads 2n - 1 consecutive values of it, one entry reads one.
+
+The formula half of the module (the classes, `sequence` and `entry_value`)
+is plain Python. The array half, `ResidueMatrix`, `build_matrix` and
+`matrices_equal`, imports numpy when it first runs, so the commands that
+read determinants off a number wall never load it.
 """
 
-from dataclasses import dataclass
-from typing import Union
+from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Union
 
 from .residues import Prime, as_prime, cubic_residue_symbol
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DiffPlusC",
@@ -109,6 +117,8 @@ class ResidueMatrix:
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError("matrix must have order >= 1")
+        import numpy as np
+
         # A read-only copy: the caller's array cannot change it later.
         e = np.array(self.entries)
         e.setflags(write=False)
@@ -151,6 +161,8 @@ def build_matrix(formula: Formula, p: "Prime | int", n: int) -> ResidueMatrix:
     p = as_prime(p)
     if n < 1:
         raise ValueError(f"matrix order must be >= 1, got {n}")
+    import numpy as np
+
     idx = np.arange(1, n + 1)
     k = idx[None, :] + formula.kind * idx[:, None]
     lo = int(k.min())
@@ -160,4 +172,6 @@ def build_matrix(formula: Formula, p: "Prime | int", n: int) -> ResidueMatrix:
 
 def matrices_equal(a: ResidueMatrix, b: ResidueMatrix) -> bool:
     """Entrywise equality of two matrices; provenance is ignored."""
+    import numpy as np
+
     return a.order == b.order and np.array_equal(a.entries, b.entries)

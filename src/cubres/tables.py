@@ -1,4 +1,5 @@
-"""Determinant tables over an (order, shift) grid.
+"""Determinant tables over an (order, shift) grid, and the leading
+minors of one formula's matrix.
 
 A table fixes the prime and the formula family and tabulates the exact
 determinant for every matrix order n in a vertical range and every shift
@@ -6,8 +7,11 @@ c in a horizontal range. Every cell is read off a number wall (see the
 wall module), in O(1) exact integer steps per cell: a difference-family
 cell is the Toeplitz determinant W(n, c) of s(m) = [m/p], a sum-family
 cell is the same wall read at W(n, c + n + 1) with the sign of reversing
-n columns, and each even-power column is the centre line of its own
-wall. Sign classes drive the color-coded views in the render module.
+n columns, and each even-power column is the `formula_minors` of its
+formula. `formula_minors` reads the order-1..n determinants of any
+formula, p = 3 included, off one wall over that formula's own sequence;
+the `det` command prints its last value. None of this imports numpy.
+Sign classes drive the color-coded views in the render module.
 """
 
 import enum
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .matrices import DiffPlusC, EvenPowerPlusC, Formula, SumPlusC, sequence
+from .matrices import TOEPLITZ, DiffPlusC, EvenPowerPlusC, Formula, SumPlusC, sequence
 from .residues import Prime, as_prime
 from .wall import number_wall
 
@@ -28,6 +32,7 @@ __all__ = [
     "DeterminantTable",
     "table_box",
     "generate_table",
+    "formula_minors",
 ]
 
 FAMILIES = ("diff", "sum", "even-power")
@@ -152,10 +157,24 @@ def generate_table(
         cells = {(n, c): (-1) ** (n * (n - 1) // 2) * wall(n, c + n + 1)
                  for n in orders for c in shifts}
     else:
-        columns = {}
-        for c in shifts:
-            column = sequence(EvenPowerPlusC(t, c), p, 1 - n_hi, n_hi - 1)
-            wall = number_wall(column, n_hi, first=1 - n_hi)
-            columns[c] = [wall(n, 0) for n in orders]
-        cells = {(n, c): columns[c][n - n_lo] for n in orders for c in shifts}
+        columns = {c: formula_minors(EvenPowerPlusC(t, c), p, n_hi) for c in shifts}
+        cells = {(n, c): columns[c][n - 1] for n in orders for c in shifts}
     return DeterminantTable(p, family, t, (n_lo, n_hi), (c_lo, c_hi), MappingProxyType(cells))
+
+
+def formula_minors(formula: Formula, p: "Prime | int", n: int) -> list[int]:
+    """The exact determinant of the formula's order-k matrix for every
+    k = 1..n, as a list indexed by k - 1, from one number wall over the
+    formula's sequence. A Toeplitz matrix of order k is W(k, 0) over the
+    terms 1 - n..n - 1. A Hankel one becomes Toeplitz when its k columns
+    are reversed, which is (-1)**(k(k - 1)/2) * W(k, k + 1) over the terms
+    2..2n. Any odd prime works, 3 included; n < 1 raises ValueError.
+    """
+    p = as_prime(p)
+    if n < 1:
+        raise ValueError(f"matrix order must be >= 1, got {n}")
+    if formula.kind == TOEPLITZ:
+        wall = number_wall(sequence(formula, p, 1 - n, n - 1), n, first=1 - n)
+        return [wall(k, 0) for k in range(1, n + 1)]
+    wall = number_wall(sequence(formula, p, 2, 2 * n), n, first=2)
+    return [(-1) ** (k * (k - 1) // 2) * wall(k, k + 1) for k in range(1, n + 1)]

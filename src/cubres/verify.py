@@ -12,12 +12,13 @@ none were found.
 Claims are cataloged by stable ids (the CLAIMS tuple); preconditions on
 the prime's residue class are enforced with ValueError so a checker can
 never silently run outside its domain.
+
+The checkers that build matrices import numpy when they run; importing
+the module does not.
 """
 
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
-
-import numpy as np
 
 from .determinant import determinant
 from .matrices import CubeDiffPlusOne, DiffPlusC, EvenPowerPlusC, ResidueMatrix, build_matrix
@@ -194,6 +195,8 @@ def _t3_4_notes(p: Prime) -> list[str]:
     all-ones columns. Entry (i, j) of D(n, c) is s(j - i + c), so column j
     of D(n, c) is all ones exactly when column j + c of one D(2(p - 2), 0)
     starts with a run of at least n ones."""
+    import numpy as np
+
     m = p.value - 2
     ones = build_matrix(DiffPlusC(0), p, 2 * m).entries[:m] == 1
     run = np.where(ones.all(axis=0), m, ones.argmin(axis=0))  # run[k]: column k + 1
@@ -286,6 +289,8 @@ def check_t3_5(p: "Prime | int") -> TheoremReport:
 def check_t3_6(p: "Prime | int") -> TheoremReport:
     """The shift-1 matrix and the cubed-difference-plus-one matrix agree
     entrywise (hence in determinant) for every order 2 <= n <= p - 2."""
+    import numpy as np
+
     p = as_prime(p)
     _require_form_3k2(p, "T3_6")
     pv = p.value
@@ -316,6 +321,8 @@ def check_t3_7(p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremRepor
     determinant 0. A second primitive root spot-check (t = 1, order 2)
     guards against the choice of r mattering.
     """
+    import numpy as np
+
     p = as_prime(p)
     if p.mod12 not in (5, 11):
         raise ValueError(f"T3_7 needs a prime of the form 12k+5 or 12k+11, got {p.value}")

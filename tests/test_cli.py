@@ -1,6 +1,11 @@
 """End-to-end CLI behavior via main(argv)."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -200,9 +205,22 @@ def test_verify_lines_format(capsys):
          "a43a38ef07904af353b53e671e3c0568876cfd9e84a8e21c7cbddf92cc4acb10"),
         (("table", "-p", "29", "--even-power", "--t", "2", "--format", "csv"),
          "e75a339f633f30e34ba7addd3251118e544476507c497d186897868a7dea2668"),
+        # 3k+1 determinants of about 170 digits
+        (("det", "--diff", "-p", "439", "-n", "195", "-c", "272"),
+         "a5bad7926e2b36756fd95ad49decdf0c7c60da9c14821a504dc77a7bc802f857"),
+        (("det", "--cube-diff", "-p", "433", "-n", "200"),
+         "bee4eea0e7002098c16458ddbdd3788ec3d0293cb012a3440c35c0c1d94023c4"),
+        (("det", "--even-power", "--t", "2", "-c", "5", "-p", "433", "-n", "200"),
+         "fad8d18274c35d4a403e530c4c7bcbf353fc10ef78a138f637ff2a2b5cf17659"),
+        # p = 3, which no table accepts, and an order deep in the zero band
+        (("det", "--diff", "-p", "3", "-n", "4"),
+         "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+        (("det", "--diff", "-p", "5", "-n", "40", "-c", "2"),
+         "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
     ],
     ids=["verify-lines", "table-3k1-csv", "table-3k2-p101-extended", "table-3k1-diff",
-         "table-sum-offset-box", "table-even-power-t2"],
+         "table-sum-offset-box", "table-even-power-t2", "det-3k1-diff-195",
+         "det-3k1-cube-diff-200", "det-3k1-even-power-200", "det-p3", "det-zero-band"],
 )
 def test_output_bytes_are_pinned(capsys, argv, sha256):
     # recorded from an earlier engine; a faster engine must not move a byte
@@ -214,6 +232,11 @@ def test_output_bytes_are_pinned(capsys, argv, sha256):
 def test_det_on_a_3k1_prime_is_pinned(capsys):
     code, out, _ = run(capsys, "det", "--sum", "-p", "61", "-n", "60", "-c", "5")
     assert (code, out) == (0, "-149944540661702121879\n")
+
+
+def test_det_rejects_order_zero(capsys):
+    assert run(capsys, "det", "--diff", "-p", "7", "-n", "0") == (
+        2, "", "error: matrix order must be >= 1, got 0\n")
 
 
 def test_verify_rejects_tiny_p_max(capsys):
@@ -281,3 +304,45 @@ def test_even_power_rejects_bad_t(capsys):
     code, _, err = run(capsys, "det", "--even-power", "--t", "0", "-c", "1", "-p", "11", "-n", "2")
     assert code == 2
     assert "positive" in err
+
+
+_NUMPY_FREE = textwrap.dedent("""
+    import contextlib, importlib, io, sys
+
+    import cubres
+    import cubres.cli as cli
+
+    cli.build_parser()
+    commands = [
+        ["symbol", "8", "11", "--verbose"],
+        ["det", "--diff", "-p", "439", "-n", "195", "-c", "272"],
+        ["det", "--sum", "-p", "11", "-n", "200", "-c", "3"],
+        ["det", "--cube-diff", "-p", "3", "-n", "5"],
+        ["det", "--even-power", "--t", "2", "-c", "5", "-p", "13", "-n", "9"],
+        *(["table", "--diff", "-p", "7", "--format", f] for f in ("csv", "svg", "text", "ansi")),
+        ["table", "--even-power", "-p", "5", "--format", "csv"],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, "a numpy-free command imported numpy"
+
+    assert all(hasattr(cubres, name) for name in cubres.__all__)
+    module = sys.modules["cubres.determinant"]
+    assert cubres.determinant is module.determinant
+    assert cubres.verify_all(11) and "numpy" in sys.modules
+    assert cubres.determinant is module.determinant
+    assert importlib.import_module("cubres.determinant") is module
+    assert cubres.determinant is module.determinant and callable(cubres.determinant)
+    assert cubres.determinant([[2, 1], [1, 1]]) == 1
+""")
+
+
+def test_symbol_det_and_table_never_import_numpy():
+    # a fresh interpreter: numpy loads only when an array path runs, and
+    # the package attribute `determinant` stays the function throughout
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", _NUMPY_FREE], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -1,9 +1,13 @@
 """Determinant table generation and classification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cubres
 from cubres import (
     FAMILIES,
+    CubeDiffPlusOne,
     DiffPlusC,
     EvenPowerPlusC,
     SignClass,
@@ -16,7 +20,8 @@ from cubres import (
     odd_primes_up_to,
     sign_classify,
 )
-from cubres.tables import table_box
+from cubres import tables
+from cubres.tables import formula_minors, table_box
 
 
 def test_sign_classify():
@@ -190,3 +195,51 @@ def test_cells_mapping_is_read_only():
     t = generate_table("diff", 5, n_range=(1, 2), c_range=(0, 1))
     with pytest.raises(TypeError):
         t.cells[(1, 0)] = 99
+
+
+_FORMULAS = (
+    lambda c, t: DiffPlusC(c),
+    lambda c, t: SumPlusC(c),
+    lambda c, t: CubeDiffPlusOne(),
+    lambda c, t: EvenPowerPlusC(t, c),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    make=st.sampled_from(_FORMULAS),
+    p=st.sampled_from(odd_primes_up_to(199)),
+    n=st.integers(1, 60),
+    c=st.integers(-(10**12), 10**12),
+    t=st.integers(1, 10**9),
+)
+def test_formula_minors_match_leading_minors(make, p, n, c, t):
+    # the kernel is the oracle: CRT elimination of the built matrix
+    formula = make(c, t)
+    assert formula_minors(formula, p, n) == leading_minors(build_matrix(formula, p, n))
+
+
+@pytest.mark.parametrize("make", _FORMULAS, ids=["diff", "sum", "cube-diff", "even-power"])
+@pytest.mark.parametrize("p, c, t", [(3, 0, 1), (3, 2, 5), (5, 2, 1), (7, -10**12, 10**9),
+                                     (13, 10**12, 3), (43, 4, 2)])
+def test_formula_minors_into_the_zero_band(make, p, c, t):
+    # every prime here is below n = 60, so the orders past p are read too
+    formula = make(c, t)
+    minors = formula_minors(formula, p, 60)
+    assert minors == leading_minors(build_matrix(formula, p, 60))
+    assert all(v == 0 for v in minors[p:])
+
+
+def test_formula_minors_bounds_and_exports():
+    assert formula_minors(DiffPlusC(0), 3, 4) == [0, -1, 2, 0]
+    assert formula_minors(SumPlusC(0), 7, 1) == [determinant(build_matrix(SumPlusC(0), 7, 1))]
+    for n in (0, -3):
+        with pytest.raises(ValueError) as built:
+            build_matrix(DiffPlusC(0), 7, n)
+        with pytest.raises(ValueError) as read:
+            formula_minors(DiffPlusC(0), 7, n)
+        assert str(read.value) == str(built.value)
+    with pytest.raises(ValueError):
+        formula_minors(DiffPlusC(0), 9, 2)
+    assert "formula_minors" in tables.__all__
+    assert "formula_minors" not in cubres.__all__
