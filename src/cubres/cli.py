@@ -6,8 +6,8 @@ when verify finds a failing claim, 2 on invalid input or when the output
 file cannot be written.
 
 `det` prints the last of `tables.formula_minors`, read off one number
-wall, and `table` reads its cells off walls too, so `symbol`, `det` and
-`table` run without importing numpy; `matrix` and `verify` load it.
+wall, `table` reads its cells off walls too, and `verify` checks its
+claims on symbol sequences and walls, so only `matrix` imports numpy.
 """
 
 import argparse
@@ -25,8 +25,8 @@ __all__ = ["main", "build_parser"]
 
 DEFAULT_MAX_ORDER = 200
 PRIME_CAP = 2**31
-# verify caps: with all three at once the sweep takes under a minute. T3_7
-# takes one determinant per order up to --n-max for each (shift, t) case.
+# verify caps: with all three at once the sweep takes about 13 s on a 2-vCPU
+# x86 host. T3_7 reads one number wall of depth --n-max for each (shift, t) case.
 P_MAX_CAP = 400
 T_MAX_CAP = 5
 N_MAX_CAP = 20
@@ -130,10 +130,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.p_max < 5:
-        raise ValueError(f"--p-max must be at least 5, got {args.p_max}")
-    for flag, value, cap in (("--p-max", args.p_max, P_MAX_CAP), ("--t-max", args.t_max, T_MAX_CAP),
-                             ("--n-max", args.n_max, N_MAX_CAP)):
+    for flag, value, floor, cap in (("--p-max", args.p_max, 5, P_MAX_CAP),
+                                    ("--t-max", args.t_max, 1, T_MAX_CAP),
+                                    ("--n-max", args.n_max, 2, N_MAX_CAP)):
+        if value < floor:
+            raise ValueError(f"{flag} must be at least {floor}, got {value}")
         if value > cap:
             raise ValueError(f"{flag} {value} exceeds the cap of {cap}")
     reports = verify_all(args.p_max, args.t_max, args.n_max)

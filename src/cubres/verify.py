@@ -13,15 +13,17 @@ Claims are cataloged by stable ids (the CLAIMS tuple); preconditions on
 the prime's residue class are enforced with ValueError so a checker can
 never silently run outside its domain.
 
-The checkers that build matrices import numpy when they run; importing
-the module does not.
+T3_6, T3_7 and the T3_4 note read the symbol sequences of Toeplitz
+families: the order-n block reads the offsets j - i with |j - i| < n, so
+one sequence per case serves every order, and T3_7 reads every order's
+determinant off one number wall over that sequence. No checker imports
+numpy.
 """
 
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .determinant import determinant
-from .matrices import CubeDiffPlusOne, DiffPlusC, EvenPowerPlusC, ResidueMatrix, build_matrix
+from .matrices import CubeDiffPlusOne, DiffPlusC, EvenPowerPlusC, sequence
 from .residues import (
     Prime,
     as_prime,
@@ -32,6 +34,7 @@ from .residues import (
     primitive_root,
 )
 from .tables import EXTENDED_EXTRA_ORDERS, generate_table
+from .wall import number_wall
 
 __all__ = [
     "CLAIMS",
@@ -193,17 +196,26 @@ class _TableClaim:
 def _t3_4_notes(p: Prime) -> list[str]:
     """Count the (n, c) of the T3_4 box whose matrix has at least two
     all-ones columns. Entry (i, j) of D(n, c) is s(j - i + c), so column j
-    of D(n, c) is all ones exactly when column j + c of one D(2(p - 2), 0)
-    starts with a run of at least n ones."""
-    import numpy as np
-
+    of D(n, c) is all ones exactly when at least n ones of s run down from
+    s(j - 1 + c)."""
     m = p.value - 2
-    ones = build_matrix(DiffPlusC(0), p, 2 * m).entries[:m] == 1
-    run = np.where(ones.all(axis=0), m, ones.argmin(axis=0))  # run[k]: column k + 1
+    # run[k] for k = 0..2m - 1: the ones in s(k), s(k - 1), ..., read from
+    # s(1 - m) on, which is exact wherever it is below m >= n
+    run, length = [], 0
+    for v in sequence(DiffPlusC(0), p, 1 - m, 2 * m - 1):
+        length = length + 1 if v == 1 else 0
+        run.append(length)
+    run = run[m - 1:]
     interior = range(2, p.value - 1)
-    box = [(n, c) for n in interior for c in interior]
-    misses = [(n, c) for n, c in box if int((run[c:c + n] >= n).sum()) < 2]
-    notes = [f"all-ones column pairs present in {len(box) - len(misses)}/{len(box)} cases"]
+    misses = []
+    for n in interior:
+        # full[k]: columns before k whose top n entries are all ones
+        full = [0]
+        for r in run:
+            full.append(full[-1] + (r >= n))
+        misses += [(n, c) for c in interior if full[c + n] - full[c] < 2]
+    cases = len(interior) ** 2
+    notes = [f"all-ones column pairs present in {cases - len(misses)}/{cases} cases"]
     if misses:
         notes.append(f"mechanism absent at {misses[:5]}")
     return notes
@@ -286,28 +298,31 @@ def check_t3_5(p: "Prime | int") -> TheoremReport:
     return _check_table_claim("T3_5", p)
 
 
+def _first_entry(n: int, bad: set[int]) -> tuple[int, int]:
+    """The first 1-based (i, j), in row-major order, of an order-n
+    Toeplitz block whose offset j - i is in bad."""
+    return next((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j - i in bad)
+
+
 def check_t3_6(p: "Prime | int") -> TheoremReport:
     """The shift-1 matrix and the cubed-difference-plus-one matrix agree
     entrywise (hence in determinant) for every order 2 <= n <= p - 2."""
-    import numpy as np
-
     p = as_prime(p)
     _require_form_3k2(p, "T3_6")
-    pv = p.value
+    top = p.value - 2
+    # both are Toeplitz: the order-n blocks read the offsets |k| < n of two sequences
+    a = sequence(DiffPlusC(1), p, 1 - top, top - 1)
+    b = sequence(CubeDiffPlusOne(), p, 1 - top, top - 1)
+    bad = {k for k in range(1 - top, top) if a[k + top - 1] != b[k + top - 1]}
+    nearest = min(map(abs, bad), default=top)
     ces = []
     cases = 0
-    # the order-n matrices are the leading blocks of the order-(p - 2) ones
-    a = build_matrix(DiffPlusC(1), p, pv - 2).entries
-    b = build_matrix(CubeDiffPlusOne(), p, pv - 2).entries
-    for n in range(2, pv - 1):
+    for n in range(2, top + 1):
         cases += 1
-        differ = np.argwhere(a[:n, :n] != b[:n, :n])
-        if len(differ):
-            i0, j0 = (int(v) for v in differ[0])
-            ces.append(
-                Counterexample(n, 1, int(a[i0, j0]), int(b[i0, j0]),
-                               f"entries differ at ({i0 + 1}, {j0 + 1})")
-            )
+        if n > nearest:
+            i, j = _first_entry(n, bad)
+            ces.append(Counterexample(n, 1, a[j - i + top - 1], b[j - i + top - 1],
+                                      f"entries differ at ({i}, {j})"))
     return TheoremReport("T3_6", p, cases, ces)
 
 
@@ -321,8 +336,6 @@ def check_t3_7(p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremRepor
     determinant 0. A second primitive root spot-check (t = 1, order 2)
     guards against the choice of r mattering.
     """
-    import numpy as np
-
     p = as_prime(p)
     if p.mod12 not in (5, 11):
         raise ValueError(f"T3_7 needs a prime of the form 12k+5 or 12k+11, got {p.value}")
@@ -335,24 +348,26 @@ def check_t3_7(p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremRepor
     cases = 0
 
     def sweep(g: int, ts, n_top: int, tag: str) -> None:
-        # the order-m matrix of a case is the leading block of its order-n_top one
+        # the order-m matrix of a case reads the offsets |k| < m of one
+        # sequence, and its determinant is W(m, 0) of that sequence's wall
         nonlocal cases
         for e in exponents:
             c = pow(g, e, pv)
             for t in ts:
-                formula = EvenPowerPlusC(t, c)
-                full = build_matrix(formula, p, n_top).entries
+                terms = sequence(EvenPowerPlusC(t, c), p, 1 - n_top, n_top - 1)
+                bad = {k for k in range(1 - n_top, n_top) if terms[k + n_top - 1] != 1}
+                nearest = min(map(abs, bad), default=n_top)
+                wall = number_wall(terms, n_top, first=1 - n_top)
                 for m in range(2, n_top + 1):
                     cases += 1
-                    block = full[:m, :m]
-                    if not bool((block == 1).all()):
-                        i0, j0 = (int(v) for v in np.argwhere(block != 1)[0])
+                    if m > nearest:
+                        i, j = _first_entry(m, bad)
                         ces.append(
-                            Counterexample(m, c, 1, int(block[i0, j0]),
-                                           f"{tag}entry ({i0 + 1}, {j0 + 1}) with t={t}, e={e}")
+                            Counterexample(m, c, 1, terms[j - i + n_top - 1],
+                                           f"{tag}entry ({i}, {j}) with t={t}, e={e}")
                         )
                         continue
-                    actual = determinant(ResidueMatrix(m, block, p, formula))
+                    actual = wall(m, 0)
                     if actual != 0:
                         ces.append(Counterexample(m, c, 0, actual, f"{tag}det with t={t}, e={e}"))
 

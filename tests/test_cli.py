@@ -245,13 +245,18 @@ def test_verify_rejects_tiny_p_max(capsys):
 
 
 def test_verify_caps(capsys, monkeypatch):
-    # checked before any work: verify_all is never called beyond a cap
+    # checked before any work: verify_all is never called beyond a cap or
+    # below a floor
     monkeypatch.setattr(cli, "verify_all", None)
     for argv, err in (
             (("--p-max", "401"), "error: --p-max 401 exceeds the cap of 400\n"),
             (("--t-max", "6"), "error: --t-max 6 exceeds the cap of 5\n"),
             (("--n-max", "21"), "error: --n-max 21 exceeds the cap of 20\n"),
-            (("--p-max", "1000", "--n-max", "30"), "error: --p-max 1000 exceeds the cap of 400\n")):
+            (("--p-max", "1000", "--n-max", "30"), "error: --p-max 1000 exceeds the cap of 400\n"),
+            (("--p-max", "4"), "error: --p-max must be at least 5, got 4\n"),
+            (("--t-max", "0"), "error: --t-max must be at least 1, got 0\n"),
+            (("--n-max", "1"), "error: --n-max must be at least 2, got 1\n"),
+            (("--t-max", "-3", "--n-max", "40"), "error: --t-max must be at least 1, got -3\n")):
         assert run(capsys, "verify", *argv) == (2, "", err)
     calls = []
     monkeypatch.setattr(cli, "verify_all", lambda *args: calls.append(args) or [])
@@ -321,6 +326,7 @@ _NUMPY_FREE = textwrap.dedent("""
         ["det", "--even-power", "--t", "2", "-c", "5", "-p", "13", "-n", "9"],
         *(["table", "--diff", "-p", "7", "--format", f] for f in ("csv", "svg", "text", "ansi")),
         ["table", "--even-power", "-p", "5", "--format", "csv"],
+        *(["verify", "--p-max", "30", "--format", f] for f in ("text", "lines")),
     ]
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -330,7 +336,8 @@ _NUMPY_FREE = textwrap.dedent("""
     assert all(hasattr(cubres, name) for name in cubres.__all__)
     module = sys.modules["cubres.determinant"]
     assert cubres.determinant is module.determinant
-    assert cubres.verify_all(11) and "numpy" in sys.modules
+    assert cubres.verify_all(11) and "numpy" not in sys.modules
+    assert cubres.determinant([[2, 1], [1, 1]]) == 1 and "numpy" in sys.modules
     assert cubres.determinant is module.determinant
     assert importlib.import_module("cubres.determinant") is module
     assert cubres.determinant is module.determinant and callable(cubres.determinant)
@@ -339,8 +346,9 @@ _NUMPY_FREE = textwrap.dedent("""
 
 
 def test_symbol_det_and_table_never_import_numpy():
-    # a fresh interpreter: numpy loads only when an array path runs, and
-    # the package attribute `determinant` stays the function throughout
+    # a fresh interpreter: symbol, det, table and verify never load numpy,
+    # an array path does, and the package attribute `determinant` stays
+    # the function throughout
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", _NUMPY_FREE], env=env,

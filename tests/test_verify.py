@@ -1,14 +1,21 @@
 """Claim checkers and the full verification sweep."""
 
+import numpy as np
 import pytest
 
+import cubres.matrices as matrices
 import cubres.tables as tables
+import cubres.verify as verify
 from cubres import (
     CLAIMS,
     Counterexample,
+    CubeDiffPlusOne,
     DiffPlusC,
+    EvenPowerPlusC,
     Prime,
+    ResidueMatrix,
     TheoremReport,
+    as_prime,
     build_matrix,
     check_propositions,
     check_remark_n1,
@@ -22,6 +29,9 @@ from cubres import (
     check_t3_7,
     check_table_period,
     determinant,
+    next_primitive_root,
+    odd_primes_up_to,
+    primitive_root,
     report_lines,
     report_text,
     verify_all,
@@ -128,6 +138,126 @@ def test_t3_7_rejects_bad_sweep_bounds():
         check_t3_7(11, t_max=0)
     with pytest.raises(ValueError):
         check_t3_7(11, n_max=1)
+
+
+def test_t3_7_determinant_is_read_off_the_wall(monkeypatch):
+    # every block of a passing case is all ones, so only the wall's
+    # determinant can fail it: add 1 at order 3 and each shift must report
+    # one det counterexample there, and nothing else
+    real = verify.number_wall
+
+    def crooked(*args, **kwargs):
+        wall = real(*args, **kwargs)
+        return lambda n, c: wall(n, c) + (n == 3)
+
+    monkeypatch.setattr(verify, "number_wall", crooked)
+    r = check_t3_7(11, t_max=1, n_max=4)
+    assert r.cases_checked == 5 * 3 + 5
+    assert r.counterexamples == [
+        Counterexample(3, pow(2, e, 11), 0, 1, f"det with t=1, e={e}") for e in (2, 4, 6, 8, 10)]
+
+
+# The array versions of the three sequence checkers, kept as their oracle:
+# each order's matrix is built on its own leading block and its determinant
+# comes from the int64/CRT engine rather than from a number wall.
+
+def _t3_4_notes_on_arrays(p):
+    m = p.value - 2
+    ones = build_matrix(DiffPlusC(0), p, 2 * m).entries[:m] == 1
+    run = np.where(ones.all(axis=0), m, ones.argmin(axis=0))
+    interior = range(2, p.value - 1)
+    box = [(n, c) for n in interior for c in interior]
+    misses = [(n, c) for n, c in box if int((run[c:c + n] >= n).sum()) < 2]
+    notes = [f"all-ones column pairs present in {len(box) - len(misses)}/{len(box)} cases"]
+    if misses:
+        notes.append(f"mechanism absent at {misses[:5]}")
+    return notes
+
+
+def _t3_6_on_arrays(p):
+    pv = p.value
+    ces = []
+    a = build_matrix(DiffPlusC(1), p, pv - 2).entries
+    b = build_matrix(CubeDiffPlusOne(), p, pv - 2).entries
+    for n in range(2, pv - 1):
+        differ = np.argwhere(a[:n, :n] != b[:n, :n])
+        if len(differ):
+            i0, j0 = (int(v) for v in differ[0])
+            ces.append(Counterexample(n, 1, int(a[i0, j0]), int(b[i0, j0]),
+                                      f"entries differ at ({i0 + 1}, {j0 + 1})"))
+    return TheoremReport("T3_6", p, len(range(2, pv - 1)), ces)
+
+
+def _t3_7_on_arrays(p, t_max, n_max):
+    pv = p.value
+    root = primitive_root(p)
+    exponents = range(1, pv - 1, 2) if p.mod12 == 5 else range(2, pv, 2)
+    ces = []
+    cases = 0
+
+    def sweep(g, ts, n_top, tag):
+        nonlocal cases
+        for e in exponents:
+            c = pow(g, e, pv)
+            for t in ts:
+                formula = EvenPowerPlusC(t, c)
+                full = build_matrix(formula, p, n_top).entries
+                for m in range(2, n_top + 1):
+                    cases += 1
+                    block = full[:m, :m]
+                    if not bool((block == 1).all()):
+                        i0, j0 = (int(v) for v in np.argwhere(block != 1)[0])
+                        ces.append(Counterexample(m, c, 1, int(block[i0, j0]),
+                                                  f"{tag}entry ({i0 + 1}, {j0 + 1}) with t={t}, e={e}"))
+                        continue
+                    actual = determinant(ResidueMatrix(m, block, p, formula))
+                    if actual != 0:
+                        ces.append(Counterexample(m, c, 0, actual, f"{tag}det with t={t}, e={e}"))
+
+    sweep(root, range(1, t_max + 1), n_max, "")
+    second = next_primitive_root(p, root)
+    sweep(second, (1,), 2, f"second root {second}: ")
+    notes = [
+        f"primitive roots used: {root} (full sweep), {second} (spot check)",
+        "shifts r**e are reduced mod p before building the matrix",
+    ]
+    return TheoremReport("T3_7", p, cases, ces, notes)
+
+
+@pytest.mark.parametrize("flips", [(), (3, 7, 12), (-3, -7, -12)],
+                         ids=["true-symbol", "flipped-symbol", "mirror-flipped-symbol"])
+@pytest.mark.parametrize("primes, t_max, n_max", [
+    ([q for q in odd_primes_up_to(59) if q % 3 == 2], 3, 8),
+    ([101], 5, 20),
+], ids=["3k2-below-60", "p101-caps"])
+def test_sequence_checkers_match_the_array_oracle(monkeypatch, primes, t_max, n_max, flips):
+    # flipping the symbol on classes 3, 7 and 12 mod p breaks T3_6 and T3_7
+    # at many orders and thins the T3_4 mechanism; T3_6 first differs at a
+    # positive offset j - i, and with the mirrored classes often at a
+    # negative one. Both sides read the same patched symbol.
+    if flips:
+        real = matrices.cubic_residue_symbol
+
+        def flipped(a, p):
+            pv = as_prime(p).value
+            v = real(a, p)
+            return -v if a % pv in {f % pv for f in flips} else v
+
+        monkeypatch.setattr(matrices, "cubic_residue_symbol", flipped)
+    broken = set()
+    for q in primes:
+        p = Prime(q)
+        got_notes, want_notes = _t3_4_notes(p), _t3_4_notes_on_arrays(p)
+        assert got_notes == want_notes
+        for got, want in ((check_t3_6(p), _t3_6_on_arrays(p)),
+                          (check_t3_7(p, t_max, n_max), _t3_7_on_arrays(p, t_max, n_max))):
+            assert (got.claim, got.cases_checked, got.counterexamples, got.notes) == \
+                (want.claim, want.cases_checked, want.counterexamples, want.notes)
+            if got.counterexamples:
+                broken.add(got.claim)
+        if len(got_notes) > 1:
+            broken.add("T3_4")
+    assert broken == ({"T3_4", "T3_6", "T3_7"} if flips else set())
 
 
 def test_row_period_np():
