@@ -1,68 +1,50 @@
 """Cubic residue symbol matrices: exact integer determinants, pattern
 tables, color-coded renderings, and an exhaustive identity-verification
-harness, with a small CLI on top."""
+harness, with a small CLI on top.
+
+The namespace is lazy (PEP 562): plain `import cubres` loads only this
+module and `cubres.determinant`. Every other public name, and each of
+the submodules `residues`, `matrices`, `tables`, `wall`, `render` and
+`verify`, loads its home module on first access and is then cached
+here, so `from cubres import *` and `dir(cubres)` see the same names as
+before, and a command-line run pays only for the modules it uses.
+
+`determinant`, `determinant_oracle` and `leading_minors` stay eager.
+Importing the submodule `cubres.determinant` sets the package attribute
+`determinant` to that module; the import here, which runs before any
+caller's `import cubres.determinant` returns, rebinds it to the
+function whatever the order of the caller's imports. A lazy name would
+stay the module. `cubres.determinant` imports numpy and
+`cubres.matrices` inside the functions that need them, so this eager
+import stays cheap.
+"""
+
+import importlib
 
 from .determinant import determinant, determinant_oracle, leading_minors
-from .matrices import (
-    CubeDiffPlusOne,
-    DiffPlusC,
-    EvenPowerPlusC,
-    Formula,
-    ResidueMatrix,
-    SumPlusC,
-    build_matrix,
-    entry_value,
-    matrices_equal,
-)
-from .render import (
-    DEFAULT_SCHEME,
-    ColorScheme,
-    emit_ansi,
-    emit_csv,
-    emit_svg,
-    matrix_text,
-    parse_csv,
-    table_text,
-)
-from .residues import (
-    Prime,
-    as_prime,
-    cube_root,
-    cubic_residue_set,
-    cubic_residue_symbol,
-    is_prime,
-    legendre_symbol,
-    next_primitive_root,
-    odd_primes_up_to,
-    primitive_root,
-)
-from .tables import (
-    FAMILIES,
-    DeterminantTable,
-    SignClass,
-    family_formula,
-    generate_table,
-    sign_classify,
-)
-from .verify import (
-    CLAIMS,
-    Counterexample,
-    TheoremReport,
-    check_propositions,
-    check_remark_n1,
-    check_row_period_np,
-    check_t3_1,
-    check_t3_2,
-    check_t3_3,
-    check_t3_4,
-    check_t3_5,
-    check_t3_6,
-    check_t3_7,
-    check_table_period,
-    report_lines,
-    report_text,
-    verify_all,
-)
+
+# The home module of each lazily loaded public name.
+_HOME = {
+    name: module
+    for module, names in (
+        ("residues", ("Prime", "as_prime", "cube_root", "cubic_residue_set",
+                      "cubic_residue_symbol", "is_prime", "legendre_symbol",
+                      "next_primitive_root", "odd_primes_up_to", "primitive_root")),
+        ("matrices", ("CubeDiffPlusOne", "DiffPlusC", "EvenPowerPlusC", "Formula",
+                      "ResidueMatrix", "SumPlusC", "build_matrix", "entry_value",
+                      "matrices_equal")),
+        ("tables", ("FAMILIES", "DeterminantTable", "SignClass", "family_formula",
+                    "generate_table", "sign_classify")),
+        ("render", ("DEFAULT_SCHEME", "ColorScheme", "emit_ansi", "emit_csv", "emit_svg",
+                    "matrix_text", "parse_csv", "table_text")),
+        ("verify", ("CLAIMS", "Counterexample", "TheoremReport", "check_propositions",
+                    "check_remark_n1", "check_row_period_np", "check_t3_1", "check_t3_2",
+                    "check_t3_3", "check_t3_4", "check_t3_5", "check_t3_6", "check_t3_7",
+                    "check_table_period", "report_lines", "report_text", "verify_all")),
+    )
+    for name in names
+}
+_SUBMODULES = ("residues", "matrices", "tables", "wall", "render", "verify")
 
 __version__ = "0.1.0"
 
@@ -121,3 +103,17 @@ __all__ = [
     "report_lines",
     "report_text",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # the import binds the submodule here, so this runs once per name
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> "list[str]":
+    return sorted({*globals(), *__all__})

@@ -5,9 +5,18 @@ a file via -o); diagnostics go to stderr. Exit codes: 0 on success, 1
 when verify finds a failing claim, 2 on invalid input or when the output
 file cannot be written.
 
-`det` prints the last of `tables.formula_minors`, read off one number
-wall, `table` reads its cells off walls too, and `verify` checks its
-claims on symbol sequences and walls, so only `matrix` imports numpy.
+Each command imports only the modules it runs; at module level this file
+imports `residues` alone, which every command needs. Beyond `cubres`,
+`cubres.determinant` and `cubres.residues`, a command loads:
+
+- `symbol`: nothing;
+- `det`: `matrices`, `tables` and `wall`, since `det` prints the last of
+  `tables.formula_minors`, read off one number wall;
+- `table`: those three and `render`;
+- `verify`: those three and `verify`, which checks its claims on symbol
+  sequences and walls;
+- `matrix`: `matrices`, `render` (which needs `tables` and `wall`) and
+  numpy, the only command that imports it.
 """
 
 import argparse
@@ -15,11 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-from .matrices import CubeDiffPlusOne, build_matrix
-from .render import emit_ansi, emit_csv, emit_svg, matrix_text, table_text
 from .residues import Prime, cube_root, cubic_residue_symbol
-from .tables import EXTENDED_EXTRA_ORDERS, family_formula, formula_minors, generate_table, table_box
-from .verify import report_lines, report_text, verify_all
 
 __all__ = ["main", "build_parser"]
 
@@ -67,6 +72,9 @@ def _family(args: argparse.Namespace) -> str:
 
 
 def _formula(args: argparse.Namespace):
+    from .matrices import CubeDiffPlusOne
+    from .tables import family_formula
+
     if args.cube_diff:
         return CubeDiffPlusOne()
     return family_formula(_family(args), args.shift, args.t)
@@ -90,6 +98,9 @@ def _cmd_symbol(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    from .matrices import build_matrix
+    from .render import matrix_text
+
     p = _prime_arg(args.p)
     _check_order(args.n, args.max_order)
     print(matrix_text(build_matrix(_formula(args), p, args.n)))
@@ -97,6 +108,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_det(args: argparse.Namespace) -> int:
+    from .tables import formula_minors
+
     p = _prime_arg(args.p)
     _check_order(args.n, args.max_order)
     print(formula_minors(_formula(args), p, args.n)[-1])
@@ -104,6 +117,9 @@ def _cmd_det(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .render import emit_ansi, emit_csv, emit_svg, table_text
+    from .tables import generate_table, table_box
+
     p = _prime_arg(args.p)
     family = _family(args)
     if args.extended and (args.n_min is not None or args.n_max is not None):
@@ -121,7 +137,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     elif args.format == "svg":
         out = emit_svg(table, cell_px=args.cell_px)
     elif args.format == "ansi":
-        color = not args.no_color and os.environ.get("NO_COLOR") is None
+        # no-color.org: only a non-empty NO_COLOR turns color off
+        color = not args.no_color and not os.environ.get("NO_COLOR")
         out = emit_ansi(table, color=color)
     else:
         out = table_text(table)
@@ -130,6 +147,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import report_lines, report_text, verify_all
+
     for flag, value, floor, cap in (("--p-max", args.p_max, 5, P_MAX_CAP),
                                     ("--t-max", args.t_max, 1, T_MAX_CAP),
                                     ("--n-max", args.n_max, 2, N_MAX_CAP)):
@@ -188,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--c-min", type=int, default=None, help="first shift (default 0)")
     t.add_argument("--c-max", type=int, default=None, help="last shift (default 2p-1)")
     t.add_argument("--extended", action="store_true",
-                   help=f"orders 1..p+{EXTENDED_EXTRA_ORDERS} instead of 1..p")
+                   help="orders 1..p and the all-zero band past p, instead of 1..p")
     t.add_argument("--format", choices=("csv", "text", "ansi", "svg"), default="csv")
     t.add_argument("--cell-px", type=int, default=12, help="SVG cell size in pixels")
     t.add_argument("--no-color", action="store_true",

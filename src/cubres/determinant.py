@@ -23,8 +23,8 @@ Two references share no code with these paths: `_eliminate_bigint`,
 the same fraction-free elimination over Python ints, and a
 cofactor-expansion oracle for tiny orders.
 
-Importing the module does not import numpy; each function that uses it
-imports it when called.
+Importing the module does not import numpy or `cubres.matrices`; each
+function that uses one imports it when called.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from __future__ import annotations
 from math import isqrt, prod
 from numbers import Integral
 from typing import TYPE_CHECKING
-
-from .matrices import ResidueMatrix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,6 +65,8 @@ def _to_rows(matrix) -> list[list[int]]:
     """Normalize to a fresh square list of Python ints."""
     import numpy as np
 
+    from .matrices import ResidueMatrix
+
     if isinstance(matrix, ResidueMatrix):
         return matrix.entries.tolist()
     if isinstance(matrix, np.ndarray):
@@ -94,6 +94,8 @@ def _to_array(matrix) -> np.ndarray:
     most 2**30 in absolute value, Python ints in an object array
     otherwise. A ResidueMatrix skips the validation and the list."""
     import numpy as np
+
+    from .matrices import ResidueMatrix
 
     if isinstance(matrix, ResidueMatrix):
         return matrix.entries.astype(np.int64)

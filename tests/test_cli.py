@@ -1,6 +1,7 @@
 """End-to-end CLI behavior via main(argv)."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import cubres.cli as cli
+import cubres.tables
+import cubres.verify
 from cubres import Counterexample, Prime, TheoremReport, parse_csv
 
 
@@ -83,7 +86,7 @@ def test_order_cap_and_override(capsys, monkeypatch):
                        "--max-order", "250")
     assert (code, out) == (0, "0\n")  # order past p duplicates rows
     # the extended box of p = 193 tops out at order 203; refused before any table work
-    monkeypatch.setattr(cli, "generate_table", None)
+    monkeypatch.setattr(cubres.tables, "generate_table", None)
     code, out, err = run(capsys, "table", "--diff", "-p", "193", "--extended")
     assert (code, out) == (2, "")
     assert err == "error: order 203 exceeds the cap of 200; raise it with --max-order\n"
@@ -136,6 +139,13 @@ def test_table_ansi_color_modes(capsys, monkeypatch):
     code, out, _ = run(capsys, "table", "--diff", "-p", "5", "--format", "ansi", "--no-color")
     assert "\x1b[" not in out
     monkeypatch.setenv("NO_COLOR", "1")
+    code, out, _ = run(capsys, "table", "--diff", "-p", "5", "--format", "ansi")
+    assert "\x1b[" not in out
+    # no-color.org: an empty NO_COLOR is unset; any other value, "0" too, turns color off
+    monkeypatch.setenv("NO_COLOR", "")
+    code, out, _ = run(capsys, "table", "--diff", "-p", "5", "--format", "ansi")
+    assert "\x1b[48;2;" in out
+    monkeypatch.setenv("NO_COLOR", "0")
     code, out, _ = run(capsys, "table", "--diff", "-p", "5", "--format", "ansi")
     assert "\x1b[" not in out
 
@@ -247,7 +257,7 @@ def test_verify_rejects_tiny_p_max(capsys):
 def test_verify_caps(capsys, monkeypatch):
     # checked before any work: verify_all is never called beyond a cap or
     # below a floor
-    monkeypatch.setattr(cli, "verify_all", None)
+    monkeypatch.setattr(cubres.verify, "verify_all", None)
     for argv, err in (
             (("--p-max", "401"), "error: --p-max 401 exceeds the cap of 400\n"),
             (("--t-max", "6"), "error: --t-max 6 exceeds the cap of 5\n"),
@@ -259,7 +269,7 @@ def test_verify_caps(capsys, monkeypatch):
             (("--t-max", "-3", "--n-max", "40"), "error: --t-max must be at least 1, got -3\n")):
         assert run(capsys, "verify", *argv) == (2, "", err)
     calls = []
-    monkeypatch.setattr(cli, "verify_all", lambda *args: calls.append(args) or [])
+    monkeypatch.setattr(cubres.verify, "verify_all", lambda *args: calls.append(args) or [])
     code, _, _ = run(capsys, "verify", "--p-max", "400", "--t-max", "5", "--n-max", "20")
     assert code == 0 and calls == [(400, 5, 20)]
     with pytest.raises(SystemExit):
@@ -274,7 +284,7 @@ def test_verify_reports_failure_with_nonzero_exit(capsys, monkeypatch):
     def fake(p_max, t_max=3, n_max=8):
         return [bad]
 
-    monkeypatch.setattr(cli, "verify_all", fake)
+    monkeypatch.setattr(cubres.verify, "verify_all", fake)
     code, out, err = run(capsys, "verify", "--p-max", "11")
     assert code == 1
     assert "FAIL" in out
@@ -345,12 +355,117 @@ _NUMPY_FREE = textwrap.dedent("""
 """)
 
 
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """Runs `python *args` in a fresh interpreter that imports cubres from src."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def test_symbol_det_and_table_never_import_numpy():
     # a fresh interpreter: symbol, det, table and verify never load numpy,
     # an array path does, and the package attribute `determinant` stays
     # the function throughout
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    result = subprocess.run([sys.executable, "-c", _NUMPY_FREE], env=env,
-                            capture_output=True, text=True, timeout=120)
+    result = _fresh("-c", _NUMPY_FREE)
     assert result.returncode == 0, result.stderr
+
+
+_LOADED_PER_COMMAND = textwrap.dedent("""
+    import contextlib, io, json, sys
+
+    import cubres.cli as cli
+
+    def loaded():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "cubres")
+
+    cli.build_parser()
+    steps = [loaded()]
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+        steps.append(loaded())
+    print(json.dumps(steps))
+""")
+
+
+@pytest.mark.parametrize("commands, added", [
+    ((["symbol", "8", "11", "--verbose"],
+      ["det", "--sum", "-p", "11", "-n", "5", "-c", "3"],
+      ["table", "--diff", "-p", "7", "--format", "svg"]),
+     ([], ["matrices", "tables", "wall"], ["render"])),
+    ((["verify", "--p-max", "11"],),
+     (["matrices", "tables", "verify", "wall"],)),
+], ids=["symbol-det-table", "verify"])
+def test_each_command_imports_only_the_modules_it_runs(commands, added):
+    # the parser and `symbol` need only residues; `table` never loads
+    # verify, and `verify` never loads render
+    result = _fresh("-c", _LOADED_PER_COMMAND, json.dumps(commands))
+    assert result.returncode == 0, result.stderr
+    steps = json.loads(result.stdout)
+    assert steps[0] == ["cubres", "cubres.cli", "cubres.determinant", "cubres.residues"]
+    for argv, before, after, new in zip(commands, steps, steps[1:], added):
+        assert sorted(set(after) - set(before)) == [f"cubres.{m}" for m in new], argv
+
+
+_NAMESPACE = textwrap.dedent("""
+    import sys
+
+    import cubres
+
+    def loaded():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "cubres")
+
+    assert loaded() == ["cubres", "cubres.determinant"], loaded()
+    submodules = ("residues", "matrices", "tables", "wall", "render", "verify")
+    for name in submodules:
+        assert getattr(cubres, name) is sys.modules[f"cubres.{name}"], name
+    homes = [sys.modules[f"cubres.{name}"] for name in (*submodules, "determinant")]
+    for name in cubres.__all__:
+        home, = (m for m in homes if name in getattr(m, "__all__", ()))
+        assert getattr(cubres, name) is getattr(home, name), name
+    star = {}
+    exec("from cubres import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(cubres.__all__)
+    assert set(cubres.__all__) <= set(dir(cubres))
+    try:
+        cubres.nope
+    except AttributeError as exc:
+        assert str(exc) == "module 'cubres' has no attribute 'nope'", exc
+    else:
+        raise AssertionError("cubres.nope resolved")
+    assert not hasattr(cubres, "nope")
+""")
+
+
+def test_the_lazy_namespace_matches_the_home_modules():
+    result = _fresh("-c", _NAMESPACE)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("first", [
+    "import cubres.determinant",
+    "from cubres.determinant import leading_minors",
+    "import cubres",
+])
+def test_package_determinant_is_the_function_in_any_import_order(first):
+    script = (f"{first}\nimport sys\nimport cubres\nimport cubres.determinant\n"
+              "assert cubres.determinant is sys.modules['cubres.determinant'].determinant\n")
+    result = _fresh("-c", script)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("symbol", "8", "11", "--verbose"),
+    ("det", "--sum", "-p", "11", "-n", "5", "-c", "3"),
+])
+def test_the_console_script_prints_what_python_m_prints(argv):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["cubres"]
+    module, func = target.split(":")
+    # what the installed `cubres` wrapper runs
+    entry = f"import sys; from {module} import {func}; sys.exit({func}())"
+    script, python_m = _fresh("-c", entry, *argv), _fresh("-m", "cubres", *argv)
+    assert script.returncode == python_m.returncode == 0, script.stderr + python_m.stderr
+    assert script.stdout == python_m.stdout != ""
