@@ -58,7 +58,7 @@ def emit_csv(table: DeterminantTable) -> str:
     Every line is newline-terminated and carries no trailing delimiter."""
     lines = ["n\\c," + ",".join(str(c) for c in table.shifts())]
     for n in table.orders():
-        lines.append(str(n) + "," + ",".join(str(table.cells[n, c]) for c in table.shifts()))
+        lines.append(str(n) + "," + ",".join(map(str, table.row(n))))
     return "\n".join(lines) + "\n"
 
 
@@ -87,7 +87,7 @@ def _layout(table: DeterminantTable):
     wide enough for every label and value keeps both views aligned."""
     shifts = [str(c) for c in table.shifts()]
     orders = [str(n) for n in table.orders()]
-    values = [[str(table.cells[n, c]) for c in table.shifts()] for n in table.orders()]
+    values = [list(map(str, table.row(n))) for n in table.orders()]
     width = max(len(s) for s in ["n\\c", *shifts, *orders, *(v for row in values for v in row)])
     return width, shifts, orders, values
 
@@ -109,8 +109,8 @@ def emit_ansi(table: DeterminantTable, scheme: ColorScheme = DEFAULT_SCHEME, col
     lines = ["  ".join(s.rjust(width) for s in ["n\\c", *shifts])]
     for n, label, row in zip(table.orders(), orders, values):
         out = [label.rjust(width)]
-        for c, text in zip(table.shifts(), row):
-            s = sign_classify(table.cells[n, c])
+        for v, text in zip(table.row(n), row):
+            s = sign_classify(v)
             if color:
                 r, g, b = scheme.for_sign(s)
                 out.append(f"\x1b[48;2;{r};{g};{b}m{text.rjust(width)}\x1b[0m")
@@ -137,12 +137,12 @@ def emit_svg(table: DeterminantTable, scheme: ColorScheme = DEFAULT_SCHEME, cell
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
     ]
+    zero, negative, positive = (_hex(rgb) for rgb in (scheme.zero, scheme.negative, scheme.positive))
     for n in table.orders():
         y = (n - n_lo) * cell_px
-        for c in table.shifts():
+        for c, v in zip(table.shifts(), table.row(n)):
             x = (c - c_lo) * cell_px
-            v = table.cells[n, c]
-            fill = _hex(scheme.for_sign(sign_classify(v)))
+            fill = zero if v == 0 else negative if v < 0 else positive
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" fill="{fill}">'
                 f"<title>n={n} c={c}: {v}</title></rect>"

@@ -12,12 +12,17 @@ formula. `formula_minors` reads the order-1..n determinants of any
 formula, p = 3 included, off one wall over that formula's own sequence;
 the `det` command prints its last value. None of this imports numpy.
 Sign classes drive the color-coded views in the render module.
+
+A table keeps one list per order: a slice of a wall row for diff and
+sum, and the transposed `formula_minors` columns for even-power.
+`DeterminantTable.cells` is a read-only mapping view over those rows,
+keyed (n, c) in row-major order, and `row`, `column` and `cell` read the
+same lists.
 """
 
 import enum
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
+from collections.abc import Iterator, Mapping
 
 from .matrices import TOEPLITZ, DiffPlusC, EvenPowerPlusC, Formula, SumPlusC, sequence
 from .residues import Prime, as_prime
@@ -67,10 +72,45 @@ def family_formula(family: str, c: int, t: int = 1) -> Formula:
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
+class _RowCells(Mapping):
+    """A read-only {(n, c): value} view over a table's rows, keyed in
+    row-major order: rows[n - n_lo][c - c_lo] holds the cell (n, c)."""
+
+    def __init__(self, rows: list, n_range: tuple[int, int], c_range: tuple[int, int]) -> None:
+        self._rows, self._box = rows, (n_range, c_range)
+
+    def __getitem__(self, key) -> int:
+        (n_lo, n_hi), (c_lo, c_hi) = self._box
+        try:
+            n, c = key
+            if n_lo <= n <= n_hi and c_lo <= c <= c_hi:
+                return self._rows[n - n_lo][c - c_lo]
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        (n_lo, n_hi), (c_lo, c_hi) = self._box
+        return ((n, c) for n in range(n_lo, n_hi + 1) for c in range(c_lo, c_hi + 1))
+
+    def __len__(self) -> int:
+        (n_lo, n_hi), (c_lo, c_hi) = self._box
+        return (n_hi - n_lo + 1) * (c_hi - c_lo + 1)
+
+    def __repr__(self) -> str:
+        return f"_RowCells({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class DeterminantTable:
     """Exact determinants on an inclusive (n, c) grid for one prime and
-    one formula family. t is only meaningful for the even-power family."""
+    one formula family. t is only meaningful for the even-power family.
+
+    cells may be any mapping that holds exactly the grid's keys. It is
+    read into one list per order once, and the field then holds a
+    read-only view over those lists, which `row`, `column` and `cell`
+    read too. A key outside the grid raises KeyError.
+    """
 
     prime: Prime
     family: str
@@ -78,6 +118,15 @@ class DeterminantTable:
     n_range: tuple[int, int]
     c_range: tuple[int, int]
     cells: Mapping[tuple[int, int], int]
+
+    def __post_init__(self) -> None:
+        cells = self.cells
+        if not (isinstance(cells, _RowCells) and cells._box == (self.n_range, self.c_range)):
+            view = _RowCells([[cells[n, c] for c in self.shifts()] for n in self.orders()],
+                             self.n_range, self.c_range)
+            if len(cells) != len(view):
+                raise ValueError(f"{len(cells)} cells given for a grid of {len(view)}")
+            object.__setattr__(self, "cells", view)
 
     def orders(self) -> range:
         return range(self.n_range[0], self.n_range[1] + 1)
@@ -88,11 +137,21 @@ class DeterminantTable:
     def cell(self, n: int, c: int) -> int:
         return self.cells[n, c]
 
-    def row(self, n: int) -> list[int]:
-        return [self.cells[n, c] for c in self.shifts()]
+    def row(self, n: int, c_lo: "int | None" = None, c_hi: "int | None" = None) -> list[int]:
+        """The cells (n, c) for c_lo <= c <= c_hi, by default every shift."""
+        c_lo = self.c_range[0] if c_lo is None else c_lo
+        c_hi = self.c_range[1] if c_hi is None else c_hi
+        self.cell(n, c_lo), self.cell(n, c_hi)
+        lo = self.c_range[0]
+        return self.cells._rows[n - self.n_range[0]][c_lo - lo:c_hi - lo + 1]
 
-    def column(self, c: int) -> list[int]:
-        return [self.cells[n, c] for n in self.orders()]
+    def column(self, c: int, n_lo: "int | None" = None, n_hi: "int | None" = None) -> list[int]:
+        """The cells (n, c) for n_lo <= n <= n_hi, by default every order."""
+        n_lo = self.n_range[0] if n_lo is None else n_lo
+        n_hi = self.n_range[1] if n_hi is None else n_hi
+        self.cell(n_lo, c), self.cell(n_hi, c)
+        lo, j = self.n_range[0], c - self.c_range[0]
+        return [row[j] for row in self.cells._rows[n_lo - lo:n_hi - lo + 1]]
 
 
 def table_box(p: "Prime | int", n_range: "tuple | None" = None, c_range: "tuple | None" = None,
@@ -145,21 +204,24 @@ def generate_table(
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     (n_lo, n_hi), (c_lo, c_hi) = table_box(p, n_range, c_range, extended=extended)
-    orders, shifts = range(n_lo, n_hi + 1), range(c_lo, c_hi + 1)
+    orders = range(n_lo, n_hi + 1)
     if family == "diff":
         lo = c_lo - n_hi + 1
         wall = number_wall(sequence(DiffPlusC(0), p, lo, c_hi + n_hi - 1), n_hi, first=lo)
-        cells = {(n, c): wall(n, c) for n in orders for c in shifts}
+        rows = [wall.row(n, c_lo, c_hi) for n in orders]
     elif family == "sum":
         # reversing the columns of the Hankel block turns it into a Toeplitz one
         lo = c_lo + 2
         wall = number_wall(sequence(SumPlusC(0), p, lo, c_hi + 2 * n_hi), n_hi, first=lo)
-        cells = {(n, c): (-1) ** (n * (n - 1) // 2) * wall(n, c + n + 1)
-                 for n in orders for c in shifts}
+        rows = [wall.row(n, c_lo + n + 1, c_hi + n + 1) for n in orders]
+        for n in orders:
+            if n * (n - 1) // 2 % 2:
+                rows[n - n_lo] = [-v for v in rows[n - n_lo]]
     else:
-        columns = {c: formula_minors(EvenPowerPlusC(t, c), p, n_hi) for c in shifts}
-        cells = {(n, c): columns[c][n - 1] for n in orders for c in shifts}
-    return DeterminantTable(p, family, t, (n_lo, n_hi), (c_lo, c_hi), MappingProxyType(cells))
+        columns = [formula_minors(EvenPowerPlusC(t, c), p, n_hi) for c in range(c_lo, c_hi + 1)]
+        rows = [list(row) for row in zip(*columns)][n_lo - 1:]
+    box = (n_lo, n_hi), (c_lo, c_hi)
+    return DeterminantTable(p, family, t, *box, _RowCells(rows, *box))
 
 
 def formula_minors(formula: Formula, p: "Prime | int", n: int) -> list[int]:
@@ -174,7 +236,6 @@ def formula_minors(formula: Formula, p: "Prime | int", n: int) -> list[int]:
     if n < 1:
         raise ValueError(f"matrix order must be >= 1, got {n}")
     if formula.kind == TOEPLITZ:
-        wall = number_wall(sequence(formula, p, 1 - n, n - 1), n, first=1 - n)
-        return [wall(k, 0) for k in range(1, n + 1)]
+        return number_wall(sequence(formula, p, 1 - n, n - 1), n, first=1 - n).column(0, 1, n)
     wall = number_wall(sequence(formula, p, 2, 2 * n), n, first=2)
-    return [(-1) ** (k * (k - 1) // 2) * wall(k, k + 1) for k in range(1, n + 1)]
+    return [-wall(k, k + 1) if k * (k - 1) // 2 % 2 else wall(k, k + 1) for k in range(1, n + 1)]

@@ -21,7 +21,7 @@ numpy.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, NamedTuple
 
 from .matrices import CubeDiffPlusOne, DiffPlusC, EvenPowerPlusC, sequence
 from .residues import (
@@ -33,7 +33,7 @@ from .residues import (
     odd_primes_up_to,
     primitive_root,
 )
-from .tables import EXTENDED_EXTRA_ORDERS, generate_table
+from .tables import EXTENDED_EXTRA_ORDERS, DeterminantTable, generate_table
 from .wall import number_wall
 
 __all__ = [
@@ -180,16 +180,38 @@ def check_propositions(p: "Prime | int", a_bound: "int | None" = None) -> list[T
     return out
 
 
+class _Line(NamedTuple):
+    """A run of table cells that a claim compares with its closed form:
+    expected and actual, from (n, c) along a row, or down a column."""
+
+    n: int
+    c: int
+    down: bool
+    expected: list
+    actual: list
+
+
+def _along(table: DeterminantTable, n: int, shifts: range, expected: list) -> _Line:
+    return _Line(n, shifts[0], False, expected, table.row(n, shifts[0], shifts[-1]))
+
+
+def _down(table: DeterminantTable, c: int, orders: range, expected: list) -> _Line:
+    return _Line(orders[0], c, True, expected, table.column(c, orders[0], orders[-1]))
+
+
 @dataclass(frozen=True)
 class _TableClaim:
     """A claim read off the difference-family table: the box of cells it
-    reads and its cases, in sweep order, as (n, c, expected, actual,
-    detail) over those cells."""
+    reads, and its cases as lines of that table in sweep order. A claim
+    whose sweep runs down columns but reads rows sets by_column, and its
+    counterexamples are put in (c, n) order."""
 
     claim: str
     n_range: tuple[int, int]
     c_range: tuple[int, int]
-    cases: Callable[[Mapping[tuple[int, int], int]], Iterable[tuple[int, int, int, int, str]]]
+    lines: Callable[[DeterminantTable], Iterable[_Line]]
+    detail: Callable[[int], str] = lambda c: ""
+    by_column: bool = False
     notes: Callable[[], list[str]] = list
 
 
@@ -227,36 +249,43 @@ def _table_claims(p: Prime) -> tuple[_TableClaim, ...]:
     TABLE_PERIOD compares two cells computed independently."""
     pv = p.value
     interior = range(2, pv - 1)
-    band_top = pv + EXTENDED_EXTRA_ORDERS
+    band = range(pv + 1, pv + EXTENDED_EXTRA_ORDERS + 1)
+    period = range(pv)
     return (
-        _TableClaim("T3_1", (1, pv), (0, 0), lambda d: (
-            (n, 0, (-1) ** (n - 1) * (n - 1), d[n, 0], "") for n in range(1, pv + 1))),
-        _TableClaim("T3_2", (2, pv - 1), (-1, 1), lambda d: (
-            (n, c, 1, d[n, c], "") for c in (1, -1) for n in range(2, pv))),
-        _TableClaim("T3_3", (pv, pv), (1, pv - 1), lambda d: (
-            (pv, c, pv - 1, d[pv, c], "") for c in range(1, pv))),
+        _TableClaim("T3_1", (1, pv), (0, 0), lambda d: [
+            _down(d, 0, range(1, pv + 1), [(-1) ** (n - 1) * (n - 1) for n in range(1, pv + 1)])]),
+        _TableClaim("T3_2", (2, pv - 1), (-1, 1), lambda d: [
+            _down(d, c, range(2, pv), [1] * (pv - 2)) for c in (1, -1)]),
+        _TableClaim("T3_3", (pv, pv), (1, pv - 1), lambda d: [
+            _along(d, pv, range(1, pv), [pv - 1] * (pv - 1))]),
         _TableClaim("T3_4", (2, pv - 2), (2, pv - 2), lambda d: (
-            (n, c, 0, d[n, c], "") for n in interior for c in interior),
-            lambda: _t3_4_notes(p)),
-        _TableClaim("T3_5", (pv - 1, pv - 1), (1, pv - 1), lambda d: (
-            (pv - 1, c, 1, d[pv - 1, c], "") for c in range(1, pv))),
-        _TableClaim("ROW_PERIOD_NP", (pv + 1, band_top), (0, pv - 1), lambda d: (
-            (n, c, 0, d[n, c], "") for n in range(pv + 1, band_top + 1) for c in range(pv))),
+            _along(d, n, interior, [0] * len(interior)) for n in interior),
+            notes=lambda: _t3_4_notes(p)),
+        _TableClaim("T3_5", (pv - 1, pv - 1), (1, pv - 1), lambda d: [
+            _along(d, pv - 1, range(1, pv), [1] * (pv - 1))]),
+        _TableClaim("ROW_PERIOD_NP", (band[0], band[-1]), (0, pv - 1), lambda d: (
+            _along(d, n, period, [0] * pv) for n in band)),
         _TableClaim("TABLE_PERIOD", (1, pv), (0, 2 * pv - 1), lambda d: (
-            (n, c, d[n, c], d[n, c + pv], f"column {c} vs {c + pv}")
-            for c in range(pv) for n in range(1, pv + 1))),
-        _TableClaim("REMARK_N1", (1, 1), (0, 2 * pv - 1), lambda d: (
-            (1, c, 0 if c % pv == 0 else 1, d[1, c], "") for c in range(2 * pv))),
+            _Line(n, 0, False, d.row(n, 0, pv - 1), d.row(n, pv, 2 * pv - 1))
+            for n in range(1, pv + 1)),
+            detail=lambda c: f"column {c} vs {c + pv}", by_column=True),
+        _TableClaim("REMARK_N1", (1, 1), (0, 2 * pv - 1), lambda d: [
+            _along(d, 1, range(2 * pv), [0 if c % pv == 0 else 1 for c in range(2 * pv)])]),
     )
 
 
-def _evaluate(spec: _TableClaim, p: Prime, cells: Mapping[tuple[int, int], int]) -> TheoremReport:
+def _evaluate(spec: _TableClaim, p: Prime, table: DeterminantTable) -> TheoremReport:
     ces = []
     cases = 0
-    for n, c, expected, actual, detail in spec.cases(cells):
-        cases += 1
+    for n, c, down, expected, actual in spec.lines(table):
+        cases += len(actual)
         if actual != expected:
-            ces.append(Counterexample(n, c, expected, actual, detail))
+            for i, (want, got) in enumerate(zip(expected, actual)):
+                if want != got:
+                    at = (n + i, c) if down else (n, c + i)
+                    ces.append(Counterexample(*at, want, got, spec.detail(at[1])))
+    if spec.by_column:
+        ces.sort(key=lambda ce: (ce.c, ce.n))
     return TheoremReport(spec.claim, p, cases, ces, spec.notes())
 
 
@@ -265,7 +294,7 @@ def _check_table_claim(claim: str, p: "Prime | int") -> TheoremReport:
     p = as_prime(p)
     _require_form_3k2(p, claim)
     spec = next(s for s in _table_claims(p) if s.claim == claim)
-    return _evaluate(spec, p, generate_table("diff", p, spec.n_range, spec.c_range).cells)
+    return _evaluate(spec, p, generate_table("diff", p, spec.n_range, spec.c_range))
 
 
 def check_t3_1(p: "Prime | int") -> TheoremReport:
@@ -357,18 +386,16 @@ def check_t3_7(p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremRepor
                 terms = sequence(EvenPowerPlusC(t, c), p, 1 - n_top, n_top - 1)
                 bad = {k for k in range(1 - n_top, n_top) if terms[k + n_top - 1] != 1}
                 nearest = min(map(abs, bad), default=n_top)
-                wall = number_wall(terms, n_top, first=1 - n_top)
-                for m in range(2, n_top + 1):
-                    cases += 1
+                dets = number_wall(terms, n_top, first=1 - n_top).column(0, 2, n_top)
+                cases += len(dets)
+                for m, actual in enumerate(dets, 2):
                     if m > nearest:
                         i, j = _first_entry(m, bad)
                         ces.append(
                             Counterexample(m, c, 1, terms[j - i + n_top - 1],
                                            f"{tag}entry ({i}, {j}) with t={t}, e={e}")
                         )
-                        continue
-                    actual = wall(m, 0)
-                    if actual != 0:
+                    elif actual != 0:
                         ces.append(Counterexample(m, c, 0, actual, f"{tag}det with t={t}, e={e}"))
 
     sweep(root, range(1, t_max + 1), n_max, "")
@@ -425,8 +452,8 @@ def verify_all(p_max: int, t_max: int = 3, n_max: int = 8) -> list[TheoremReport
             specs = _table_claims(p)
             box = [(min(lo for lo, _ in ranges), max(hi for _, hi in ranges))
                    for ranges in ([s.n_range for s in specs], [s.c_range for s in specs])]
-            cells = generate_table("diff", p, *box).cells
-            reports.extend(_evaluate(spec, p, cells) for spec in specs)
+            table = generate_table("diff", p, *box)
+            reports.extend(_evaluate(spec, p, table) for spec in specs)
             reports.append(check_t3_6(p))
             reports.append(check_t3_7(p, t_max, n_max))
     reports.sort(key=lambda r: (CLAIMS.index(r.claim), r.prime.value))

@@ -24,11 +24,19 @@ A finite sequence gives a triangle: row n holds the cells whose
 determinant reads only known terms. A window whose top row touches the
 triangle's edge is cut: only the square of its visible top run is known
 to be zero, and none of its bottom frame lies inside the triangle.
+
+A cut window whose top run spans the whole row ends the wall: row n + k
+is 2k cells narrower than row n, so it lies in the run's square for as
+long as it has cells. The rows below are left as they start, zero.
+
+`number_wall` returns a `Wall`, which keeps the triangle as one list per
+row: readers take a row as one list slice, or a column, with one bounds
+check per read rather than one per cell.
 """
 
-from typing import Callable, Sequence
+from typing import Sequence
 
-__all__ = ["number_wall"]
+__all__ = ["Wall", "number_wall"]
 
 
 def _broken(what: str) -> ArithmeticError:
@@ -42,14 +50,53 @@ def _exact(num: int, den: int) -> int:
     return q
 
 
-def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Callable[[int, int], int]:
-    """The number wall of seq down to row depth, as a function W(n, c).
+class Wall:
+    """The triangle of a number wall, kept as one list per row.
+
+    wall(n, c) is the cell W(n, c), wall.row(n, c_lo, c_hi) the list of
+    W(n, c) for c_lo <= c <= c_hi, and wall.column(c, n_lo, n_hi) the list
+    of W(n, c) for n_lo <= n <= n_hi. Each read checks the triangle's
+    bounds once, not once per cell, and raises IndexError outside it.
+
+    The counters record the engine's work, counted per row and per window:
+    cells_computed, the cells of the rows below row 1 that it computed;
+    windows_opened, the zero windows it registered; frame_solves, the
+    bottom-row solves of Lunnon's frame theorem, one per window and row.
+    """
+
+    __slots__ = ("first", "size", "depth", "cells_computed", "windows_opened", "frame_solves",
+                 "_rows")
+
+    def __init__(self, first: int, size: int, depth: int, rows: list) -> None:
+        self.first, self.size, self.depth, self._rows = first, size, depth, rows
+        self.cells_computed = self.windows_opened = self.frame_solves = 0
+
+    def __call__(self, n: int, c: int) -> int:
+        return self.row(n, c, c)[0]
+
+    def row(self, n: int, c_lo: int, c_hi: int) -> list[int]:
+        lo, hi = c_lo - self.first + 2, c_hi - self.first + 2
+        if -1 <= n <= self.depth and n + 1 <= lo <= hi <= self.size + 2 - n:
+            return self._rows[n + 1][lo:hi + 1]
+        raise IndexError(f"W({n}, {c_lo}..{c_hi}) is outside the wall of {self.size} terms "
+                         f"from {self.first} down to row {self.depth}")
+
+    def column(self, c: int, n_lo: int, n_hi: int) -> list[int]:
+        # rows narrow downward: the column's ends bound every cell between
+        self.row(n_lo, c, c), self.row(n_hi, c, c)
+        j = c - self.first + 2
+        return [row[j] for row in self._rows[n_lo + 1:n_hi + 2]]
+
+
+def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
+    """The number wall of seq down to row depth.
 
     seq[i] is the term s(first + i). W(n, c) is defined for -1 <= n <= depth
     and c in [first + n - 1, first + len(seq) - n], the cells whose
     determinant reads only terms of seq; anything else raises IndexError.
     A broken invariant (an inexact division, or a zero divisor outside
-    every known window) raises ArithmeticError.
+    every known window) raises ArithmeticError. A zero row under a row
+    with no zeros, both across the whole triangle, ends the computation.
     """
     size = len(seq)
     if size < 1 or depth < 0:
@@ -61,8 +108,10 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Callable[[
     width = size + 4
     rows = [[0] * width for _ in range(depth + 2)]
     rows[1][1:size + 3] = [1] * (size + 2)
-    if depth >= 1:
-        rows[2][2:size + 2] = [int(v) for v in seq]
+    wall = Wall(first, size, depth, rows)
+    if depth < 1:
+        return wall
+    rows[2][2:size + 2] = [int(v) for v in seq]
 
     def at(n: int, j: int) -> int:
         if not (-1 <= n <= depth and n + 1 <= j <= size + 2 - n):
@@ -72,9 +121,10 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Callable[[
     # windows as (t, a, b, frame): first zero row t, array indices a..b,
     # and what `_inner_frame` returns, or None for a cut window
     windows: list[tuple] = []
-    if depth >= 1:
-        _open_windows(rows, 1, size, windows, at)
-    for n in range(2, depth + 1):
+    full = _open_windows(rows, 1, size, windows, at)
+    opened, solves, n = len(windows), 0, 1
+    while not full and n < depth:
+        n += 1
         up2, up, row = rows[n - 1], rows[n], rows[n + 1]
         j_lo, j_hi = n + 1, size + 2 - n
         zeros = 0
@@ -96,29 +146,33 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Callable[[
             owned += max(0, hi - lo + 1)
             if frame is not None and n - t > b - a:
                 _solve_frame(row, n - t == b - a + 1, t, a, b, frame, lo, hi, at)
+                solves += 1
         if zeros != owned:
             raise _broken(f"{zeros} zero divisors in row {n}, {owned} inside windows")
         # keep the windows whose outer bottom row t + g + 1 is still to come
         windows = [w for w in windows if w[0] + (w[2] - w[1] + 1) + 1 > n]
-        _open_windows(rows, n, size, windows, at)
-
-    def cell(n: int, c: int) -> int:
-        j = c - first + 2
-        if not (-1 <= n <= depth and n + 1 <= j <= size + 2 - n):
-            raise IndexError(f"W({n}, {c}) is outside the wall of {size} terms from {first} "
-                             f"down to row {depth}")
-        return rows[n + 1][j]
-
-    return cell
+        kept = len(windows)
+        full = _open_windows(rows, n, size, windows, at)
+        opened += len(windows) - kept
+    # rows 2..n were computed, and row k holds size + 2 - 2k cells
+    wall.cells_computed = (n - 1) * (size - n)
+    wall.windows_opened, wall.frame_solves = opened, solves
+    return wall
 
 
-def _open_windows(rows: list, n: int, size: int, windows: list, at) -> None:
+def _open_windows(rows: list, n: int, size: int, windows: list, at) -> bool:
     """Register every window whose first zero row is n: a maximal run of
-    zeros in row n under nonzero cells of row n - 1."""
+    zeros in row n under nonzero cells of row n - 1. True when one run
+    spans the triangle's whole row n, which ends the wall."""
     row, up = rows[n + 1], rows[n]
     j_lo, j_hi = n + 1, size + 2 - n
-    if 0 not in row[j_lo:j_hi + 1]:
-        return
+    seg = row[j_lo:j_hi + 1]
+    if 0 not in seg:
+        return False
+    if not any(seg) and 0 not in up[j_lo:j_hi + 1]:
+        # one top run across the whole row: a cut window that ends the wall
+        windows.append((n, j_lo, j_hi, None))
+        return True
     tops = [j for j in range(j_lo, j_hi + 1) if not row[j] and up[j]]
     i = 0
     while i < len(tops):
@@ -136,6 +190,7 @@ def _open_windows(rows: list, n: int, size: int, windows: list, at) -> None:
             windows.append((n, a, b, None))
         else:
             windows.append((n, a, b, _inner_frame(n, a, b, at)))
+    return False
 
 
 def _inner_frame(t: int, a: int, b: int, at) -> tuple:

@@ -52,6 +52,15 @@ def test_csv_round_trip():
     assert parse_csv(emit_csv(t)) == dict(t.cells)
 
 
+@pytest.mark.parametrize("family, t", [("diff", 1), ("sum", 1), ("even-power", 2)])
+def test_a_table_from_a_plain_dict_renders_the_same_bytes(family, t):
+    made = generate_table(family, 11, (2, 14), (-3, 12), t=t)
+    given = DeterminantTable(made.prime, family, t, made.n_range, made.c_range, dict(made.cells))
+    for emit in (emit_csv, table_text, emit_ansi, emit_svg,
+                 lambda table: emit_ansi(table, color=False)):
+        assert emit(given) == emit(made)
+
+
 def test_parse_csv_rejects_garbage():
     with pytest.raises(ValueError):
         parse_csv("")

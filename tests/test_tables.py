@@ -8,8 +8,10 @@ import cubres
 from cubres import (
     FAMILIES,
     CubeDiffPlusOne,
+    DeterminantTable,
     DiffPlusC,
     EvenPowerPlusC,
+    Prime,
     SignClass,
     SumPlusC,
     build_matrix,
@@ -195,6 +197,59 @@ def test_cells_mapping_is_read_only():
     t = generate_table("diff", 5, n_range=(1, 2), c_range=(0, 1))
     with pytest.raises(TypeError):
         t.cells[(1, 0)] = 99
+
+
+@pytest.mark.parametrize("family, n_range, c_range", [
+    ("diff", (3, 6), (-4, 5)), ("sum", (2, 7), (-3, 4)), ("even-power", (4, 5), (-2, 2))])
+def test_cells_is_a_read_only_view_over_the_rows(family, n_range, c_range):
+    table = generate_table(family, 13, n_range, c_range, t=2)
+    orders, shifts = table.orders(), table.shifts()
+    keys = [(n, c) for n in orders for c in shifts]
+    # the per-cell rebuild: one determinant per cell, no sharing
+    rebuilt = {(n, c): determinant(build_matrix(family_formula(family, c, 2), 13, n))
+               for n, c in keys}
+    assert list(table.cells) == list(table.cells.keys()) == keys
+    assert len(table.cells) == len(keys)
+    assert dict(table.cells) == rebuilt and table.cells == rebuilt
+    assert list(table.cells.items()) == list(rebuilt.items())
+    assert all(table.row(n) == [rebuilt[n, c] for c in shifts] for n in orders)
+    assert all(table.column(c) == [rebuilt[n, c] for n in orders] for c in shifts)
+    (n_lo, n_hi), (c_lo, c_hi) = n_range, c_range
+    assert table.row(n_hi, c_lo + 1, c_hi - 1) == [rebuilt[n_hi, c] for c in range(c_lo + 1, c_hi)]
+    assert table.column(c_hi, n_lo + 1, n_hi) == [rebuilt[n, c_hi] for n in range(n_lo + 1, n_hi + 1)]
+    # the same table from a plain dict
+    assert DeterminantTable(table.prime, family, 2, n_range, c_range, rebuilt) == table
+    # read-only, and reads return copies
+    with pytest.raises(TypeError):
+        table.cells[n_lo, c_lo] = 0
+    with pytest.raises(TypeError):
+        del table.cells[n_lo, c_lo]
+    table.row(n_lo)[0] += 1
+    table.column(c_lo)[0] += 1
+    assert table.cell(n_lo, c_lo) == rebuilt[n_lo, c_lo]
+    # KeyError outside the box, and for keys that are not (n, c) pairs
+    for key in ((n_lo - 1, c_lo), (n_hi + 1, c_lo), (n_lo, c_lo - 1), (n_lo, c_hi + 1),
+                (n_lo,), "ab", None):
+        with pytest.raises(KeyError):
+            table.cells[key]
+        assert key not in table.cells and table.cells.get(key) is None
+    for read in (lambda: table.row(n_hi + 1), lambda: table.row(n_lo, c_lo - 1, c_hi),
+                 lambda: table.row(n_lo, c_lo, c_hi + 1), lambda: table.column(c_hi + 1),
+                 lambda: table.column(c_lo, n_lo - 1, n_hi), lambda: table.cell(n_hi + 1, c_lo)):
+        with pytest.raises(KeyError):
+            read()
+
+
+def test_a_table_from_a_mapping_must_hold_exactly_its_grid():
+    cells = {(n, c): n * c for n in (1, 2) for c in (0, 1, 2)}
+    table = DeterminantTable(Prime(5), "diff", 1, (1, 2), (0, 2), cells)
+    assert table.row(2) == [0, 2, 4] and table.column(1) == [1, 2]
+    cells[1, 0] = 7  # the table keeps its own rows
+    assert table.cell(1, 0) == 0
+    with pytest.raises(KeyError):
+        DeterminantTable(Prime(5), "diff", 1, (1, 3), (0, 2), cells)
+    with pytest.raises(ValueError, match="7 cells given for a grid of 6"):
+        DeterminantTable(Prime(5), "diff", 1, (1, 2), (0, 2), {**cells, (3, 0): 1})
 
 
 _FORMULAS = (

@@ -140,17 +140,26 @@ def test_t3_7_rejects_bad_sweep_bounds():
         check_t3_7(11, n_max=1)
 
 
+def _planting(real, bump):
+    """A number_wall that adds bump(n, c) to every cell of its triangle,
+    written into the returned Wall's rows, which every reader reads."""
+
+    def crooked(*args, **kwargs):
+        wall = real(*args, **kwargs)
+        for n in range(1, wall.depth + 1):
+            row = wall._rows[n + 1]
+            for c in range(wall.first + n - 1, wall.first + wall.size - n + 1):
+                row[c - wall.first + 2] += bump(n, c)
+        return wall
+
+    return crooked
+
+
 def test_t3_7_determinant_is_read_off_the_wall(monkeypatch):
     # every block of a passing case is all ones, so only the wall's
     # determinant can fail it: add 1 at order 3 and each shift must report
     # one det counterexample there, and nothing else
-    real = verify.number_wall
-
-    def crooked(*args, **kwargs):
-        wall = real(*args, **kwargs)
-        return lambda n, c: wall(n, c) + (n == 3)
-
-    monkeypatch.setattr(verify, "number_wall", crooked)
+    monkeypatch.setattr(verify, "number_wall", _planting(verify.number_wall, lambda n, c: n == 3))
     r = check_t3_7(11, t_max=1, n_max=4)
     assert r.cases_checked == 5 * 3 + 5
     assert r.counterexamples == [
@@ -356,13 +365,7 @@ def test_corrupted_engine_is_caught(monkeypatch):
     # sabotage every order-3 cell that generate_table reads from its
     # number wall: the sweep must collect the mismatches rather than
     # raise or stop early
-    real = tables.number_wall
-
-    def crooked(*args, **kwargs):
-        wall = real(*args, **kwargs)
-        return lambda n, c: wall(n, c) + (n == 3)
-
-    monkeypatch.setattr(tables, "number_wall", crooked)
+    monkeypatch.setattr(tables, "number_wall", _planting(tables.number_wall, lambda n, c: n == 3))
     r = check_t3_1(11)
     assert not r.passed
     assert r.cases_checked == 11
@@ -387,13 +390,8 @@ def test_verify_all_matches_standalone_table_checkers(monkeypatch, sabotaged):
     # also on counterexamples: the sabotage depends on the shift, so that
     # it breaks TABLE_PERIOD as well as the closed forms
     if sabotaged:
-        real = tables.number_wall
-
-        def crooked(*args, **kwargs):
-            wall = real(*args, **kwargs)
-            return lambda n, c: wall(n, c) + ((n + c) % 5 == 0)
-
-        monkeypatch.setattr(tables, "number_wall", crooked)
+        monkeypatch.setattr(tables, "number_wall",
+                            _planting(tables.number_wall, lambda n, c: (n + c) % 5 == 0))
     standalone = {
         "T3_1": check_t3_1, "T3_2": check_t3_2, "T3_3": check_t3_3,
         "T3_4": check_t3_4, "T3_5": check_t3_5, "ROW_PERIOD_NP": check_row_period_np,

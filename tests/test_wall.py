@@ -85,6 +85,57 @@ def test_triangle_bounds():
         number_wall([1, 2], -1)
 
 
+@pytest.mark.parametrize("seq, stop", [([0] * 12, 1), ([1] * 12, 2), ([-1] * 11, 2), ([3] * 7, 2)])
+def test_a_full_width_zero_row_ends_the_wall(seq, stop):
+    # all zeros: row 1 is zero under the ones of row 0; a constant: row 2
+    # is zero under row 1. Every later row lies in that window's square.
+    _check_against_minors(seq, 0, len(seq))
+    w = number_wall(seq, len(seq))
+    assert (w.cells_computed, w.windows_opened, w.frame_solves) == \
+        ((stop - 1) * (len(seq) - stop), 1, 0)
+
+
+@pytest.mark.parametrize("seq", [
+    # a zero run at one edge of row 1 only
+    [0, 0, 0, 0, 1, 2, -1, 1, 1, 3, -2, 1, 1],
+    [1, 2, -1, 1, 1, 3, -2, 1, 1, 0, 0, 0, 0],
+    # row 1 is zero but for one cell, whose column is nonzero all the way down
+    [0, 0, 0, 0, 1, 0, 0, 0, 0],
+    # row 2 is zero but for the cells next to odd terms
+    [1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1],
+    [1, 1, 1, 1, 1, 1, 1, 2, -1, 3, 1],
+])
+def test_a_zero_run_short_of_the_whole_row_does_not_end_the_wall(seq):
+    _check_against_minors(seq, 0, len(seq))
+    w = number_wall(seq, len(seq))
+    assert w.cells_computed == (w.depth - 1) * (len(seq) - w.depth)
+    assert any(w.row(n, n - 1, len(seq) - n) != [0] * (len(seq) - 2 * n + 2)
+               for n in range(3, w.depth + 1))
+
+
+@pytest.mark.parametrize("seq", [[2] + [1] * 10, [1] * 10 + [2], [0] + [1] * 11])
+def test_the_stop_rule_asks_for_the_whole_row(seq):
+    # row 2 is zero but for one edge cell; every later row is zero as well,
+    # but only a run across the whole row ends the wall
+    _check_against_minors(seq, 0, len(seq))
+    w = number_wall(seq, len(seq))
+    assert w.cells_computed == (w.depth - 1) * (len(seq) - w.depth)
+    assert w.row(2, 1, len(seq) - 2).count(0) == len(seq) - 3
+
+
+def test_counters_on_a_planted_recurrence(monkeypatch):
+    # a Fibonacci stretch between noise opens windows with both bottom rows
+    # inside the triangle; every row is computed, nothing ends the wall
+    seen = _spy_frames(monkeypatch)
+    seq = [1, -1, 0, 1, 1] + FIB + [2, -1, 0, 1, 1, 1]
+    w = number_wall(seq, 20, first=-4)
+    assert (w.depth, w.cells_computed, w.windows_opened, w.frame_solves) == (11, 100, 6, 7)
+    assert w.frame_solves == seen[True] + seen[False]
+    # a periodic sequence: row 5 is zero across the triangle and ends the wall
+    w = number_wall([1, -1, 0, 1] * 6, 12)
+    assert (w.cells_computed, w.windows_opened, w.frame_solves) == (4 * 19, 7, 6)
+
+
 def test_zero_divisor_outside_every_window_is_an_error(monkeypatch):
     # with window detection switched off, the first zero divisor has no
     # window to answer for it: the wall raises rather than return a zero
@@ -118,3 +169,39 @@ def sequences(draw):
 @given(seq=sequences(), first=st.integers(-6, 6), extra=st.integers(-2, 2))
 def test_wall_matches_leading_minors(seq, first, extra):
     _check_against_minors(seq, first, max(0, (len(seq) + 1) // 2 + extra))
+
+
+@st.composite
+def planted_runs(draw):
+    """{-1, 0, 1} sequences with planted constant runs, which end the wall
+    when one covers the whole sequence, and zero runs."""
+    size = draw(st.integers(1, 40))
+    seq = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=size, max_size=size))
+    for at, length, value in draw(st.lists(st.tuples(
+            st.integers(0, size - 1), st.integers(1, 40), st.sampled_from((-1, 0, 1))), max_size=3)):
+        seq[at:at + length] = [value] * len(seq[at:at + length])
+    return seq
+
+
+@settings(max_examples=150, deadline=None)
+@given(seq=planted_runs(), first=st.integers(-5, 5), data=st.data())
+def test_row_and_column_slices_match_cell_reads(seq, first, data):
+    _check_against_minors(seq, first, len(seq))
+    w = number_wall(seq, len(seq), first=first)
+    last = first + len(seq) - 1
+    for n in range(-1, w.depth + 1):
+        left, right = first + n - 1, last - n + 1
+        lo = data.draw(st.integers(left, right))
+        hi = data.draw(st.integers(lo, right))
+        assert w.row(n, lo, hi) == [w(n, c) for c in range(lo, hi + 1)]
+        assert w.column(lo, -1, n) == [w(k, lo) for k in range(-1, n + 1)]
+        for bad in ((left - 1, hi), (lo, right + 1), (hi, lo - 1)):
+            with pytest.raises(IndexError):
+                w.row(n, *bad)
+        with pytest.raises(IndexError):
+            w.column(left - 1, -1, n)
+    for n in (-2, w.depth + 1):
+        with pytest.raises(IndexError):
+            w.row(n, first + 2, first + 2)
+        with pytest.raises(IndexError):
+            w.column(first + 2, n, max(n, 0))
