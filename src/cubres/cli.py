@@ -17,6 +17,10 @@ imports `residues` alone, which every command needs. Beyond `cubres`,
   sequences and walls;
 - `matrix`: `matrices`, `render` (which needs `tables` and `wall`) and
   numpy, the only command that imports it.
+
+No command loads `dataclasses`, nor the `inspect` and `ast` it imports:
+the value classes are slotted records on `residues.Record`, since a
+dataclass would cost every command that import and an `exec` per class.
 """
 
 import argparse

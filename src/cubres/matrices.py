@@ -13,10 +13,9 @@ read determinants off a number wall never load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .residues import Prime, as_prime, cubic_residue_symbol
+from .residues import Prime, Record, as_prime, cubic_residue_symbol
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,53 +39,59 @@ TOEPLITZ = -1
 HANKEL = 1
 
 
-@dataclass(frozen=True)
-class DiffPlusC:
+class DiffPlusC(Record):
     """Entry argument j - i + c: Toeplitz, seq(k) = [k + c]."""
 
-    c: int
+    __slots__ = ("c",)
     kind = TOEPLITZ
+
+    def __init__(self, c: int) -> None:
+        self._store(c)
 
     def argument(self, k: int, p: int) -> int:
         return k + self.c
 
 
-@dataclass(frozen=True)
-class SumPlusC:
+class SumPlusC(Record):
     """Entry argument j + i + c: Hankel, seq(k) = [k + c]."""
 
-    c: int
+    __slots__ = ("c",)
     kind = HANKEL
+
+    def __init__(self, c: int) -> None:
+        self._store(c)
 
     def argument(self, k: int, p: int) -> int:
         return k + self.c
 
 
-@dataclass(frozen=True)
-class CubeDiffPlusOne:
+class CubeDiffPlusOne(Record):
     """Entry argument (j - i)**3 + 1: Toeplitz, seq(k) = [k**3 + 1]."""
 
+    __slots__ = ()
     kind = TOEPLITZ
+
+    def __init__(self) -> None:
+        self._store()
 
     def argument(self, k: int, p: int) -> int:
         return pow(k, 3, p) + 1
 
 
-@dataclass(frozen=True)
-class EvenPowerPlusC:
+class EvenPowerPlusC(Record):
     """Entry argument (j - i)**(2t) + c: Toeplitz, seq(k) = [k**(2t) + c].
 
     The power is evaluated by modular exponentiation, so t may be large
     without the argument ever materializing as a huge integer.
     """
 
-    t: int
-    c: int
+    __slots__ = ("t", "c")
     kind = TOEPLITZ
 
-    def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"t must be a positive integer, got {self.t}")
+    def __init__(self, t: int, c: int) -> None:
+        if t < 1:
+            raise ValueError(f"t must be a positive integer, got {t}")
+        self._store(t, c)
 
     def argument(self, k: int, p: int) -> int:
         return pow(k, 2 * self.t, p) + self.c
@@ -101,34 +106,33 @@ def sequence(formula: Formula, p: "Prime | int", lo: int, hi: int) -> list[int]:
     return [cubic_residue_symbol(formula.argument(k, p.value), p) for k in range(lo, hi + 1)]
 
 
-@dataclass(frozen=True, eq=False)
-class ResidueMatrix:
+class ResidueMatrix(Record):
     """An immutable n x n grid of symbol values plus its provenance.
 
     The entries are stored as a read-only copy with an integer dtype and
     values in {-1, 0, 1}; the determinant engine relies on all three.
+    Two matrices are equal only when they are the same object.
     """
 
-    order: int
-    entries: np.ndarray
-    prime: Prime
-    formula: Formula
+    __slots__ = ("order", "entries", "prime", "formula")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    def __init__(self, order: int, entries: np.ndarray, prime: Prime, formula: Formula) -> None:
+        if order < 1:
             raise ValueError("matrix must have order >= 1")
         import numpy as np
 
         # A read-only copy: the caller's array cannot change it later.
-        e = np.array(self.entries)
+        e = np.array(entries)
         e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
         if not np.issubdtype(e.dtype, np.integer):
             raise TypeError(f"entries must have an integer dtype, got {e.dtype}")
-        if e.shape != (self.order, self.order):
-            raise ValueError(f"entries must be {self.order} x {self.order}, got shape {e.shape}")
+        if e.shape != (order, order):
+            raise ValueError(f"entries must be {order} x {order}, got shape {e.shape}")
         if (np.abs(e) > 1).any():
             raise ValueError("entries must lie in {-1, 0, 1}")
+        self._store(order, e, prime, formula)
 
     def entry(self, i: int, j: int) -> int:
         """1-based access, matching the formula indexing."""

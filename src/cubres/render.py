@@ -6,9 +6,8 @@ emitter reproduces the color-coded table figures; the ANSI view is for
 terminals.
 """
 
-from dataclasses import dataclass
-
 from .matrices import ResidueMatrix
+from .residues import Record
 from .tables import DeterminantTable, SignClass, sign_classify
 
 __all__ = [
@@ -22,20 +21,19 @@ __all__ = [
     "emit_svg",
 ]
 
-@dataclass(frozen=True)
-class ColorScheme:
+class ColorScheme(Record):
     """Fill colors per sign class; defaults are blue / orange / green."""
 
-    zero: tuple = (59, 117, 196)
-    negative: tuple = (230, 126, 34)
-    positive: tuple = (46, 139, 87)
+    __slots__ = ("zero", "negative", "positive")
 
-    def __post_init__(self) -> None:
-        for rgb in (self.zero, self.negative, self.positive):
+    def __init__(self, zero: tuple = (59, 117, 196), negative: tuple = (230, 126, 34),
+                 positive: tuple = (46, 139, 87)) -> None:
+        for rgb in (zero, negative, positive):
             if len(rgb) != 3 or any(not isinstance(x, int) or not 0 <= x <= 255 for x in rgb):
                 raise ValueError(f"not an RGB triple: {rgb!r}")
-        if len({self.zero, self.negative, self.positive}) != 3:
+        if len({zero, negative, positive}) != 3:
             raise ValueError("scheme colors must be pairwise distinct")
+        self._store(zero, negative, positive)
 
     def for_sign(self, s: SignClass) -> tuple:
         if s is SignClass.ZERO:
@@ -63,7 +61,9 @@ def emit_csv(table: DeterminantTable) -> str:
 
 
 def parse_csv(text: str) -> dict[tuple[int, int], int]:
-    """Exact inverse of emit_csv, returning the {(n, c): value} cells."""
+    """Exact inverse of emit_csv, returning the {(n, c): value} cells. A
+    shift or an order that appears twice raises ValueError, since the
+    second would overwrite the first's cells."""
     lines = [line for line in text.split("\n") if line]
     if not lines:
         raise ValueError("empty table CSV")
@@ -71,10 +71,17 @@ def parse_csv(text: str) -> dict[tuple[int, int], int]:
     if head[0] != "n\\c":
         raise ValueError("missing n\\c corner cell; not a determinant-table CSV")
     shifts = [int(tok) for tok in head[1:]]
+    if len(set(shifts)) != len(shifts):
+        c = next(c for c in shifts if shifts.count(c) > 1)
+        raise ValueError(f"shift c={c} heads more than one column")
     cells: dict[tuple[int, int], int] = {}
+    orders = set()
     for line in lines[1:]:
         tokens = line.split(",")
         n = int(tokens[0])
+        if n in orders:
+            raise ValueError(f"order n={n} has more than one row")
+        orders.add(n)
         if len(tokens) != len(shifts) + 1:
             raise ValueError(f"row n={n} has {len(tokens) - 1} cells, expected {len(shifts)}")
         for c, tok in zip(shifts, tokens[1:]):

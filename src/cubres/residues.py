@@ -3,10 +3,17 @@
 Primality testing, residue-class bookkeeping, the cubic and quadratic
 residue symbols, and primitive roots. Everything here is a pure function
 of its arguments; Prime instances are immutable and safe to share.
+
+`Record` is the base of the package's value classes: `Prime` here, the
+formulas and `ResidueMatrix` in matrices, `DeterminantTable`,
+`ColorScheme`, `Counterexample` and `TheoremReport`. It compares, hashes
+and prints its slotted fields the way a frozen dataclass does. It lives
+here, the one module every command loads, because a dataclass would cost
+each command the import of `dataclasses` and `inspect` (which loads
+`ast`, `dis` and `tokenize`) and an `exec` per class.
 """
 
 import operator
-from dataclasses import dataclass, field
 from math import isqrt
 
 __all__ = [
@@ -45,8 +52,54 @@ def odd_primes_up_to(limit: int) -> list[int]:
     return [m for m in range(3, limit + 1, 2) if is_prime(m)]
 
 
-@dataclass(frozen=True)
-class Prime:
+class Record:
+    """A value class whose fields are its `__slots__`, in order. Equal to
+    a record of the same class with equal fields, hashed by the tuple of
+    fields, shown as ``Name(field=value, ...)`` and immutable. A subclass
+    checks its arguments in `__init__` and then sets every field at once
+    with `_store`. Copies and pickles rebuild the stored fields without
+    calling `__init__`.
+    """
+
+    __slots__ = ()
+
+    def _store(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self._fields())
+
+
+def _rebuild(cls: type, fields: tuple) -> Record:
+    """The record of class cls holding these field values, as stored."""
+    record = object.__new__(cls)
+    record._store(*fields)
+    return record
+
+
+class Prime(Record):
     """A validated odd prime with its residue classes mod 3, 4 and 12.
 
     The mod-3 class drives everything else in this package: cubing is a
@@ -57,22 +110,16 @@ class Prime:
     though the symbol itself is fine with it.
     """
 
-    value: int
-    mod3: int = field(init=False)
-    mod4: int = field(init=False)
-    mod12: int = field(init=False)
+    __slots__ = ("value", "mod3", "mod4", "mod12")
 
-    def __post_init__(self) -> None:
-        v = self.value
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise TypeError(f"modulus must be an int, got {type(v).__name__}")
-        if not is_prime(v):
-            raise ValueError(f"modulus must be prime, got {v}")
-        if v == 2:
+    def __init__(self, value: int) -> None:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"modulus must be an int, got {type(value).__name__}")
+        if not is_prime(value):
+            raise ValueError(f"modulus must be prime, got {value}")
+        if value == 2:
             raise ValueError("modulus must be an odd prime, got 2")
-        object.__setattr__(self, "mod3", v % 3)
-        object.__setattr__(self, "mod4", v % 4)
-        object.__setattr__(self, "mod12", v % 12)
+        self._store(value, value % 3, value % 4, value % 12)
 
 
 def as_prime(p: "Prime | int") -> Prime:

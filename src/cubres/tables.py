@@ -21,11 +21,10 @@ same lists.
 """
 
 import enum
-from dataclasses import dataclass
 from collections.abc import Iterator, Mapping
 
 from .matrices import TOEPLITZ, DiffPlusC, EvenPowerPlusC, Formula, SumPlusC, sequence
-from .residues import Prime, as_prime
+from .residues import Prime, Record, as_prime
 from .wall import number_wall
 
 __all__ = [
@@ -101,29 +100,25 @@ class _RowCells(Mapping):
         return f"_RowCells({dict(self)!r})"
 
 
-@dataclass(frozen=True)
-class DeterminantTable:
+class DeterminantTable(Record):
     """Exact determinants on an inclusive (n, c) grid for one prime and
     one formula family. t is only meaningful for the even-power family.
 
     cells may be any mapping that holds exactly the grid's keys. It is
     read into one list per order once, and the field then holds a
     read-only view over those lists, which `row`, `column` and `cell`
-    read too. A key outside the grid raises KeyError.
+    read too. A key outside the grid raises KeyError. A table is not
+    hashable, since its cells are not.
     """
 
-    prime: Prime
-    family: str
-    t: int
-    n_range: tuple[int, int]
-    c_range: tuple[int, int]
-    cells: Mapping[tuple[int, int], int]
+    __slots__ = ("prime", "family", "t", "n_range", "c_range", "cells")
 
-    def __post_init__(self) -> None:
-        cells = self.cells
-        if not (isinstance(cells, _RowCells) and cells._box == (self.n_range, self.c_range)):
+    def __init__(self, prime: Prime, family: str, t: int, n_range: tuple[int, int],
+                 c_range: tuple[int, int], cells: Mapping[tuple[int, int], int]) -> None:
+        self._store(prime, family, t, n_range, c_range, cells)
+        if not (isinstance(cells, _RowCells) and cells._box == (n_range, c_range)):
             view = _RowCells([[cells[n, c] for c in self.shifts()] for n in self.orders()],
-                             self.n_range, self.c_range)
+                             n_range, c_range)
             if len(cells) != len(view):
                 raise ValueError(f"{len(cells)} cells given for a grid of {len(view)}")
             object.__setattr__(self, "cells", view)

@@ -20,12 +20,12 @@ determinant off one number wall over that sequence. No checker imports
 numpy.
 """
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 from .matrices import CubeDiffPlusOne, DiffPlusC, EvenPowerPlusC, sequence
 from .residues import (
     Prime,
+    Record,
     as_prime,
     cubic_residue_set,
     cubic_residue_symbol,
@@ -73,28 +73,32 @@ CLAIMS = (
 )
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """One case where the computed value contradicts the claim. The first
     two fields are the claim's own sweep coordinates (order and shift for
     the matrix claims, symbol arguments for the proposition claims)."""
 
-    n: int
-    c: int
-    expected: int
-    actual: int
-    detail: str = ""
+    __slots__ = ("n", "c", "expected", "actual", "detail")
+
+    def __init__(self, n: int, c: int, expected: int, actual: int, detail: str = "") -> None:
+        self._store(n, c, expected, actual, detail)
 
 
-@dataclass
-class TheoremReport:
-    """Outcome of sweeping one claim for one prime."""
+class TheoremReport(Record):
+    """Outcome of sweeping one claim for one prime. Unlike the other
+    records, a report's fields may be reassigned, so it is not hashable.
+    counterexamples and notes default to a new empty list each."""
 
-    claim: str
-    prime: Prime
-    cases_checked: int
-    counterexamples: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    __slots__ = ("claim", "prime", "cases_checked", "counterexamples", "notes")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, claim: str, prime: Prime, cases_checked: int,
+                 counterexamples: "list | None" = None, notes: "list | None" = None) -> None:
+        self._store(claim, prime, cases_checked,
+                    [] if counterexamples is None else counterexamples,
+                    [] if notes is None else notes)
 
     @property
     def passed(self) -> bool:
@@ -199,8 +203,7 @@ def _down(table: DeterminantTable, c: int, orders: range, expected: list) -> _Li
     return _Line(orders[0], c, True, expected, table.column(c, orders[0], orders[-1]))
 
 
-@dataclass(frozen=True)
-class _TableClaim:
+class _TableClaim(NamedTuple):
     """A claim read off the difference-family table: the box of cells it
     reads, and its cases as lines of that table in sweep order. A claim
     whose sweep runs down columns but reads rows sets by_column, and its

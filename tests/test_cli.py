@@ -374,18 +374,24 @@ def test_symbol_det_and_table_never_import_numpy():
 _LOADED_PER_COMMAND = textwrap.dedent("""
     import contextlib, io, json, sys
 
+    def heavy():
+        return sorted(m for m in ("dataclasses", "inspect", "ast") if m in sys.modules)
+
+    before = heavy()
+
     import cubres.cli as cli
 
     def loaded():
         return sorted(m for m in sys.modules if m.split(".")[0] == "cubres")
 
     cli.build_parser()
-    steps = [loaded()]
+    steps, heavies = [loaded()], [before, heavy()]
     for argv in json.loads(sys.argv[1]):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0, argv
         steps.append(loaded())
-    print(json.dumps(steps))
+        heavies.append(heavy())
+    print(json.dumps([steps, heavies]))
 """)
 
 
@@ -402,10 +408,13 @@ def test_each_command_imports_only_the_modules_it_runs(commands, added):
     # verify, and `verify` never loads render
     result = _fresh("-c", _LOADED_PER_COMMAND, json.dumps(commands))
     assert result.returncode == 0, result.stderr
-    steps = json.loads(result.stdout)
+    steps, heavies = json.loads(result.stdout)
     assert steps[0] == ["cubres", "cubres.cli", "cubres.determinant", "cubres.residues"]
     for argv, before, after, new in zip(commands, steps, steps[1:], added):
         assert sorted(set(after) - set(before)) == [f"cubres.{m}" for m in new], argv
+    # no command pays for dataclasses and the inspect and ast it imports,
+    # and none was loaded before cubres, where it would hide a regression
+    assert heavies == [[]] * (len(commands) + 2)
 
 
 _NAMESPACE = textwrap.dedent("""

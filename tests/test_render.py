@@ -70,6 +70,16 @@ def test_parse_csv_rejects_garbage():
         parse_csv("n\\c,0,1\n1,5\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n\\c,0,1\n1,5,6\n1,7,8\n", "order n=1 has more than one row"),
+    ("n\\c,0,0\n1,5,6\n", "shift c=0 heads more than one column"),
+])
+def test_parse_csv_rejects_a_repeated_order_or_shift(text, message):
+    # the repeat would overwrite the cells read first
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_csv(text)
+
+
 def test_table_text_grid():
     t = _tiny_table({(1, 0): 0, (1, 1): 1, (2, 0): -1, (2, 1): 1}, (1, 2), (0, 1))
     lines = table_text(t).split("\n")
