@@ -3,25 +3,38 @@ tables, color-coded renderings, and an exhaustive identity-verification
 harness, with a small CLI on top.
 
 The namespace is lazy (PEP 562): plain `import cubres` loads only this
-module and `cubres.determinant`. Every other public name, and each of
-the submodules `residues`, `matrices`, `tables`, `wall`, `render` and
-`verify`, loads its home module on first access and is then cached
-here, so `from cubres import *` and `dir(cubres)` see the same names as
-before, and a command-line run pays only for the modules it uses.
+module. Every public name, and each of the submodules `residues`,
+`matrices`, `tables`, `wall`, `render` and `verify`, loads its home
+module on first access and is then cached here, so `from cubres import *`
+and `dir(cubres)` see the same names as before, and a command-line run
+pays only for the modules it uses. No command loads the engine module
+`cubres.determinant`; `determinant`, `determinant_oracle` and
+`leading_minors` load it on first access like every other name.
 
-`determinant`, `determinant_oracle` and `leading_minors` stay eager.
-Importing the submodule `cubres.determinant` sets the package attribute
-`determinant` to that module; the import here, which runs before any
-caller's `import cubres.determinant` returns, rebinds it to the
-function whatever the order of the caller's imports. A lazy name would
-stay the module. `cubres.determinant` imports numpy and
-`cubres.matrices` inside the functions that need them, so this eager
-import stays cheap.
+The module `cubres.determinant` shares its name with the function it
+exports. Importing the submodule makes the import system set the package
+attribute `determinant` to the module, which would hide the function.
+So this module's class is a `types.ModuleType` subclass whose
+`__setattr__` swaps a module bound to `determinant` for that module's
+`determinant` function: the package attribute is the function after any
+import order. Any other value, such as a wrapper a tracer installs, is
+kept as given. The guard goes once the engine module is renamed
+(ROADMAP item 3).
 """
 
 import importlib
+import sys
+import types
 
-from .determinant import determinant, determinant_oracle, leading_minors
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        if name == "determinant" and isinstance(value, types.ModuleType):
+            value = value.determinant
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 # The home module of each lazily loaded public name.
 _HOME = {
@@ -37,6 +50,7 @@ _HOME = {
                     "generate_table", "sign_classify")),
         ("render", ("DEFAULT_SCHEME", "ColorScheme", "emit_ansi", "emit_csv", "emit_svg",
                     "matrix_text", "parse_csv", "table_text")),
+        ("determinant", ("determinant", "determinant_oracle", "leading_minors")),
         ("verify", ("CLAIMS", "Counterexample", "TheoremReport", "check_propositions",
                     "check_remark_n1", "check_row_period_np", "check_t3_1", "check_t3_2",
                     "check_t3_3", "check_t3_4", "check_t3_5", "check_t3_6", "check_t3_7",

@@ -6,8 +6,9 @@ when verify finds a failing claim, 2 on invalid input or when the output
 file cannot be written.
 
 Each command imports only the modules it runs; at module level this file
-imports `residues` alone, which every command needs. Beyond `cubres`,
-`cubres.determinant` and `cubres.residues`, a command loads:
+imports `residues` alone, which every command needs. No command loads
+the engine module `cubres.determinant`. Beyond `cubres` and
+`cubres.residues`, a command loads:
 
 - `symbol`: nothing;
 - `det`: `matrices`, `tables` and `wall`, since `det` prints the last of
@@ -34,8 +35,8 @@ __all__ = ["main", "build_parser"]
 
 DEFAULT_MAX_ORDER = 200
 PRIME_CAP = 2**31
-# verify caps: with all three at once the sweep takes about 1.7 s on a 2-vCPU
-# x86 host. T3_7 reads one number wall of depth --n-max for each (shift, t) case.
+# verify caps: with all three at once the sweep takes about 2.2 s on a 2-vCPU
+# x86 host. T3_7 reads one number wall of depth --n-max per distinct sequence.
 P_MAX_CAP = 400
 T_MAX_CAP = 5
 N_MAX_CAP = 20

@@ -7,14 +7,15 @@ c in a horizontal range. Every cell is read off a number wall (see the
 wall module), in O(1) exact integer steps per cell: a difference-family
 cell is the Toeplitz determinant W(n, c) of s(m) = [m/p], a sum-family
 cell is the same wall read at W(n, c + n + 1) with the sign of reversing
-n columns, and each even-power column is the `formula_minors` of its
-formula. `formula_minors` reads the order-1..n determinants of any
-formula, p = 3 included, off one wall over that formula's own sequence;
-the `det` command prints its last value. None of this imports numpy.
+n columns, and each even-power column is W(1..n, 0) of a wall over its
+own formula's sequence, one wall per distinct sequence. `formula_minors`
+reads the order-1..n determinants of any formula, p = 3 included, off
+one wall over that formula's own sequence; the `det` command prints its
+last value. None of this imports numpy.
 Sign classes drive the color-coded views in the render module.
 
 A table keeps one list per order: a slice of a wall row for diff and
-sum, and the transposed `formula_minors` columns for even-power.
+sum, and the transposed wall columns for even-power.
 `DeterminantTable.cells` is a read-only mapping view over those rows,
 keyed (n, c) in row-major order, and `row`, `column` and `cell` read the
 same lists.
@@ -189,11 +190,15 @@ def generate_table(
 
     The ranges and extended resolve to a box as in `table_box`. A diff or
     sum table is one number wall of s(m) = [m/p], over the terms its box
-    reads; an even-power table is one wall per shift, each over the 2n_hi - 1
-    terms of its own column. Rows 1..n_hi are computed whatever n_lo is, at
-    O(1) exact integer steps per wall cell. Shifts c and c + p are separate
-    cells, computed from s(m) over different m. The result is a pure
-    function of the arguments.
+    reads. An even-power column reads the 2n_hi - 1 terms of its own
+    sequence, and the table builds one wall per distinct tuple of those
+    terms within the call, so columns c and c + p share a wall. No claim
+    reads an even-power table from here, so sharing makes no check a
+    tautology; a future claim of even-power periodicity must compute its
+    own side. Rows 1..n_hi are computed whatever n_lo is, at O(1) exact
+    integer steps per wall cell. Diff and sum shifts c and c + p are
+    separate cells, computed from s(m) over different m. The result is a
+    pure function of the arguments.
     """
     p = as_prime(p)
     if family not in FAMILIES:
@@ -213,7 +218,14 @@ def generate_table(
             if n * (n - 1) // 2 % 2:
                 rows[n - n_lo] = [-v for v in rows[n - n_lo]]
     else:
-        columns = [formula_minors(EvenPowerPlusC(t, c), p, n_hi) for c in range(c_lo, c_hi + 1)]
+        # one wall per distinct term list, keyed on the terms themselves
+        walls: dict[tuple, list] = {}
+        columns = []
+        for c in range(c_lo, c_hi + 1):
+            terms = tuple(sequence(EvenPowerPlusC(t, c), p, 1 - n_hi, n_hi - 1))
+            if terms not in walls:
+                walls[terms] = number_wall(terms, n_hi, first=1 - n_hi).column(0, 1, n_hi)
+            columns.append(walls[terms])
         rows = [list(row) for row in zip(*columns)][n_lo - 1:]
     box = (n_lo, n_hi), (c_lo, c_hi)
     return DeterminantTable(p, family, t, *box, _RowCells(rows, *box))

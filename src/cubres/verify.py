@@ -15,11 +15,15 @@ never silently run outside its domain.
 
 T3_6, T3_7 and the T3_4 note read the symbol sequences of Toeplitz
 families: the order-n block reads the offsets j - i with |j - i| < n, so
-one sequence per case serves every order, and T3_7 reads every order's
-determinant off one number wall over that sequence. No checker imports
-numpy.
+one sequence per case serves every order. T3_7 reads every order's
+determinant off a number wall over that sequence, and builds one wall
+per distinct sequence within a call, keyed on the terms themselves. Its
+sequences are even because their symbol argument k**(2t) + c is even in
+k, whatever the symbol returns, so it evaluates the terms k >= 0 only.
+No checker imports numpy.
 """
 
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
 from .matrices import CubeDiffPlusOne, DiffPlusC, EvenPowerPlusC, sequence
@@ -235,9 +239,7 @@ def _t3_4_notes(p: Prime) -> list[str]:
     misses = []
     for n in interior:
         # full[k]: columns before k whose top n entries are all ones
-        full = [0]
-        for r in run:
-            full.append(full[-1] + (r >= n))
+        full = list(accumulate([r >= n for r in run], initial=0))
         misses += [(n, c) for c in interior if full[c + n] - full[c] < 2]
     cases = len(interior) ** 2
     notes = [f"all-ones column pairs present in {cases - len(misses)}/{cases} cases"]
@@ -367,6 +369,13 @@ def check_t3_7(p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremRepor
     every order 2 <= m <= n_max, the matrix must be all ones and its
     determinant 0. A second primitive root spot-check (t = 1, order 2)
     guards against the choice of r mattering.
+
+    Each case's sequence s(k) = [k**(2t) + c] is evaluated for k >= 0
+    only and mirrored: the argument is even in k, so s(-k) = s(k) holds
+    for any symbol. The determinants come from one
+    number wall per distinct sequence, keyed on its exact terms and never
+    on c, e or c mod p, so every case still reads its own terms; no wall
+    outlives the call.
     """
     p = as_prime(p)
     if p.mod12 not in (5, 11):
@@ -379,6 +388,9 @@ def check_t3_7(p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremRepor
     ces = []
     cases = 0
 
+    # W(2..n_top, 0) for each distinct term list, keyed on the terms
+    walls: dict[tuple, list] = {}
+
     def sweep(g: int, ts, n_top: int, tag: str) -> None:
         # the order-m matrix of a case reads the offsets |k| < m of one
         # sequence, and its determinant is W(m, 0) of that sequence's wall
@@ -386,10 +398,14 @@ def check_t3_7(p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremRepor
         for e in exponents:
             c = pow(g, e, pv)
             for t in ts:
-                terms = sequence(EvenPowerPlusC(t, c), p, 1 - n_top, n_top - 1)
+                # s(-k) = s(k): the argument k**(2t) + c is even in k
+                half = sequence(EvenPowerPlusC(t, c), p, 0, n_top - 1)
+                terms = (*half[:0:-1], *half)
                 bad = {k for k in range(1 - n_top, n_top) if terms[k + n_top - 1] != 1}
                 nearest = min(map(abs, bad), default=n_top)
-                dets = number_wall(terms, n_top, first=1 - n_top).column(0, 2, n_top)
+                if terms not in walls:
+                    walls[terms] = number_wall(terms, n_top, first=1 - n_top).column(0, 2, n_top)
+                dets = walls[terms]
                 cases += len(dets)
                 for m, actual in enumerate(dets, 2):
                     if m > nearest:

@@ -170,6 +170,23 @@ def test_even_power_family_table():
             assert t.cell(n, c) == determinant(build_matrix(EvenPowerPlusC(2, c), 11, n))
 
 
+def test_even_power_columns_share_one_wall_per_distinct_sequence(monkeypatch):
+    # at p = 13, t = 1 the p columns of one period have distinct sequences,
+    # and columns c and c + p share theirs: p walls, not one per column
+    depths = []
+
+    def spy(seq, depth, **kwargs):
+        depths.append(depth)
+        return real(seq, depth, **kwargs)
+
+    real = tables.number_wall
+    monkeypatch.setattr(tables, "number_wall", spy)
+    t = generate_table("even-power", 13)
+    assert depths == [13] * 13
+    for c in range(13):
+        assert t.column(c) == t.column(c + 13) == formula_minors(EvenPowerPlusC(1, c), 13, 13)
+
+
 def test_rejects_p3_and_bad_ranges():
     with pytest.raises(ValueError):
         generate_table("diff", 3)

@@ -166,6 +166,25 @@ def test_t3_7_determinant_is_read_off_the_wall(monkeypatch):
         Counterexample(3, pow(2, e, 11), 0, 1, f"det with t=1, e={e}") for e in (2, 4, 6, 8, 10)]
 
 
+def test_t3_7_builds_one_wall_per_distinct_sequence(monkeypatch):
+    # every passing case reads an all-ones sequence: one wall of depth
+    # n_max for the full sweep and one of depth 2 for the spot check
+    depths = []
+
+    def spy(seq, depth, **kwargs):
+        depths.append(depth)
+        return real(seq, depth, **kwargs)
+
+    real = verify.number_wall
+    monkeypatch.setattr(verify, "number_wall", spy)
+    assert check_t3_7(11, t_max=1, n_max=4).passed
+    assert depths == [4, 2]
+    depths.clear()
+    assert all(r.passed for r in verify_all(60))
+    # two walls for each of the nine 3k+2 primes from 5 to 59
+    assert depths == [8, 2] * 9
+
+
 # The array versions of the three sequence checkers, kept as their oracle:
 # each order's matrix is built on its own leading block and its determinant
 # comes from the int64/CRT engine rather than from a number wall.
