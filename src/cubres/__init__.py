@@ -36,25 +36,24 @@ class _Package(types.ModuleType):
 
 sys.modules[__name__].__class__ = _Package
 
-# The home module of each lazily loaded public name.
+# The home module of each lazily loaded public name, in `__all__` order.
 _HOME = {
     name: module
     for module, names in (
-        ("residues", ("Prime", "as_prime", "cube_root", "cubic_residue_set",
-                      "cubic_residue_symbol", "is_prime", "legendre_symbol",
-                      "next_primitive_root", "odd_primes_up_to", "primitive_root")),
-        ("matrices", ("CubeDiffPlusOne", "DiffPlusC", "EvenPowerPlusC", "Formula",
-                      "ResidueMatrix", "SumPlusC", "build_matrix", "entry_value",
-                      "matrices_equal")),
-        ("tables", ("FAMILIES", "DeterminantTable", "SignClass", "family_formula",
-                    "generate_table", "sign_classify")),
-        ("render", ("DEFAULT_SCHEME", "ColorScheme", "emit_ansi", "emit_csv", "emit_svg",
-                    "matrix_text", "parse_csv", "table_text")),
+        ("residues", ("Prime", "as_prime", "is_prime", "odd_primes_up_to",
+                      "cubic_residue_symbol", "cubic_residue_set", "cube_root",
+                      "legendre_symbol", "primitive_root", "next_primitive_root")),
+        ("matrices", ("DiffPlusC", "SumPlusC", "CubeDiffPlusOne", "EvenPowerPlusC", "Formula",
+                      "ResidueMatrix", "entry_value", "build_matrix", "matrices_equal")),
         ("determinant", ("determinant", "determinant_oracle", "leading_minors")),
+        ("tables", ("FAMILIES", "SignClass", "sign_classify", "family_formula",
+                    "DeterminantTable", "generate_table")),
+        ("render", ("ColorScheme", "DEFAULT_SCHEME", "matrix_text", "emit_csv", "parse_csv",
+                    "table_text", "emit_ansi", "emit_svg")),
         ("verify", ("CLAIMS", "Counterexample", "TheoremReport", "check_propositions",
-                    "check_remark_n1", "check_row_period_np", "check_t3_1", "check_t3_2",
-                    "check_t3_3", "check_t3_4", "check_t3_5", "check_t3_6", "check_t3_7",
-                    "check_table_period", "report_lines", "report_text", "verify_all")),
+                    "check_t3_1", "check_t3_2", "check_t3_3", "check_t3_4", "check_t3_5",
+                    "check_t3_6", "check_t3_7", "check_row_period_np", "check_table_period",
+                    "check_remark_n1", "verify_all", "report_lines", "report_text")),
     )
     for name in names
 }
@@ -62,61 +61,7 @@ _SUBMODULES = ("residues", "matrices", "tables", "wall", "render", "verify")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Prime",
-    "as_prime",
-    "is_prime",
-    "odd_primes_up_to",
-    "cubic_residue_symbol",
-    "cubic_residue_set",
-    "cube_root",
-    "legendre_symbol",
-    "primitive_root",
-    "next_primitive_root",
-    "DiffPlusC",
-    "SumPlusC",
-    "CubeDiffPlusOne",
-    "EvenPowerPlusC",
-    "Formula",
-    "ResidueMatrix",
-    "entry_value",
-    "build_matrix",
-    "matrices_equal",
-    "determinant",
-    "determinant_oracle",
-    "leading_minors",
-    "FAMILIES",
-    "SignClass",
-    "sign_classify",
-    "family_formula",
-    "DeterminantTable",
-    "generate_table",
-    "ColorScheme",
-    "DEFAULT_SCHEME",
-    "matrix_text",
-    "emit_csv",
-    "parse_csv",
-    "table_text",
-    "emit_ansi",
-    "emit_svg",
-    "CLAIMS",
-    "Counterexample",
-    "TheoremReport",
-    "check_propositions",
-    "check_t3_1",
-    "check_t3_2",
-    "check_t3_3",
-    "check_t3_4",
-    "check_t3_5",
-    "check_t3_6",
-    "check_t3_7",
-    "check_row_period_np",
-    "check_table_period",
-    "check_remark_n1",
-    "verify_all",
-    "report_lines",
-    "report_text",
-]
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):

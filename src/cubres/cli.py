@@ -7,7 +7,7 @@ file cannot be written.
 
 Each command imports only the modules it runs; at module level this file
 imports `residues` alone, which every command needs. No command loads
-the engine module `cubres.determinant`. Beyond `cubres` and
+numpy or the engine module `cubres.determinant`. Beyond `cubres` and
 `cubres.residues`, a command loads:
 
 - `symbol`: nothing;
@@ -16,8 +16,7 @@ the engine module `cubres.determinant`. Beyond `cubres` and
 - `table`: those three and `render`;
 - `verify`: those three and `verify`, which checks its claims on symbol
   sequences and walls;
-- `matrix`: `matrices`, `render` (which needs `tables` and `wall`) and
-  numpy, the only command that imports it.
+- `matrix`: `matrices` and `render`, which needs `tables` and `wall`.
 
 No command loads `dataclasses`, nor the `inspect` and `ast` it imports:
 the value classes are slotted records on `residues.Record`, since a
@@ -35,7 +34,7 @@ __all__ = ["main", "build_parser"]
 
 DEFAULT_MAX_ORDER = 200
 PRIME_CAP = 2**31
-# verify caps: with all three at once the sweep takes about 2.2 s on a 2-vCPU
+# verify caps: with all three at once the sweep takes about 2.1 s on a 2-vCPU
 # x86 host. T3_7 reads one number wall of depth --n-max per distinct sequence.
 P_MAX_CAP = 400
 T_MAX_CAP = 5

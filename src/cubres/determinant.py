@@ -1,11 +1,14 @@
 """Exact integer determinants.
 
-Inputs whose values fit comfortably in machine words first run through
-fraction-free (Bareiss) elimination, vectorized over int64: every
+A ResidueMatrix is its formula's grid, so `determinant` and
+`leading_minors` read its minors off the formula's number wall
+(`tables.formula_minors`) and run no elimination.
+
+Other inputs whose values fit comfortably in machine words first run
+through fraction-free (Bareiss) elimination, vectorized over int64: every
 intermediate quantity is a minor of the input, every interior division
 is exact (checked, not assumed), and the path bails out before any step
-whose products could overflow. A ResidueMatrix goes straight to this
-path, since its entries are already known to lie in {-1, 0, 1}.
+whose products could overflow.
 
 Everything else, bailouts and entries above 2**30 alike, goes to the one
 modular elimination kernel, which `leading_minors` runs too: every
@@ -23,8 +26,9 @@ Two references share no code with these paths: `_eliminate_bigint`,
 the same fraction-free elimination over Python ints, and a
 cofactor-expansion oracle for tiny orders.
 
-Importing the module does not import numpy or `cubres.matrices`; each
-function that uses one imports it when called.
+Importing the module does not import numpy, `cubres.matrices` or
+`cubres.tables`; each function that uses one imports it when called, and
+a ResidueMatrix never loads numpy.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ def _to_rows(matrix) -> list[list[int]]:
     from .matrices import ResidueMatrix
 
     if isinstance(matrix, ResidueMatrix):
-        return matrix.entries.tolist()
+        return matrix.rows()
     if isinstance(matrix, np.ndarray):
         if matrix.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got ndim={matrix.ndim}")
@@ -92,13 +96,9 @@ def _to_rows(matrix) -> list[list[int]]:
 def _to_array(matrix) -> np.ndarray:
     """A fresh square array of the entries: int64 when every entry is at
     most 2**30 in absolute value, Python ints in an object array
-    otherwise. A ResidueMatrix skips the validation and the list."""
+    otherwise."""
     import numpy as np
 
-    from .matrices import ResidueMatrix
-
-    if isinstance(matrix, ResidueMatrix):
-        return matrix.entries.astype(np.int64)
     rows = _to_rows(matrix)
     small = max(abs(v) for row in rows for v in row) <= _I64_SAFE
     return np.array(rows, dtype=np.int64 if small else object)
@@ -108,11 +108,16 @@ def determinant(matrix) -> int:
     """Exact determinant of a square integer matrix.
 
     Accepts a ResidueMatrix, a numpy integer array, or nested sequences
-    of ints. O(n^3) word operations on the int64 path. The modular path
-    costs that times the number of CRT primes below 2**29, about
+    of ints; a ResidueMatrix's is the last of its `leading_minors`. O(n^3)
+    word operations on the int64 path. The modular path costs that times
+    the number of CRT primes below 2**29, about
     n * log2(n * max|entry|**2) / 58 of them, with the rows below the
     pivot reduced mod q once every 32 updates.
     """
+    from .matrices import ResidueMatrix
+
+    if isinstance(matrix, ResidueMatrix):
+        return leading_minors(matrix)[-1]
     import numpy as np
 
     a = _to_array(matrix)
@@ -181,8 +186,14 @@ def leading_minors(matrix) -> list[int]:
     so that the product M of the primes satisfies M**2 > 4 * H; then
     M > 2 * |det A_n| and the residue nearest zero is exact for every n.
     There is no early exit and nothing is kept between calls. The cost is
-    O(N^3) word operations times the number of primes.
+    O(N^3) word operations times the number of primes. A ResidueMatrix
+    skips all of this: its minors are read off its formula's number wall.
     """
+    from .matrices import ResidueMatrix
+    from .tables import formula_minors
+
+    if isinstance(matrix, ResidueMatrix):
+        return formula_minors(matrix.formula, matrix.prime, matrix.order)
     return _crt_minors(_to_array(matrix))
 
 

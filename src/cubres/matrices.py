@@ -5,20 +5,15 @@ or Hankel (entry (i, j) is seq(i + j)), and the symbol argument of seq(k)
 at one index k. `sequence` is the one place a formula is evaluated: an
 order-n matrix reads 2n - 1 consecutive values of it, one entry reads one.
 
-The formula half of the module (the classes, `sequence` and `entry_value`)
-is plain Python. The array half, `ResidueMatrix`, `build_matrix` and
-`matrices_equal`, imports numpy when it first runs, so the commands that
-read determinants off a number wall never load it.
+A `ResidueMatrix` is the grid of one (formula, prime, order): its entries
+are a tuple of rows of plain ints, and its constructor rejects any grid
+that is not the formula's. So the determinants of one are read off the
+formula's number wall. Nothing here imports numpy.
 """
 
-from __future__ import annotations
+from typing import Union
 
-from typing import TYPE_CHECKING, Union
-
-from .residues import Prime, Record, as_prime, cubic_residue_symbol
-
-if TYPE_CHECKING:
-    import numpy as np
+from .residues import Prime, Record, as_int, as_prime, cubic_residue_symbol
 
 __all__ = [
     "DiffPlusC",
@@ -46,7 +41,7 @@ class DiffPlusC(Record):
     kind = TOEPLITZ
 
     def __init__(self, c: int) -> None:
-        self._store(c)
+        self._store(as_int(c, "c"))
 
     def argument(self, k: int, p: int) -> int:
         return k + self.c
@@ -59,7 +54,7 @@ class SumPlusC(Record):
     kind = HANKEL
 
     def __init__(self, c: int) -> None:
-        self._store(c)
+        self._store(as_int(c, "c"))
 
     def argument(self, k: int, p: int) -> int:
         return k + self.c
@@ -89,9 +84,10 @@ class EvenPowerPlusC(Record):
     kind = TOEPLITZ
 
     def __init__(self, t: int, c: int) -> None:
+        t = as_int(t, "t")
         if t < 1:
             raise ValueError(f"t must be a positive integer, got {t}")
-        self._store(t, c)
+        self._store(t, as_int(c, "c"))
 
     def argument(self, k: int, p: int) -> int:
         return pow(k, 2 * self.t, p) + self.c
@@ -107,48 +103,62 @@ def sequence(formula: Formula, p: "Prime | int", lo: int, hi: int) -> list[int]:
 
 
 class ResidueMatrix(Record):
-    """An immutable n x n grid of symbol values plus its provenance.
+    """The immutable order-n grid of one formula's symbol values at one
+    prime, kept as a tuple of rows of plain ints in {-1, 0, 1}.
 
-    The entries are stored as a read-only copy with an integer dtype and
-    values in {-1, 0, 1}; the determinant engine relies on all three.
-    Two matrices are equal only when they are the same object.
+    The constructor rejects entries that are not the formula's grid, so a
+    ResidueMatrix is its (formula, prime, order) and its determinants can
+    be read off the formula's number wall. Two matrices are equal only
+    when they are the same object.
     """
 
     __slots__ = ("order", "entries", "prime", "formula")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, order: int, entries: np.ndarray, prime: Prime, formula: Formula) -> None:
+    def __init__(self, order: int, entries, prime: Prime, formula: Formula) -> None:
         if order < 1:
             raise ValueError("matrix must have order >= 1")
-        import numpy as np
-
-        # A read-only copy: the caller's array cannot change it later.
-        e = np.array(entries)
-        e.setflags(write=False)
-        if not np.issubdtype(e.dtype, np.integer):
-            raise TypeError(f"entries must have an integer dtype, got {e.dtype}")
-        if e.shape != (order, order):
-            raise ValueError(f"entries must be {order} x {order}, got shape {e.shape}")
-        if (np.abs(e) > 1).any():
+        e = tuple(tuple(row) for row in entries)
+        for cls in {type(v) for row in e for v in row}:
+            if cls is bool or not hasattr(cls, "__index__"):
+                raise TypeError(f"entries must have an integer dtype, got {cls.__name__}")
+        if len(e) != order or any(len(row) != order for row in e):
+            shape = (len(e), *sorted({len(row) for row in e}))
+            raise ValueError(f"entries must be {order} x {order}, got shape {shape}")
+        if not set().union(*e) <= {-1, 0, 1}:
             raise ValueError("entries must lie in {-1, 0, 1}")
-        self._store(order, e, prime, formula)
+        grid = _grid(formula, prime, order)
+        if e != grid:
+            raise ValueError(f"entries are not the order-{order} grid of {formula!r} "
+                             f"at p = {as_prime(prime).value}")
+        # the grid, not the caller's rows: plain ints that nothing else holds
+        self._store(order, grid, prime, formula)
 
     def entry(self, i: int, j: int) -> int:
         """1-based access, matching the formula indexing."""
         if not (1 <= i <= self.order and 1 <= j <= self.order):
             raise IndexError(f"indices must be in [1, {self.order}], got ({i}, {j})")
-        return int(self.entries[i - 1, j - 1])
+        return self.entries[i - 1][j - 1]
 
     def row(self, i: int) -> list[int]:
         """1-based row as plain ints."""
         if not 1 <= i <= self.order:
             raise IndexError(f"row index must be in [1, {self.order}], got {i}")
-        return [int(v) for v in self.entries[i - 1]]
+        return list(self.entries[i - 1])
 
     def rows(self) -> list[list[int]]:
         """All entries as nested lists."""
-        return self.entries.tolist()
+        return [list(row) for row in self.entries]
+
+
+def _grid(formula: Formula, p: "Prime | int", n: int) -> tuple:
+    """The formula's order-n grid as a tuple of rows: 2n - 1 sequence
+    values, row i the n of them from index 1 + kind * i on."""
+    kind = formula.kind
+    lo = 1 + min(kind, kind * n)
+    line = sequence(formula, p, lo, n + max(kind, kind * n))
+    return tuple(tuple(line[s:s + n]) for s in (1 + kind * i - lo for i in range(1, n + 1)))
 
 
 def entry_value(formula: Formula, p: "Prime | int", i: int, j: int) -> int:
@@ -165,17 +175,9 @@ def build_matrix(formula: Formula, p: "Prime | int", n: int) -> ResidueMatrix:
     p = as_prime(p)
     if n < 1:
         raise ValueError(f"matrix order must be >= 1, got {n}")
-    import numpy as np
-
-    idx = np.arange(1, n + 1)
-    k = idx[None, :] + formula.kind * idx[:, None]
-    lo = int(k.min())
-    line = np.asarray(sequence(formula, p, lo, int(k.max())), dtype=np.int8)
-    return ResidueMatrix(n, line[k - lo], p, formula)
+    return ResidueMatrix(n, _grid(formula, p, n), p, formula)
 
 
 def matrices_equal(a: ResidueMatrix, b: ResidueMatrix) -> bool:
     """Entrywise equality of two matrices; provenance is ignored."""
-    import numpy as np
-
-    return a.order == b.order and np.array_equal(a.entries, b.entries)
+    return a.entries == b.entries

@@ -129,6 +129,15 @@ def as_prime(p: "Prime | int") -> Prime:
     return Prime(operator.index(p))
 
 
+def as_int(value, name: str) -> int:
+    """value as an int, for anything with `__index__`; any other type
+    raises TypeError naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
+
+
 def cubic_residue_symbol(a: int, p: "Prime | int") -> int:
     """Cubic residue symbol of a modulo an odd prime: 0 when p divides a,
     1 when a is congruent to a nonzero cube, -1 otherwise.
@@ -137,9 +146,10 @@ def cubic_residue_symbol(a: int, p: "Prime | int") -> int:
     large. When p % 3 != 1 cubing permutes the nonzero residues and every
     nonzero value scores 1. When p % 3 == 1 the nonzero cubes are exactly
     the roots of x**((p-1)/3) == 1, one modular exponentiation per query.
+    A non-integer a raises TypeError.
     """
     p = as_prime(p)
-    r = a % p.value
+    r = as_int(a, "a") % p.value
     if r == 0:
         return 0
     if p.mod3 != 1:
@@ -162,7 +172,7 @@ def cube_root(a: int, p: "Prime | int") -> "int | None":
     """
     p = as_prime(p)
     pv = p.value
-    r = a % pv
+    r = as_int(a, "a") % pv
     if r == 0:
         return 0
     if p.mod3 != 1:
@@ -201,7 +211,7 @@ def legendre_symbol(a: int, p: "Prime | int") -> int:
     """Quadratic residue symbol: 0 when p divides a, else 1 for squares
     and -1 for nonsquares, by Euler's criterion."""
     p = as_prime(p)
-    r = a % p.value
+    r = as_int(a, "a") % p.value
     if r == 0:
         return 0
     return 1 if pow(r, (p.value - 1) // 2, p.value) == 1 else -1

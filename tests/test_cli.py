@@ -230,11 +230,16 @@ def test_verify_lines_format(capsys):
          "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
         (("det", "--diff", "-p", "5", "-n", "40", "-c", "2"),
          "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+        # a Hankel grid at its largest prime under the order cap, taken when
+        # the entries were still a numpy array
+        (("matrix", "--sum", "-p", "199", "-n", "199"),
+         "48abf80264ebdf96a9e978a9c58944a69e78c9ad118ad50238854ec3c90e4295"),
     ],
     ids=["verify-lines", "table-3k1-csv", "table-3k2-p101-extended", "table-3k1-diff",
          "table-sum-offset-box", "table-even-power-t2", "table-even-power-p101",
          "det-3k1-diff-195",
-         "det-3k1-cube-diff-200", "det-3k1-even-power-200", "det-p3", "det-zero-band"],
+         "det-3k1-cube-diff-200", "det-3k1-even-power-200", "det-p3", "det-zero-band",
+         "matrix-sum-199"],
 )
 def test_output_bytes_are_pinned(capsys, argv, sha256):
     # recorded from an earlier engine; a faster engine must not move a byte
@@ -334,6 +339,8 @@ _NUMPY_FREE = textwrap.dedent("""
     cli.build_parser()
     commands = [
         ["symbol", "8", "11", "--verbose"],
+        *(["matrix", family, "-p", "11", "-n", "5"] for family in ("--diff", "--sum", "--cube-diff")),
+        ["matrix", "--even-power", "--t", "2", "-c", "3", "-p", "199", "-n", "199"],
         ["det", "--diff", "-p", "439", "-n", "195", "-c", "272"],
         ["det", "--sum", "-p", "11", "-n", "200", "-c", "3"],
         ["det", "--cube-diff", "-p", "3", "-n", "5"],
@@ -351,6 +358,10 @@ _NUMPY_FREE = textwrap.dedent("""
     module = sys.modules["cubres.determinant"]
     assert cubres.determinant is module.determinant
     assert cubres.verify_all(11) and "numpy" not in sys.modules
+    # a ResidueMatrix reads its formula's wall, so its minors need no numpy
+    m = cubres.build_matrix(cubres.SumPlusC(5), 13, 9)
+    assert cubres.determinant(m) == cubres.leading_minors(m)[-1]
+    assert cubres.matrices_equal(m, m) and "numpy" not in sys.modules
     assert cubres.determinant([[2, 1], [1, 1]]) == 1 and "numpy" in sys.modules
     assert cubres.determinant is module.determinant
     assert importlib.import_module("cubres.determinant") is module
@@ -368,9 +379,9 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_symbol_det_and_table_never_import_numpy():
-    # a fresh interpreter: symbol, det, table and verify never load numpy,
-    # an array path does, and the package attribute `determinant` stays
-    # the function throughout
+    # a fresh interpreter: no command and no ResidueMatrix loads numpy, an
+    # array path does, and the package attribute `determinant` stays the
+    # function throughout
     result = _fresh("-c", _NUMPY_FREE)
     assert result.returncode == 0, result.stderr
 
@@ -406,7 +417,9 @@ _LOADED_PER_COMMAND = textwrap.dedent("""
      ([], ["matrices", "tables", "wall"], ["render"])),
     ((["verify", "--p-max", "11"],),
      (["matrices", "tables", "verify", "wall"],)),
-], ids=["symbol-det-table", "verify"])
+    ((["matrix", "--diff", "-p", "11", "-n", "5"],),
+     (["matrices", "render", "tables", "wall"],)),
+], ids=["symbol-det-table", "verify", "matrix"])
 def test_each_command_imports_only_the_modules_it_runs(commands, added):
     # the parser and `symbol` need only residues; `table` never loads
     # verify, and `verify` never loads render

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from sympy import Matrix
 
 from cubres import (
+    CubeDiffPlusOne,
     DiffPlusC,
+    EvenPowerPlusC,
     SumPlusC,
     build_matrix,
     determinant,
@@ -215,8 +217,8 @@ def test_sylvester_hadamard_across_prime_batches():
 
 
 def test_3k1_residue_matrix_across_prime_batches():
-    a = build_matrix(SumPlusC(5), 157, 150)
-    assert determinant(a) == _eliminate_bigint(a.rows())
+    a = build_matrix(SumPlusC(5), 157, 150).rows()
+    assert determinant(a) == _eliminate_bigint([row[:] for row in a])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -262,8 +264,52 @@ _PRIMES_3K1 = [m for m in odd_primes_up_to(400) if m % 3 == 1]
     c=st.integers(-1, 1000),
 )
 def test_engine_matches_bigint_on_3k1_residue_matrices(m, family, n, c):
-    a = build_matrix(family(c), m, n)
-    assert determinant(a) == _eliminate_bigint(a.rows())
+    a = build_matrix(family(c), m, n).rows()
+    assert determinant(a) == _eliminate_bigint([row[:] for row in a])
+
+
+_FORMULAS = (
+    lambda c, t: DiffPlusC(c),
+    lambda c, t: SumPlusC(c),
+    lambda c, t: CubeDiffPlusOne(),
+    lambda c, t: EvenPowerPlusC(t, c),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    make=st.sampled_from(_FORMULAS),
+    p=st.sampled_from(odd_primes_up_to(199)),
+    n=st.integers(1, 60),
+    c=st.integers(-(10**12), 10**12),
+    t=st.integers(1, 10**9),
+)
+def test_a_residue_matrix_gets_the_minors_of_its_rows(make, p, n, c, t):
+    # a ResidueMatrix reads its formula's number wall; its plain rows run
+    # the elimination engine. p ranges over 3 and primes of both classes
+    m = build_matrix(make(c, t), p, n)
+    assert determinant(m) == determinant(m.rows())
+    assert leading_minors(m) == leading_minors(m.rows())
+
+
+def test_a_residue_matrix_runs_no_elimination(monkeypatch):
+    # a Toeplitz 3k+2 case and a Hankel 3k+1 one of 180 digits, with the
+    # engine's minors taken from their rows before it is switched off
+    cases = [build_matrix(DiffPlusC(0), 11, 11), build_matrix(SumPlusC(5), 199, 190)]
+    want = [leading_minors(m.rows()) for m in cases]
+    engine = importlib.import_module("cubres.determinant")
+
+    def refuse(*args):
+        raise AssertionError("the elimination engine ran")
+
+    monkeypatch.setattr(engine, "_eliminate_int64", refuse)
+    monkeypatch.setattr(engine, "_crt_minors", refuse)
+    for m, minors in zip(cases, want):
+        assert leading_minors(m) == minors and determinant(m) == minors[-1]
+    # plain rows still reach the engine
+    for run in (determinant, leading_minors):
+        with pytest.raises(AssertionError, match="engine ran"):
+            run(cases[0].rows())
 
 
 def test_hollow_ones_determinant_formula():

@@ -159,7 +159,7 @@ def test_even_power_rejects_nonpositive_t():
 def test_all_ones_collapse_example():
     # p = 17 is 12k+5; c = 3 is an odd power of the root 3
     m = build_matrix(EvenPowerPlusC(1, 3), 17, 5)
-    assert (m.entries == 1).all()
+    assert m.entries == ((1,) * 5,) * 5
 
 
 def test_matrices_equal_ignores_provenance():
@@ -180,8 +180,9 @@ def test_matrix_accessors_and_immutability():
         m.entry(0, 1)
     with pytest.raises(IndexError):
         m.entry(1, 4)
-    with pytest.raises(ValueError):
-        m.entries[0, 0] = 1
+    # the entries are a tuple of tuples, so a write raises TypeError
+    with pytest.raises(TypeError):
+        m.entries[0][0] = 1
     assert m.prime == Prime(7)
 
 
@@ -194,14 +195,47 @@ def test_residue_matrix_rejects_non_integer_entries():
 
 
 def test_residue_matrix_keeps_a_private_read_only_copy():
-    e = np.array([[1, 0], [-1, 1]], dtype=np.int64)
+    # the order-2 grid of DiffPlusC(0) at p = 5, as a caller's own array
+    e = np.array([[0, 1], [1, 0]], dtype=np.int64)
     m = ResidueMatrix(2, e, as_prime(5), DiffPlusC(0))
     e[0, 0] = 5
     e[1, 1] = 5
-    assert m.entry(1, 1) == 1 and m.entry(2, 2) == 1
-    assert determinant(m) == 1
-    with pytest.raises(ValueError):
-        m.entries[0, 0] = 0
+    assert m.entry(1, 1) == 0 and m.entry(2, 2) == 0
+    assert m.entries == ((0, 1), (1, 0)) and type(m.entry(1, 2)) is int
+    assert determinant(m) == -1
+    with pytest.raises(TypeError):
+        m.entries[0][0] = 1
+
+
+@pytest.mark.parametrize("formula, p, n", [
+    (DiffPlusC(0), 5, 2), (DiffPlusC(4), 11, 6), (SumPlusC(3), 13, 5),
+    (CubeDiffPlusOne(), 7, 4), (EvenPowerPlusC(2, 3), 19, 5), (SumPlusC(1), 3, 3),
+])
+def test_residue_matrix_rejects_any_one_flipped_entry(formula, p, n):
+    # a ResidueMatrix must be its formula's grid, since its determinants
+    # are read off that formula's number wall
+    rows = build_matrix(formula, p, n).rows()
+    assert ResidueMatrix(n, rows, as_prime(p), formula).rows() == rows
+    for i in range(n):
+        for j in range(n):
+            for v in {-1, 0, 1} - {rows[i][j]}:
+                flipped = [row[:] for row in rows]
+                flipped[i][j] = v
+                with pytest.raises(ValueError, match="grid of"):
+                    ResidueMatrix(n, flipped, as_prime(p), formula)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: DiffPlusC(0.5), "c must be an integer, got float"),
+    (lambda: SumPlusC("1"), "c must be an integer, got str"),
+    (lambda: EvenPowerPlusC(1.5, 1), "t must be an integer, got float"),
+    (lambda: EvenPowerPlusC(1, 0.5), "c must be an integer, got float"),
+], ids=["diff", "sum", "even-power-t", "even-power-c"])
+def test_formulas_reject_non_integer_arguments(make, message):
+    # a fractional shift once built an all-ones DiffPlusC(0.5) matrix at p = 11
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        make()
+    assert DiffPlusC(np.int64(3)) == DiffPlusC(3) and type(DiffPlusC(np.int64(3)).c) is int
 
 
 def test_build_rejects_bad_order():
@@ -247,5 +281,5 @@ def test_build_matches_plain_expression_and_leading_blocks(family, p, c, t, orde
     symbol = {r: 0 if r == 0 else 1 if r in cubes else -1 for r in range(p)}
     want = [[symbol[plain(i, j, c, t) % p] for j in range(1, n + 1)] for i in range(1, n + 1)]
     assert m.rows() == want
-    assert m.entries.dtype == np.int8
-    assert np.array_equal(build_matrix(formula, p, big).entries[:n, :n], m.entries)
+    assert all(type(v) is int for row in m.entries for v in row)
+    assert tuple(row[:n] for row in build_matrix(formula, p, big).entries[:n]) == m.entries

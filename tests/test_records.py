@@ -4,7 +4,6 @@ pickles, and the checks each constructor makes."""
 import copy
 import pickle
 
-import numpy as np
 import pytest
 
 from cubres import (
@@ -92,7 +91,7 @@ def test_records_of_different_classes_are_never_equal():
 
 def test_a_residue_matrix_is_equal_only_to_itself():
     m = build_matrix(DiffPlusC(0), 5, 2)
-    assert repr(m) == ("ResidueMatrix(order=2, entries=array([[0, 1],\n       [1, 0]], dtype=int8), "
+    assert repr(m) == ("ResidueMatrix(order=2, entries=((0, 1), (1, 0)), "
                        f"prime={_P5}, formula=DiffPlusC(c=0))")
     assert m == m and m != build_matrix(DiffPlusC(0), 5, 2)
     assert hash(m) == object.__hash__(m)
@@ -104,7 +103,7 @@ def test_a_residue_matrix_is_equal_only_to_itself():
         twin = trip(m)
         assert type(twin) is ResidueMatrix and twin is not m, name
         assert (twin.order, twin.prime, twin.formula) == (m.order, m.prime, m.formula), name
-        assert np.array_equal(twin.entries, m.entries) and repr(twin) == repr(m), name
+        assert twin.entries == m.entries and repr(twin) == repr(m), name
 
 
 def test_a_theorem_report_is_mutable_and_unhashable():
@@ -146,11 +145,13 @@ def test_a_theorem_report_is_mutable_and_unhashable():
     (lambda: ResidueMatrix(0, [[1]], Prime(5), DiffPlusC(0)), ValueError,
      "matrix must have order >= 1"),
     (lambda: ResidueMatrix(1, [[1.0]], Prime(5), DiffPlusC(0)), TypeError,
-     "entries must have an integer dtype, got float64"),
+     "entries must have an integer dtype, got float"),
     (lambda: ResidueMatrix(2, [[1]], Prime(5), DiffPlusC(0)), ValueError,
      "entries must be 2 x 2, got shape (1, 1)"),
     (lambda: ResidueMatrix(1, [[2]], Prime(5), DiffPlusC(0)), ValueError,
      "entries must lie in {-1, 0, 1}"),
+    (lambda: ResidueMatrix(2, [[0, 1], [1, 1]], Prime(5), DiffPlusC(0)), ValueError,
+     "entries are not the order-2 grid of DiffPlusC(c=0) at p = 5"),
     (lambda: DeterminantTable(Prime(5), "diff", 1, (1, 1), (0, 0), {(1, 0): 1, (2, 0): 3}),
      ValueError, "2 cells given for a grid of 1"),
     (lambda: DeterminantTable(Prime(5), "diff", 1, (1, 1), (0, 1), {(1, 0): 1}), KeyError, "(1, 1)"),

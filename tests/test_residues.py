@@ -95,6 +95,18 @@ def test_symbol_reduces_argument_first():
     assert cubic_residue_symbol(-(10**30), 11) == cubic_residue_symbol(-(10**30) % 11, 11)
 
 
+@pytest.mark.parametrize("func", [cubic_residue_symbol, cube_root, legendre_symbol],
+                         ids=["symbol", "cube-root", "legendre"])
+@pytest.mark.parametrize("p", [7, 11])
+def test_non_integer_arguments_raise_type_error(func, p):
+    # 2.5 once scored 1 at p = 11 and hit pow's "3rd argument" error at p = 7
+    for a in (2.5, 3.0, "8", None):
+        with pytest.raises(TypeError, match=f"^a must be an integer, got {type(a).__name__}$"):
+            func(a, p)
+    # anything with __index__ is an integer
+    assert func(True, p) == func(1, p)
+
+
 def test_cubic_residue_set_sizes():
     assert cubic_residue_set(7) == {1, 6}
     assert len(cubic_residue_set(13)) == 4

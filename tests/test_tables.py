@@ -107,7 +107,7 @@ def test_cells_match_direct_determinants():
     t = generate_table("diff", 7, n_range=(2, 4), c_range=(1, 3))
     for n in range(2, 5):
         for c in range(1, 4):
-            assert t.cell(n, c) == determinant(build_matrix(DiffPlusC(c), 7, n))
+            assert t.cell(n, c) == determinant(build_matrix(DiffPlusC(c), 7, n).rows())
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -119,19 +119,20 @@ def test_extended_table_matches_per_cell_determinants(family, p):
     table = generate_table(family, p, extended=True, t=t)
     assert len(table.cells) == (p + 10) * 2 * p
     for (n, c), v in table.cells.items():
-        assert v == determinant(build_matrix(family_formula(family, c, t), p, n)), (n, c)
+        assert v == determinant(build_matrix(family_formula(family, c, t), p, n).rows()), (n, c)
 
 
 def _matches_column_minors(table):
-    # the oracle: leading_minors of each column's order-n_hi build. Shifts
+    # the oracle: leading_minors of each column's order-n_hi build, as
+    # plain rows, so the engine runs and not the wall. Shifts
     # c and c + p build equal matrices, so each distinct matrix is
     # eliminated once; every cell is still compared with its own column
     minors = {}
     for c in table.shifts():
         m = build_matrix(family_formula(table.family, c, table.t), table.prime, table.n_range[1])
-        key = m.entries.tobytes()
+        key = m.entries
         if key not in minors:
-            minors[key] = leading_minors(m)
+            minors[key] = leading_minors(m.rows())
         for n in table.orders():
             assert table.cell(n, c) == minors[key][n - 1], (table.family, table.t, n, c)
 
@@ -167,7 +168,7 @@ def test_even_power_family_table():
     assert t.t == 2
     for c in range(11):
         for n in range(2, 5):
-            assert t.cell(n, c) == determinant(build_matrix(EvenPowerPlusC(2, c), 11, n))
+            assert t.cell(n, c) == determinant(build_matrix(EvenPowerPlusC(2, c), 11, n).rows())
 
 
 def test_even_power_columns_share_one_wall_per_distinct_sequence(monkeypatch):
@@ -223,7 +224,7 @@ def test_cells_is_a_read_only_view_over_the_rows(family, n_range, c_range):
     orders, shifts = table.orders(), table.shifts()
     keys = [(n, c) for n in orders for c in shifts]
     # the per-cell rebuild: one determinant per cell, no sharing
-    rebuilt = {(n, c): determinant(build_matrix(family_formula(family, c, 2), 13, n))
+    rebuilt = {(n, c): determinant(build_matrix(family_formula(family, c, 2), 13, n).rows())
                for n, c in keys}
     assert list(table.cells) == list(table.cells.keys()) == keys
     assert len(table.cells) == len(keys)
@@ -286,9 +287,9 @@ _FORMULAS = (
     t=st.integers(1, 10**9),
 )
 def test_formula_minors_match_leading_minors(make, p, n, c, t):
-    # the kernel is the oracle: CRT elimination of the built matrix
+    # the kernel is the oracle: CRT elimination of the built matrix's rows
     formula = make(c, t)
-    assert formula_minors(formula, p, n) == leading_minors(build_matrix(formula, p, n))
+    assert formula_minors(formula, p, n) == leading_minors(build_matrix(formula, p, n).rows())
 
 
 @pytest.mark.parametrize("make", _FORMULAS, ids=["diff", "sum", "cube-diff", "even-power"])
@@ -298,13 +299,13 @@ def test_formula_minors_into_the_zero_band(make, p, c, t):
     # every prime here is below n = 60, so the orders past p are read too
     formula = make(c, t)
     minors = formula_minors(formula, p, 60)
-    assert minors == leading_minors(build_matrix(formula, p, 60))
+    assert minors == leading_minors(build_matrix(formula, p, 60).rows())
     assert all(v == 0 for v in minors[p:])
 
 
 def test_formula_minors_bounds_and_exports():
     assert formula_minors(DiffPlusC(0), 3, 4) == [0, -1, 2, 0]
-    assert formula_minors(SumPlusC(0), 7, 1) == [determinant(build_matrix(SumPlusC(0), 7, 1))]
+    assert formula_minors(SumPlusC(0), 7, 1) == [determinant(build_matrix(SumPlusC(0), 7, 1).rows())]
     for n in (0, -3):
         with pytest.raises(ValueError) as built:
             build_matrix(DiffPlusC(0), 7, n)
