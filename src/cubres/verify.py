@@ -2,8 +2,10 @@
 
 Each checker sweeps the full stated parameter range of one claim for one
 prime, comparing the value predicted by the claim's closed form against
-the value computed from freshly built matrices, the exact determinant
-engine or the number wall. Eight of the matrix claims are predicates over
+the value computed from the symbol itself, the symbol sequences of the
+formulas, or determinants read off number walls (directly, or through a
+`DeterminantTable`). No checker builds a matrix or runs an elimination,
+and none imports numpy. Eight of the matrix claims are predicates over
 cells of one difference-family determinant table, which verify_all
 computes once per prime and shares between them. Checkers never abort early: every
 counterexample in range is collected, and a report passes exactly when
@@ -20,7 +22,6 @@ determinant off a number wall over that sequence, and builds one wall
 per distinct sequence within a call, keyed on the terms themselves. Its
 sequences are even because their symbol argument k**(2t) + c is even in
 k, whatever the symbol returns, so it evaluates the terms k >= 0 only.
-No checker imports numpy.
 """
 
 from itertools import accumulate

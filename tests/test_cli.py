@@ -362,6 +362,10 @@ _NUMPY_FREE = textwrap.dedent("""
     m = cubres.build_matrix(cubres.SumPlusC(5), 13, 9)
     assert cubres.determinant(m) == cubres.leading_minors(m)[-1]
     assert cubres.matrices_equal(m, m) and "numpy" not in sys.modules
+    # general input runs the elimination over Python ints; only
+    # `determinant`'s int64 path loads numpy
+    assert cubres.leading_minors([[2, 1], [1, 1]]) == [2, 1]
+    assert cubres.determinant_oracle([[2, 1], [1, 1]]) == 1 and "numpy" not in sys.modules
     assert cubres.determinant([[2, 1], [1, 1]]) == 1 and "numpy" in sys.modules
     assert cubres.determinant is module.determinant
     assert importlib.import_module("cubres.determinant") is module
@@ -379,9 +383,9 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_symbol_det_and_table_never_import_numpy():
-    # a fresh interpreter: no command and no ResidueMatrix loads numpy, an
-    # array path does, and the package attribute `determinant` stays the
-    # function throughout
+    # a fresh interpreter: no command, no ResidueMatrix and no nested list
+    # in `leading_minors` loads numpy, `determinant`'s int64 path does,
+    # and the package attribute `determinant` stays the function throughout
     result = _fresh("-c", _NUMPY_FREE)
     assert result.returncode == 0, result.stderr
 

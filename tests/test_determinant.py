@@ -1,5 +1,5 @@
-"""Exact determinant engine against the cofactor oracle, the bigint
-reference elimination and sympy."""
+"""Exact determinant engine against the cofactor oracle, sympy, closed
+forms and the number wall."""
 
 import importlib
 import random
@@ -21,16 +21,12 @@ from cubres import (
     odd_primes_up_to,
 )
 from cubres.determinant import (
-    _BATCH_ENTRIES,
-    _DELAY,
-    _crt_minors,
-    _crt_prime,
-    _crt_primes,
     leading_minors,
     _eliminate_bigint,
     _eliminate_int64,
     _to_rows,
 )
+from cubres.tables import formula_minors
 
 EXAMPLE_3X3 = [[0, 1, -1], [1, 0, 1], [-1, 1, 0]]
 
@@ -103,9 +99,9 @@ def test_both_elimination_paths_agree_on_corpus_sample():
         if len(rows) == 1:
             continue
         fast = _eliminate_int64(np.array(rows, dtype=np.int64))
-        crt = _crt_minors(np.array(rows, dtype=np.int64))[-1]
         slow = _eliminate_bigint([list(r) for r in rows])
-        assert fast == crt == slow == determinant_oracle(rows)
+        assert fast == slow[-1] == determinant_oracle(rows)
+        assert slow == _minors_by_oracle(rows)
 
 
 def test_row_swap_antisymmetry_on_corpus():
@@ -150,29 +146,25 @@ def test_big_entries_use_exact_arithmetic():
 
 def test_fast_path_hands_off_midway(monkeypatch):
     # entries pass the initial bound but products outgrow it immediately;
-    # every bail goes to the CRT path and none to the bigint reference
+    # every bail, and nothing else, hands the rows to the bigint elimination
     engine = importlib.import_module("cubres.determinant")
     handoffs = []
 
-    def crt(a):
-        handoffs.append(a.shape[0])
-        return _crt_minors(a)
+    def bigint(rows):
+        handoffs.append(len(rows))
+        return _eliminate_bigint(rows)
 
-    def no_bigint(rows):
-        raise AssertionError("the bigint reference ran on the production path")
-
-    monkeypatch.setattr(engine, "_crt_minors", crt)
-    monkeypatch.setattr(engine, "_eliminate_bigint", no_bigint)
+    monkeypatch.setattr(engine, "_eliminate_bigint", bigint)
     rng = random.Random(5)
     bails = 0
     for _ in range(25):
         n = rng.randint(3, 6)
         rows = [[rng.randint(-(2**29), 2**29) for _ in range(n)] for _ in range(n)]
         fast = _eliminate_int64(np.array(rows, dtype=np.int64))
-        big = _eliminate_bigint([list(r) for r in rows])
-        assert fast is None or fast == big
+        want = determinant_oracle(rows)
+        assert fast is None or fast == want
         calls = len(handoffs)
-        assert determinant(rows) == big == determinant_oracle(rows)
+        assert determinant(rows) == want
         assert len(handoffs) - calls == (fast is None)
         bails += fast is None
     assert bails > 0
@@ -191,7 +183,7 @@ def test_sylvester_hadamard_meets_the_bound_with_equality(n):
     h = _sylvester_hadamard(n)
     assert (h @ h.T == n * np.eye(n, dtype=np.int64)).all()
     assert _eliminate_int64(h.copy()) is None
-    want = _eliminate_bigint(h.tolist())
+    want = _sylvester_det(n)
     assert abs(want) == n ** (n // 2)
     assert determinant(h) == want
     h[n // 3] *= -1
@@ -205,10 +197,10 @@ def _sylvester_det(n):
 
 
 def test_sylvester_hadamard_across_prime_batches():
-    # order 128 takes 16 primes, more than one batch of the kernel holds
+    # order 128, with a determinant of 135 digits
     h = _sylvester_hadamard(128)
-    assert len(_crt_primes([128] * 128)) > _BATCH_ENTRIES // 128**2
     want = _sylvester_det(128)
+    assert len(str(abs(want))) == 135
     assert determinant(h) == want
     assert leading_minors(h)[-1] == want
     h[77] *= -1
@@ -217,18 +209,24 @@ def test_sylvester_hadamard_across_prime_batches():
 
 
 def test_3k1_residue_matrix_across_prime_batches():
+    # plain rows run the elimination; the wall gives every minor at once
     a = build_matrix(SumPlusC(5), 157, 150).rows()
-    assert determinant(a) == _eliminate_bigint([row[:] for row in a])
+    want = formula_minors(SumPlusC(5), 157, 150)
+    assert leading_minors(a) == want
+    assert determinant(a) == want[-1]
+
+
+# the four largest primes below 2**29
+_Q29 = (536870909, 536870879, 536870869, 536870849)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_crt_stopping_rule_at_prime_product_boundaries(k):
-    # diag(d, 1) meets the Hadamard bound with equality; d just below the
-    # product M of the first k CRT primes needs more than k primes,
-    # because the residue nearest zero is exact only when M > 2|d|
+    # 2 x 2 matrices with an entry d on or off the diagonal, for d
+    # around the product M of the k largest primes below 2**29
     m = 1
-    for i in range(k):
-        m *= _crt_prime(i)
+    for q in _Q29[:k]:
+        m *= q
     for d in (m // 2, m // 2 + 1, m - 1, m, m + 1, 2 * m):
         for sign in (1, -1):
             assert determinant([[sign * d, 0], [0, 1]]) == sign * d
@@ -263,9 +261,11 @@ _PRIMES_3K1 = [m for m in odd_primes_up_to(400) if m % 3 == 1]
     n=st.integers(2, 60),
     c=st.integers(-1, 1000),
 )
-def test_engine_matches_bigint_on_3k1_residue_matrices(m, family, n, c):
+def test_engine_matches_the_wall_on_3k1_residue_matrices(m, family, n, c):
+    want = formula_minors(family(c), m, n)
     a = build_matrix(family(c), m, n).rows()
-    assert determinant(a) == _eliminate_bigint([row[:] for row in a])
+    assert leading_minors(a) == want
+    assert determinant(a) == want[-1]
 
 
 _FORMULAS = (
@@ -294,7 +294,7 @@ def test_a_residue_matrix_gets_the_minors_of_its_rows(make, p, n, c, t):
 
 def test_a_residue_matrix_runs_no_elimination(monkeypatch):
     # a Toeplitz 3k+2 case and a Hankel 3k+1 one of 180 digits, with the
-    # engine's minors taken from their rows before it is switched off
+    # elimination's minors taken from their rows before it is switched off
     cases = [build_matrix(DiffPlusC(0), 11, 11), build_matrix(SumPlusC(5), 199, 190)]
     want = [leading_minors(m.rows()) for m in cases]
     engine = importlib.import_module("cubres.determinant")
@@ -303,7 +303,7 @@ def test_a_residue_matrix_runs_no_elimination(monkeypatch):
         raise AssertionError("the elimination engine ran")
 
     monkeypatch.setattr(engine, "_eliminate_int64", refuse)
-    monkeypatch.setattr(engine, "_crt_minors", refuse)
+    monkeypatch.setattr(engine, "_eliminate_bigint", refuse)
     for m, minors in zip(cases, want):
         assert leading_minors(m) == minors and determinant(m) == minors[-1]
     # plain rows still reach the engine
@@ -325,8 +325,7 @@ def test_singular_matrices_report_zero():
     n = 40
     rows = [[(i + j) % 5 for j in range(n)] for i in range(n)]  # rank <= 5
     assert determinant(rows) == 0
-    # a zero row counts as 1 in the Hadamard bound, and the residue mod
-    # the one CRT prime that bound takes is 0
+    # a zero row beneath an entry far past int64
     assert determinant([[10**40, 1], [0, 0]]) == 0
 
 
@@ -337,8 +336,22 @@ def test_to_rows_copies():
     assert rows[0][0] == 1
 
 
-def _minors_by_bigint(rows):
-    return [_eliminate_bigint([r[:k] for r in rows[:k]]) for k in range(1, len(rows) + 1)]
+def test_to_rows_turns_every_integral_entry_into_an_int():
+    got = _to_rows([[True, np.int8(-2)], [np.uint64(2**63), 4]])
+    assert got == [[1, -2], [2**63, 4]]
+    assert all(type(v) is int for row in got for v in row)
+    for bad in (1.0, np.float64(2.0), "3", None):
+        with pytest.raises(TypeError, match=f"got {type(bad).__name__}$"):
+            _to_rows([[1, 2], [bad, 4]])
+
+
+def _minors_by_oracle(rows):
+    return [determinant_oracle([r[:k] for r in rows[:k]]) for k in range(1, len(rows) + 1)]
+
+
+def _minors_by_sympy(rows, top=None):
+    top = len(rows) if top is None else top
+    return [Matrix([r[:k] for r in rows[:k]]).det(method="bareiss") for k in range(1, top + 1)]
 
 
 @settings(max_examples=20, deadline=None)
@@ -348,7 +361,7 @@ def _minors_by_bigint(rows):
     seed=st.integers(0, 2**32 - 1),
     shape=st.sampled_from(["full", "low-rank", "zero-run"]),
 )
-def test_leading_minors_match_bigint_on_every_leading_block(n, bits, seed, shape):
+def test_leading_minors_match_sympy_on_every_leading_block(n, bits, seed, shape):
     rng = random.Random(seed)
     bound = min(10**30, 2**bits)
     rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
@@ -363,13 +376,19 @@ def test_leading_minors_match_bigint_on_every_leading_block(n, bits, seed, shape
         k = rng.randint(1, max(1, n // 2))
         for i in range(min(k, n)):
             rows[i][:k + 1] = [0] * min(k + 1, n)
-    assert leading_minors(rows) == _minors_by_bigint(rows)
+    minors = leading_minors(rows)
+    # every leading block up to order 16, and the whole matrix
+    top = min(n, 16)
+    assert minors[:top] == _minors_by_sympy(rows, top)
+    want = Matrix(rows).det(method="bareiss")
+    assert minors[-1] == want
+    assert determinant(rows) == want
 
 
 def test_leading_minors_when_a_crt_prime_divides_a_leading_minor():
-    # mod the first CRT prime q0 the first row pivots right of the
-    # diagonal, while every other prime pivots on it
-    q0, q1 = _crt_prime(0), _crt_prime(1)
+    # each head puts a multiple of 2**29 - 3 among the first two leading
+    # minors
+    q0, q1 = _Q29[:2]
     assert leading_minors([[q0, 1], [1, 1]]) == [q0, q0 - 1]
     rng = random.Random(3)
     heads = ([[q0, 0], [0, 1]], [[q0, 0], [0, q1]], [[1, 1], [1, 1 + q0]], [[q0 * q1, 1], [q0, 0]])
@@ -378,18 +397,15 @@ def test_leading_minors_when_a_crt_prime_divides_a_leading_minor():
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             for i in range(2):
                 rows[i][:2] = head[i]
-            assert leading_minors(rows) == _minors_by_bigint(rows)
+            assert leading_minors(rows) == _minors_by_sympy(rows)
 
 
 def test_leading_minors_at_the_largest_unreduced_growth():
     # A = L U, L unit lower triangular with -1 below the diagonal and U
-    # unit upper triangular with -1 above it: modulo every prime q each
-    # row pivots on 1, and every update multiplies f = q - 1 by row
-    # entries q - 1, the largest amount the rows below can gain between
-    # reductions; the order spans several reduction intervals
+    # its transpose: every leading minor is 1, while the diagonal of A
+    # runs 1..n
     n = 100
     lower = np.eye(n, dtype=np.int64) - np.tril(np.ones((n, n), dtype=np.int64), -1)
-    assert n >= 3 * _DELAY
     assert leading_minors(lower @ lower.T) == [1] * n
 
 
@@ -397,14 +413,16 @@ def test_leading_minors_small_orders_and_zero_rows():
     assert leading_minors([[5]]) == [5]
     assert leading_minors([[0]]) == [0]
     assert leading_minors([[-(10**40)]]) == [-(10**40)]
-    # a zero row counts as 1 in the bound shared by all leading blocks
+    # a row with no pivot ends the elimination: every later minor is 0
     assert leading_minors([[10**40, 1], [0, 0]]) == [10**40, 0]
     assert leading_minors([[2, 1, 0], [0, 0, 0], [1, 1, 1]]) == [2, 0, 0]
     assert leading_minors(np.array([[0, 1], [1, 0]], dtype=np.int8)) == [0, -1]
+    # pivots right of the diagonal, in and out of column order
+    assert leading_minors([[0, 1, 2], [1, 0, 3], [4, 5, 6]]) == [0, -1, 16]
+    assert leading_minors([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == [0, 0, -1]
     h = _sylvester_hadamard(16)
-    assert leading_minors(h) == _minors_by_bigint(h.tolist())
+    assert leading_minors(h) == _minors_by_sympy(h.tolist())
     with pytest.raises(ValueError):
         leading_minors([[1, 2], [3]])
     with pytest.raises(TypeError):
         leading_minors([[1.5]])
-
