@@ -13,7 +13,7 @@ formula's number wall. Nothing here imports numpy.
 
 from typing import Union
 
-from .residues import Prime, Record, as_int, as_prime, cubic_residue_symbol
+from .residues import Prime, Record, _rebuild, as_int, as_prime, cubic_residue_symbol
 
 __all__ = [
     "DiffPlusC",
@@ -152,12 +152,18 @@ class ResidueMatrix(Record):
         return [list(row) for row in self.entries]
 
 
+def _window(kind: int, n: int) -> tuple[int, int]:
+    """The first and last sequence index k = j + kind * i that an order-n
+    block of this kind reads, for 1 <= i, j <= n."""
+    return 1 + min(kind, kind * n), n + max(kind, kind * n)
+
+
 def _grid(formula: Formula, p: "Prime | int", n: int) -> tuple:
     """The formula's order-n grid as a tuple of rows: 2n - 1 sequence
     values, row i the n of them from index 1 + kind * i on."""
     kind = formula.kind
-    lo = 1 + min(kind, kind * n)
-    line = sequence(formula, p, lo, n + max(kind, kind * n))
+    lo, hi = _window(kind, n)
+    line = sequence(formula, p, lo, hi)
     return tuple(tuple(line[s:s + n]) for s in (1 + kind * i - lo for i in range(1, n + 1)))
 
 
@@ -175,7 +181,8 @@ def build_matrix(formula: Formula, p: "Prime | int", n: int) -> ResidueMatrix:
     p = as_prime(p)
     if n < 1:
         raise ValueError(f"matrix order must be >= 1, got {n}")
-    return ResidueMatrix(n, _grid(formula, p, n), p, formula)
+    # the grid is the formula's by construction: stored without the check
+    return _rebuild(ResidueMatrix, (n, _grid(formula, p, n), p, formula))
 
 
 def matrices_equal(a: ResidueMatrix, b: ResidueMatrix) -> bool:

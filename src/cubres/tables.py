@@ -3,28 +3,27 @@ minors of one formula's matrix.
 
 A table fixes the prime and the formula family and tabulates the exact
 determinant for every matrix order n in a vertical range and every shift
-c in a horizontal range. Every cell is read off a number wall (see the
-wall module), in O(1) exact integer steps per cell: a difference-family
-cell is the Toeplitz determinant W(n, c) of s(m) = [m/p], a sum-family
-cell is the same wall read at W(n, c + n + 1) with the sign of reversing
-n columns, and each even-power column is W(1..n, 0) of a wall over its
-own formula's sequence, one wall per distinct sequence. `formula_minors`
-reads the order-1..n determinants of any formula, p = 3 included, off
-one wall over that formula's own sequence; the `det` command prints its
-last value. None of this imports numpy.
-Sign classes drive the color-coded views in the render module.
+c in a horizontal range. This module is the one place that reads
+determinants off number walls (see the wall module), in O(1) exact
+integer steps per cell. `_shifted_minors` reads one formula's blocks at a
+range of shifts off one wall: a Toeplitz block is W(n, c), and a Hankel
+one W(n, c + n + 1) with the sign of reversing its n columns. Diff and
+sum tables read it, and so does `formula_minors`, whose last value the
+`det` command prints. `even_power_minors` reads W(1..n, 0) off one wall
+per distinct even-power sequence, for even-power tables and the T3_7
+checker. None of this imports numpy. Sign classes drive the color-coded
+views in the render module.
 
-A table keeps one list per order: a slice of a wall row for diff and
-sum, and the transposed wall columns for even-power.
-`DeterminantTable.cells` is a read-only mapping view over those rows,
-keyed (n, c) in row-major order, and `row`, `column` and `cell` read the
-same lists.
+A table keeps one list per order, a wall row or a row of transposed wall
+columns. `DeterminantTable.cells` is a read-only mapping view over those
+rows, keyed (n, c) in row-major order, and `row`, `column` and `cell`
+read the same lists.
 """
 
 import enum
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
-from .matrices import TOEPLITZ, DiffPlusC, EvenPowerPlusC, Formula, SumPlusC, sequence
+from .matrices import HANKEL, DiffPlusC, EvenPowerPlusC, Formula, SumPlusC, _window, sequence
 from .residues import Prime, Record, as_prime
 from .wall import number_wall
 
@@ -38,6 +37,7 @@ __all__ = [
     "table_box",
     "generate_table",
     "formula_minors",
+    "even_power_minors",
 ]
 
 FAMILIES = ("diff", "sum", "even-power")
@@ -190,59 +190,70 @@ def generate_table(
 
     The ranges and extended resolve to a box as in `table_box`. A diff or
     sum table is one number wall of s(m) = [m/p], over the terms its box
-    reads. An even-power column reads the 2n_hi - 1 terms of its own
-    sequence, and the table builds one wall per distinct tuple of those
-    terms within the call, so columns c and c + p share a wall. No claim
-    reads an even-power table from here, so sharing makes no check a
-    tautology; a future claim of even-power periodicity must compute its
-    own side. Rows 1..n_hi are computed whatever n_lo is, at O(1) exact
-    integer steps per wall cell. Diff and sum shifts c and c + p are
-    separate cells, computed from s(m) over different m. The result is a
-    pure function of the arguments.
+    reads, so shifts c and c + p are separate cells, computed from s(m)
+    over different m. Even-power columns with equal terms, c and c + p
+    among them, share one wall. No claim reads an even-power table from
+    here, so sharing makes no check a tautology; a future claim of
+    even-power periodicity must compute its own side. Rows 1..n_hi are
+    computed whatever n_lo is. The result is a pure function of the
+    arguments.
     """
     p = as_prime(p)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     (n_lo, n_hi), (c_lo, c_hi) = table_box(p, n_range, c_range, extended=extended)
-    orders = range(n_lo, n_hi + 1)
-    if family == "diff":
-        lo = c_lo - n_hi + 1
-        wall = number_wall(sequence(DiffPlusC(0), p, lo, c_hi + n_hi - 1), n_hi, first=lo)
-        rows = [wall.row(n, c_lo, c_hi) for n in orders]
-    elif family == "sum":
-        # reversing the columns of the Hankel block turns it into a Toeplitz one
-        lo = c_lo + 2
-        wall = number_wall(sequence(SumPlusC(0), p, lo, c_hi + 2 * n_hi), n_hi, first=lo)
-        rows = [wall.row(n, c_lo + n + 1, c_hi + n + 1) for n in orders]
-        for n in orders:
-            if n * (n - 1) // 2 % 2:
-                rows[n - n_lo] = [-v for v in rows[n - n_lo]]
+    if family == "even-power":
+        cases = ((t, c) for c in range(c_lo, c_hi + 1))
+        columns = [minors for _, minors in even_power_minors(p, cases, n_hi)]
+        rows = [list(row) for row in zip(*columns)]
     else:
-        # one wall per distinct term list, keyed on the terms themselves
-        walls: dict[tuple, list] = {}
-        columns = []
-        for c in range(c_lo, c_hi + 1):
-            terms = tuple(sequence(EvenPowerPlusC(t, c), p, 1 - n_hi, n_hi - 1))
-            if terms not in walls:
-                walls[terms] = number_wall(terms, n_hi, first=1 - n_hi).column(0, 1, n_hi)
-            columns.append(walls[terms])
-        rows = [list(row) for row in zip(*columns)][n_lo - 1:]
+        rows = _shifted_minors(family_formula(family, 0), p, n_hi, c_lo, c_hi)
     box = (n_lo, n_hi), (c_lo, c_hi)
-    return DeterminantTable(p, family, t, *box, _RowCells(rows, *box))
+    return DeterminantTable(p, family, t, *box, _RowCells(rows[n_lo - 1:], *box))
+
+
+def _shifted_minors(formula: Formula, p: Prime, n_hi: int, c_lo: int, c_hi: int) -> list[list[int]]:
+    """The determinants of the formula's blocks of orders 1..n_hi at the
+    shifts c_lo..c_hi, as rows[n - 1][c - c_lo], from one number wall over
+    the terms those blocks read."""
+    lo, hi = _window(formula.kind, n_hi)
+    wall = number_wall(sequence(formula, p, lo + c_lo, hi + c_hi), n_hi, first=lo + c_lo)
+    hankel = formula.kind == HANKEL
+    rows = []
+    for n in range(1, n_hi + 1):
+        # reversing the n columns of a Hankel block turns it into a Toeplitz one
+        at = n + 1 if hankel else 0
+        row = wall.row(n, c_lo + at, c_hi + at)
+        rows.append([-v for v in row] if hankel and n * (n - 1) // 2 % 2 else row)
+    return rows
 
 
 def formula_minors(formula: Formula, p: "Prime | int", n: int) -> list[int]:
     """The exact determinant of the formula's order-k matrix for every
     k = 1..n, as a list indexed by k - 1, from one number wall over the
-    formula's sequence. A Toeplitz matrix of order k is W(k, 0) over the
-    terms 1 - n..n - 1. A Hankel one becomes Toeplitz when its k columns
-    are reversed, which is (-1)**(k(k - 1)/2) * W(k, k + 1) over the terms
-    2..2n. Any odd prime works, 3 included; n < 1 raises ValueError.
+    formula's sequence: W(k, 0) for a Toeplitz formula, and
+    (-1)**(k(k - 1)/2) * W(k, k + 1) for a Hankel one. Any odd prime works,
+    3 included; n < 1 raises ValueError.
     """
     p = as_prime(p)
     if n < 1:
         raise ValueError(f"matrix order must be >= 1, got {n}")
-    if formula.kind == TOEPLITZ:
-        return number_wall(sequence(formula, p, 1 - n, n - 1), n, first=1 - n).column(0, 1, n)
-    wall = number_wall(sequence(formula, p, 2, 2 * n), n, first=2)
-    return [-wall(k, k + 1) if k * (k - 1) // 2 % 2 else wall(k, k + 1) for k in range(1, n + 1)]
+    return [row[0] for row in _shifted_minors(formula, p, n, 0, 0)]
+
+
+def even_power_minors(p: "Prime | int", cases: Iterable[tuple[int, int]],
+                      n: int) -> Iterator[tuple[tuple, list[int]]]:
+    """Yield (terms, minors) for each (t, c) in cases: the terms
+    s(1 - n)..s(n - 1) of s(k) = [k**(2t) + c], and W(1..n, 0), the
+    determinants of its blocks of orders 1..n. The argument is even in k,
+    so only k >= 0 is evaluated and mirrored. One wall is built per
+    distinct tuple of terms within the call, keyed on the terms and never
+    on t, c or c mod p, so every case reads its own terms.
+    """
+    walls: dict[tuple, list] = {}
+    for t, c in cases:
+        half = sequence(EvenPowerPlusC(t, c), p, 0, n - 1)
+        terms = (*half[:0:-1], *half)
+        if terms not in walls:
+            walls[terms] = number_wall(terms, n, first=1 - n).column(0, 1, n)
+        yield terms, walls[terms]

@@ -3,11 +3,11 @@
 Each checker sweeps the full stated parameter range of one claim for one
 prime, comparing the value predicted by the claim's closed form against
 the value computed from the symbol itself, the symbol sequences of the
-formulas, or determinants read off number walls (directly, or through a
-`DeterminantTable`). No checker builds a matrix or runs an elimination,
-and none imports numpy. Eight of the matrix claims are predicates over
-cells of one difference-family determinant table, which verify_all
-computes once per prime and shares between them. Checkers never abort early: every
+formulas, or determinants that the tables module reads off number walls.
+No checker builds a matrix or runs an elimination, and none imports
+numpy. Eight of the matrix claims are predicates over cells of one
+difference-family determinant table, which verify_all computes once per
+prime and shares between them. Checkers never abort early: every
 counterexample in range is collected, and a report passes exactly when
 none were found.
 
@@ -17,17 +17,14 @@ never silently run outside its domain.
 
 T3_6, T3_7 and the T3_4 note read the symbol sequences of Toeplitz
 families: the order-n block reads the offsets j - i with |j - i| < n, so
-one sequence per case serves every order. T3_7 reads every order's
-determinant off a number wall over that sequence, and builds one wall
-per distinct sequence within a call, keyed on the terms themselves. Its
-sequences are even because their symbol argument k**(2t) + c is even in
-k, whatever the symbol returns, so it evaluates the terms k >= 0 only.
+one sequence per case serves every order. T3_7 takes each case's terms
+and determinants from `tables.even_power_minors`.
 """
 
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
-from .matrices import CubeDiffPlusOne, DiffPlusC, EvenPowerPlusC, sequence
+from .matrices import CubeDiffPlusOne, DiffPlusC, sequence
 from .residues import (
     Prime,
     Record,
@@ -38,8 +35,7 @@ from .residues import (
     odd_primes_up_to,
     primitive_root,
 )
-from .tables import EXTENDED_EXTRA_ORDERS, DeterminantTable, generate_table
-from .wall import number_wall
+from .tables import EXTENDED_EXTRA_ORDERS, DeterminantTable, even_power_minors, generate_table
 
 __all__ = [
     "CLAIMS",
@@ -210,16 +206,13 @@ def _down(table: DeterminantTable, c: int, orders: range, expected: list) -> _Li
 
 class _TableClaim(NamedTuple):
     """A claim read off the difference-family table: the box of cells it
-    reads, and its cases as lines of that table in sweep order. A claim
-    whose sweep runs down columns but reads rows sets by_column, and its
-    counterexamples are put in (c, n) order."""
+    reads, and its cases as lines of that table in sweep order."""
 
     claim: str
     n_range: tuple[int, int]
     c_range: tuple[int, int]
     lines: Callable[[DeterminantTable], Iterable[_Line]]
     detail: Callable[[int], str] = lambda c: ""
-    by_column: bool = False
     notes: Callable[[], list[str]] = list
 
 
@@ -272,9 +265,8 @@ def _table_claims(p: Prime) -> tuple[_TableClaim, ...]:
         _TableClaim("ROW_PERIOD_NP", (band[0], band[-1]), (0, pv - 1), lambda d: (
             _along(d, n, period, [0] * pv) for n in band)),
         _TableClaim("TABLE_PERIOD", (1, pv), (0, 2 * pv - 1), lambda d: (
-            _Line(n, 0, False, d.row(n, 0, pv - 1), d.row(n, pv, 2 * pv - 1))
-            for n in range(1, pv + 1)),
-            detail=lambda c: f"column {c} vs {c + pv}", by_column=True),
+            _Line(1, c, True, d.column(c, 1, pv), d.column(c + pv, 1, pv)) for c in period),
+            detail=lambda c: f"column {c} vs {c + pv}"),
         _TableClaim("REMARK_N1", (1, 1), (0, 2 * pv - 1), lambda d: [
             _along(d, 1, range(2 * pv), [0 if c % pv == 0 else 1 for c in range(2 * pv)])]),
     )
@@ -290,8 +282,6 @@ def _evaluate(spec: _TableClaim, p: Prime, table: DeterminantTable) -> TheoremRe
                 if want != got:
                     at = (n + i, c) if down else (n, c + i)
                     ces.append(Counterexample(*at, want, got, spec.detail(at[1])))
-    if spec.by_column:
-        ces.sort(key=lambda ce: (ce.c, ce.n))
     return TheoremReport(spec.claim, p, cases, ces, spec.notes())
 
 
@@ -371,12 +361,8 @@ def check_t3_7(p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremRepor
     determinant 0. A second primitive root spot-check (t = 1, order 2)
     guards against the choice of r mattering.
 
-    Each case's sequence s(k) = [k**(2t) + c] is evaluated for k >= 0
-    only and mirrored: the argument is even in k, so s(-k) = s(k) holds
-    for any symbol. The determinants come from one
-    number wall per distinct sequence, keyed on its exact terms and never
-    on c, e or c mod p, so every case still reads its own terms; no wall
-    outlives the call.
+    Each case's terms and determinants come from `tables.even_power_minors`,
+    with one number wall per distinct sequence within each sweep.
     """
     p = as_prime(p)
     if p.mod12 not in (5, 11):
@@ -389,34 +375,25 @@ def check_t3_7(p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremRepor
     ces = []
     cases = 0
 
-    # W(2..n_top, 0) for each distinct term list, keyed on the terms
-    walls: dict[tuple, list] = {}
-
     def sweep(g: int, ts, n_top: int, tag: str) -> None:
         # the order-m matrix of a case reads the offsets |k| < m of one
         # sequence, and its determinant is W(m, 0) of that sequence's wall
         nonlocal cases
-        for e in exponents:
-            c = pow(g, e, pv)
-            for t in ts:
-                # s(-k) = s(k): the argument k**(2t) + c is even in k
-                half = sequence(EvenPowerPlusC(t, c), p, 0, n_top - 1)
-                terms = (*half[:0:-1], *half)
-                bad = {k for k in range(1 - n_top, n_top) if terms[k + n_top - 1] != 1}
-                nearest = min(map(abs, bad), default=n_top)
-                if terms not in walls:
-                    walls[terms] = number_wall(terms, n_top, first=1 - n_top).column(0, 2, n_top)
-                dets = walls[terms]
-                cases += len(dets)
-                for m, actual in enumerate(dets, 2):
-                    if m > nearest:
-                        i, j = _first_entry(m, bad)
-                        ces.append(
-                            Counterexample(m, c, 1, terms[j - i + n_top - 1],
-                                           f"{tag}entry ({i}, {j}) with t={t}, e={e}")
-                        )
-                    elif actual != 0:
-                        ces.append(Counterexample(m, c, 0, actual, f"{tag}det with t={t}, e={e}"))
+        runs = [(e, pow(g, e, pv), t) for e in exponents for t in ts]
+        minors = even_power_minors(p, ((t, c) for _, c, t in runs), n_top)
+        for (e, c, t), (terms, dets) in zip(runs, minors):
+            bad = {k for k in range(1 - n_top, n_top) if terms[k + n_top - 1] != 1}
+            nearest = min(map(abs, bad), default=n_top)
+            cases += n_top - 1
+            for m, actual in enumerate(dets[1:], 2):
+                if m > nearest:
+                    i, j = _first_entry(m, bad)
+                    ces.append(
+                        Counterexample(m, c, 1, terms[j - i + n_top - 1],
+                                       f"{tag}entry ({i}, {j}) with t={t}, e={e}")
+                    )
+                elif actual != 0:
+                    ces.append(Counterexample(m, c, 0, actual, f"{tag}det with t={t}, e={e}"))
 
     sweep(root, range(1, t_max + 1), n_max, "")
     second = next_primitive_root(p, root)

@@ -200,13 +200,13 @@ def test_verify_lines_format(capsys):
     [
         (("verify", "--p-max", "30", "--format", "lines"),
          "cd1afd985ed6adbc70e428439f47877707af909e49755035396941dbe30f41ef"),
-        # a 3k+1 table: most cells need several CRT primes
+        # a 3k+1 table: its largest cells have 27 digits
         (("table", "-p", "37", "--sum", "--format", "csv"),
          "6643ee3d98dc9e9d61ce6ab006eefd4044382f2534a595a86957d14ad2a779dd"),
         # a large 3k+2 wall with its zero band
         (("table", "-p", "101", "--diff", "--extended", "--format", "csv"),
          "f66509e01723a5fedc4c404f906149d6cba8016904b356295e3113a23e139f63"),
-        # 3k+1, multi-prime cells
+        # 3k+1, with cells past 2**63
         (("table", "-p", "61", "--diff", "--format", "csv"),
          "e70b6e26a6434b17621862336b2230b17dc3ede7dce86396a43a45f063df5479"),
         # box offsets and negative shifts on the sum wall

@@ -20,6 +20,7 @@ from cubres import (
     matrices_equal,
     odd_primes_up_to,
 )
+from cubres import matrices
 from cubres.matrices import sequence
 
 # p = 7, shift 0, order 3
@@ -246,6 +247,28 @@ def test_build_rejects_bad_order():
     # the constructor applies the same rule, as determinant([]) does
     with pytest.raises(ValueError, match="order >= 1"):
         ResidueMatrix(0, np.zeros((0, 0), dtype=np.int8), as_prime(7), DiffPlusC(0))
+
+
+@pytest.mark.parametrize("formula, p, n", [
+    (SumPlusC(0), 199, 199), (DiffPlusC(-4), 11, 6), (EvenPowerPlusC(2, 3), 19, 1),
+])
+def test_build_evaluates_its_grid_once(monkeypatch, formula, p, n):
+    # build_matrix reads 2n - 1 sequence terms once; the constructor, given
+    # entries from a caller, reads them again to check that they are the grid
+    calls = []
+
+    def spy(f, q, lo, hi):
+        calls.append(hi - lo + 1)
+        return real(f, q, lo, hi)
+
+    real = matrices.sequence
+    monkeypatch.setattr(matrices, "sequence", spy)
+    m = build_matrix(formula, p, n)
+    assert calls == [2 * n - 1]
+    assert (m.order, m.prime, m.formula) == (n, as_prime(p), formula)
+    assert all(type(v) is int for row in m.entries for v in row)
+    again = ResidueMatrix(n, m.rows(), as_prime(p), formula)
+    assert calls == [2 * n - 1] * 2 and matrices_equal(again, m)
 
 
 def test_negative_and_large_shifts():

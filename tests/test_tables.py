@@ -149,6 +149,28 @@ def test_large_tables_match_leading_minors(family, p, extended):
     _matches_column_minors(generate_table(family, p, extended=extended))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([q for q in odd_primes_up_to(97) if q >= 5]),
+    family=st.sampled_from(FAMILIES),
+    t=st.integers(1, 3),
+    n_hi=st.integers(1, 25),
+    n_span=st.integers(0, 24),
+    c_lo=st.integers(-50, 50),
+    c_width=st.integers(1, 30),
+)
+def test_boxes_off_the_origin_match_leading_minors(p, family, t, n_hi, n_span, c_lo, c_width):
+    # the wall's first term and each order's read offset depend on the
+    # box's corner; the oracle is the elimination engine on each column's
+    # plain rows, which shares no offset arithmetic with the wall
+    n_lo = max(1, n_hi - n_span)
+    c_hi = c_lo + c_width - 1
+    table = generate_table(family, p, (n_lo, n_hi), (c_lo, c_hi), t=t)
+    for c in range(c_lo, c_hi + 1):
+        rows = build_matrix(family_formula(family, c, t), p, n_hi).rows()
+        assert table.column(c) == leading_minors(rows)[n_lo - 1:], (n_lo, c)
+
+
 def test_generation_is_deterministic():
     a = generate_table("diff", 11)
     b = generate_table("diff", 11)
@@ -287,7 +309,7 @@ _FORMULAS = (
     t=st.integers(1, 10**9),
 )
 def test_formula_minors_match_leading_minors(make, p, n, c, t):
-    # the kernel is the oracle: CRT elimination of the built matrix's rows
+    # the elimination engine is the oracle: leading minors of the built matrix's rows
     formula = make(c, t)
     assert formula_minors(formula, p, n) == leading_minors(build_matrix(formula, p, n).rows())
 
@@ -314,5 +336,6 @@ def test_formula_minors_bounds_and_exports():
         assert str(read.value) == str(built.value)
     with pytest.raises(ValueError):
         formula_minors(DiffPlusC(0), 9, 2)
-    assert "formula_minors" in tables.__all__
-    assert "formula_minors" not in cubres.__all__
+    for name in ("formula_minors", "even_power_minors"):
+        assert name in tables.__all__
+        assert name not in cubres.__all__

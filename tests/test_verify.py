@@ -5,7 +5,6 @@ import pytest
 
 import cubres.matrices as matrices
 import cubres.tables as tables
-import cubres.verify as verify
 from cubres import (
     CLAIMS,
     Counterexample,
@@ -158,7 +157,7 @@ def test_t3_7_determinant_is_read_off_the_wall(monkeypatch):
     # every block of a passing case is all ones, so only the wall's
     # determinant can fail it: add 1 at order 3 and each shift must report
     # one det counterexample there, and nothing else
-    monkeypatch.setattr(verify, "number_wall", _planting(verify.number_wall, lambda n, c: n == 3))
+    monkeypatch.setattr(tables, "number_wall", _planting(tables.number_wall, lambda n, c: n == 3))
     r = check_t3_7(11, t_max=1, n_max=4)
     assert r.cases_checked == 5 * 3 + 5
     assert r.counterexamples == [
@@ -168,25 +167,29 @@ def test_t3_7_determinant_is_read_off_the_wall(monkeypatch):
 def test_t3_7_builds_one_wall_per_distinct_sequence(monkeypatch):
     # every passing case reads an all-ones sequence: one wall of depth
     # n_max for the full sweep and one of depth 2 for the spot check
-    depths = []
+    walls = []
 
-    def spy(seq, depth, **kwargs):
-        depths.append(depth)
-        return real(seq, depth, **kwargs)
+    def spy(seq, depth, *, first):
+        walls.append((depth, first))
+        return real(seq, depth, first=first)
 
-    real = verify.number_wall
-    monkeypatch.setattr(verify, "number_wall", spy)
+    real = tables.number_wall
+    monkeypatch.setattr(tables, "number_wall", spy)
     assert check_t3_7(11, t_max=1, n_max=4).passed
-    assert depths == [4, 2]
-    depths.clear()
+    assert walls == [(4, -3), (2, -1)]
+    walls.clear()
     assert all(r.passed for r in verify_all(60))
-    # two walls for each of the nine 3k+2 primes from 5 to 59
-    assert depths == [8, 2] * 9
+    # for each of the nine 3k+2 primes from 5 to 59, the shared diff table's
+    # wall, which starts at s(c_lo - n_hi + 1) with c_lo = -1 and n_hi = p + 10,
+    # then T3_7's two walls, each centred on s(0)
+    primes = [q for q in odd_primes_up_to(59) if q % 3 == 2]
+    assert len(primes) == 9
+    assert walls == [w for q in primes for w in ((q + 10, -q - 10), (8, -7), (2, -1))]
 
 
 # The array versions of the three sequence checkers, kept as their oracle:
 # each order's matrix is built on its own leading block and its determinant
-# comes from the int64/CRT engine rather than from a number wall.
+# comes from the elimination engine rather than from a number wall.
 
 def _t3_4_notes_on_arrays(p):
     m = p.value - 2
