@@ -1,77 +1,31 @@
 """Exhaustive verification of the determinant identities and symbol facts.
 
-Each checker sweeps the full stated parameter range of one claim for one
-prime, comparing the value predicted by the claim's closed form against
-the value computed from the symbol itself, the symbol sequences of the
-formulas, or determinants that the tables module reads off number walls.
-No checker builds a matrix or runs an elimination, and none imports
-numpy. Eight of the matrix claims are predicates over cells of one
-difference-family determinant table, which verify_all computes once per
-prime and shares between them. Checkers never abort early: every
-counterexample in range is collected, and a report passes exactly when
-none were found.
-
-Claims are cataloged by stable ids (the CLAIMS tuple); preconditions on
-the prime's residue class are enforced with ValueError so a checker can
-never silently run outside its domain.
-
-T3_6, T3_7 and the T3_4 note read the symbol sequences of Toeplitz
-families: the order-n block reads the offsets j - i with |j - i| < n, so
-one sequence per case serves every order. T3_7 takes each case's terms
-and determinants from `tables.even_power_minors`.
+Each claim is one entry of the private `_CATALOG`, in CLAIMS order: its
+id, the form of prime it needs, its cases as lines of expected and actual
+values with their sweep coordinates, the box of the difference-family
+determinant table they read, and its notes. Expected values come from a
+closed form, the symbol or the enumerated cubes, never from the value
+under test; actual values from a symbol sweep, Toeplitz symbol sequences
+or number walls read by the tables module, never from a built matrix or
+an elimination. One evaluator, `_evaluate`, counts every case, compares
+each line as one list, and only on a mismatch builds a Counterexample per
+differing case, in sweep order; a report passes exactly when it has none.
+Table claims evaluated together share one diff table, the smallest box
+holding each of theirs: all of them in `verify_all`, one in a checker.
 """
 
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
 from .matrices import CubeDiffPlusOne, DiffPlusC, sequence
-from .residues import (
-    Prime,
-    Record,
-    as_prime,
-    cubic_residue_set,
-    cubic_residue_symbol,
-    next_primitive_root,
-    odd_primes_up_to,
-    primitive_root,
-)
+from .residues import (Prime, Record, as_int, as_prime, cubic_residue_set, cubic_residue_symbol,
+                       next_primitive_root, odd_primes_up_to, primitive_root)
 from .tables import EXTENDED_EXTRA_ORDERS, DeterminantTable, even_power_minors, generate_table
 
-__all__ = [
-    "CLAIMS",
-    "Counterexample",
-    "TheoremReport",
-    "check_propositions",
-    "check_t3_1",
-    "check_t3_2",
-    "check_t3_3",
-    "check_t3_4",
-    "check_t3_5",
-    "check_t3_6",
-    "check_t3_7",
-    "check_row_period_np",
-    "check_table_period",
-    "check_remark_n1",
-    "verify_all",
-    "report_lines",
-    "report_text",
-]
-
-CLAIMS = (
-    "P2_3",
-    "P2_4",
-    "P2_5",
-    "T3_1",
-    "T3_2",
-    "T3_3",
-    "T3_4",
-    "T3_5",
-    "T3_6",
-    "T3_7",
-    "ROW_PERIOD_NP",
-    "TABLE_PERIOD",
-    "REMARK_N1",
-)
+__all__ = ["CLAIMS", "Counterexample", "TheoremReport", "check_propositions", "check_t3_1",
+           "check_t3_2", "check_t3_3", "check_t3_4", "check_t3_5", "check_t3_6", "check_t3_7",
+           "check_row_period_np", "check_table_period", "check_remark_n1", "verify_all",
+           "report_lines", "report_text"]
 
 
 class Counterexample(Record):
@@ -97,8 +51,7 @@ class TheoremReport(Record):
 
     def __init__(self, claim: str, prime: Prime, cases_checked: int,
                  counterexamples: "list | None" = None, notes: "list | None" = None) -> None:
-        self._store(claim, prime, cases_checked,
-                    [] if counterexamples is None else counterexamples,
+        self._store(claim, prime, cases_checked, [] if counterexamples is None else counterexamples,
                     [] if notes is None else notes)
 
     @property
@@ -106,114 +59,80 @@ class TheoremReport(Record):
         return not self.counterexamples
 
 
-def _require_form_3k2(p: Prime, claim: str) -> None:
-    if p.mod3 != 2:
-        raise ValueError(f"{claim} needs a prime of the form 3k+2, got {p.value}")
-
-
-def check_propositions(p: "Prime | int", a_bound: "int | None" = None) -> list[TheoremReport]:
-    """Symbol facts, as three sub-reports.
-
-    P2_3: the symbol is constant on residue classes, maps every nonzero
-    cube to 1, and is even; swept for a in [-a_bound, a_bound] (default
-    2p) plus all of [1, p-1] for the cube fact.
-    P2_4 (p = 3k+1 only): exactly (p-1)/3 nonzero classes are residues and
-    2(p-1)/3 are nonresidues, with the symbol agreeing with brute-force
-    cube enumeration everywhere.
-    P2_5 (p = 3k+2 only): every nonzero class is a residue, again checked
-    against the enumerated cube set rather than the symbol's own shortcut.
-    Inapplicable sub-reports are returned with zero cases and a note.
-    """
-    p = as_prime(p)
-    pv = p.value
-    bound = 2 * pv if a_bound is None else int(a_bound)
-
-    ces: list[Counterexample] = []
-    cases = 0
-    for a in range(-bound, bound + 1):
-        s = cubic_residue_symbol(a, p)
-        cases += 1
-        sr = cubic_residue_symbol(a % pv, p)
-        if s != sr:
-            ces.append(Counterexample(a, a % pv, sr, s, "symbol not constant on the class of a"))
-        cases += 1
-        sn = cubic_residue_symbol(-a, p)
-        if s != sn:
-            ces.append(Counterexample(a, -a, s, sn, "negating a changed the symbol"))
-    for a in range(1, pv):
-        cases += 1
-        sc = cubic_residue_symbol(a**3, p)
-        if sc != 1:
-            ces.append(Counterexample(a, (a**3) % pv, 1, sc, "nonzero cube with symbol != 1"))
-    out = [TheoremReport("P2_3", p, cases, ces)]
-
-    if p.mod3 == 1:
-        residues = cubic_residue_set(p)
-        ces = []
-        cases = 1
-        if len(residues) != (pv - 1) // 3:
-            ces.append(Counterexample(0, 0, (pv - 1) // 3, len(residues), "residue count"))
-        nonresidues = sum(1 for a in range(1, pv) if cubic_residue_symbol(a, p) == -1)
-        cases += 1
-        if nonresidues != 2 * (pv - 1) // 3:
-            ces.append(Counterexample(0, 0, 2 * (pv - 1) // 3, nonresidues, "nonresidue count"))
-        for a in range(1, pv):
-            cases += 1
-            want = 1 if a in residues else -1
-            got = cubic_residue_symbol(a, p)
-            if got != want:
-                ces.append(Counterexample(a, 0, want, got, "symbol vs cube enumeration"))
-        out.append(TheoremReport("P2_4", p, cases, ces))
-    else:
-        out.append(TheoremReport("P2_4", p, 0, [], [f"not applicable: {pv} % 3 == {p.mod3}"]))
-
-    if p.mod3 == 2:
-        residues = cubic_residue_set(p)
-        ces = []
-        cases = 1
-        if residues != set(range(1, pv)):
-            ces.append(Counterexample(0, 0, pv - 1, len(residues), "cube enumeration missed classes"))
-        for a in range(1, pv):
-            cases += 1
-            got = cubic_residue_symbol(a, p)
-            if got != 1:
-                ces.append(Counterexample(a, 0, 1, got, "nonzero class with symbol != 1"))
-        out.append(TheoremReport("P2_5", p, cases, ces))
-    else:
-        out.append(TheoremReport("P2_5", p, 0, [], [f"not applicable: {pv} % 3 == {p.mod3}"]))
-
-    return out
-
-
 class _Line(NamedTuple):
-    """A run of table cells that a claim compares with its closed form:
-    expected and actual, from (n, c) along a row, or down a column."""
+    """A run of a claim's cases in sweep order: expected and actual values,
+    and where(i), the (n, c, detail) of case i, asked only when it fails."""
 
-    n: int
-    c: int
-    down: bool
     expected: list
     actual: list
+    where: Callable[[int], tuple[int, int, str]]
 
 
-def _along(table: DeterminantTable, n: int, shifts: range, expected: list) -> _Line:
-    return _Line(n, shifts[0], False, expected, table.row(n, shifts[0], shifts[-1]))
+def _down(n: int, c: int, expected: list, actual: list, detail: "str | list" = "") -> _Line:
+    """Cases at (n, c), (n + 1, c), ..., with one detail or a list of one per case."""
+    return _Line(expected, actual,
+                 lambda i: (n + i, c, detail if isinstance(detail, str) else detail[i]))
 
 
-def _down(table: DeterminantTable, c: int, orders: range, expected: list) -> _Line:
-    return _Line(orders[0], c, True, expected, table.column(c, orders[0], orders[-1]))
+def _along(n: int, c: int, expected: list, actual: list, detail: str = "") -> _Line:
+    """Cases at (n, c), (n, c + 1), ...: a table row."""
+    return _Line(expected, actual, lambda i: (n, c + i, detail))
 
 
-class _TableClaim(NamedTuple):
-    """A claim read off the difference-family table: the box of cells it
-    reads, and its cases as lines of that table in sweep order."""
+class _Claim(NamedTuple):
+    """One catalog entry. For form (m, classes) the claim needs p % m in
+    classes (None: any prime); outside it, it raises ValueError, or reports
+    zero cases and a note when noted. lines(p, **inputs) yields its cases,
+    reading the inputs it names; box(p) is a table claim's (orders, shifts)."""
 
     claim: str
-    n_range: tuple[int, int]
-    c_range: tuple[int, int]
-    lines: Callable[[DeterminantTable], Iterable[_Line]]
-    detail: Callable[[int], str] = lambda c: ""
-    notes: Callable[[], list[str]] = list
+    form: "tuple[int, tuple[int, ...]] | None"
+    lines: Callable[..., Iterable[_Line]]
+    box: "Callable[[int], tuple] | None" = None
+    notes: Callable[[Prime], list] = lambda p: []
+    noted: bool = False
+
+
+def _p2_3(p: Prime, a_bound: int, **_) -> Iterable[_Line]:
+    # case 2i compares s(a) with s(a mod p), and case 2i + 1 s(-a) with
+    # s(a), for the i-th a of [-a_bound, a_bound]: s(-a) is s read backwards
+    pv = p.value
+    s = [cubic_residue_symbol(a, p) for a in range(-a_bound, a_bound + 1)]
+    same = [cubic_residue_symbol(a % pv, p) for a in range(-a_bound, a_bound + 1)]
+
+    def where(i: int) -> tuple[int, int, str]:
+        a = i // 2 - a_bound
+        if i % 2:
+            return a, -a, "negating a changed the symbol"
+        return a, a % pv, "symbol not constant on the class of a"
+
+    yield _Line([v for pair in zip(same, s) for v in pair],
+                [v for pair in zip(s, reversed(s)) for v in pair], where)
+    yield _Line([1] * (pv - 1), [cubic_residue_symbol(a**3, p) for a in range(1, pv)],
+                lambda i: (i + 1, (i + 1) ** 3 % pv, "nonzero cube with symbol != 1"))
+
+
+def _p2_4(p: Prime, **_) -> Iterable[_Line]:
+    pv = p.value
+    residues = cubic_residue_set(p)
+    s = [cubic_residue_symbol(a, p) for a in range(1, pv)]
+    yield _along(0, 0, [(pv - 1) // 3], [len(residues)], "residue count")
+    yield _along(0, 0, [2 * (pv - 1) // 3], [s.count(-1)], "nonresidue count")
+    yield _down(1, 0, [1 if a in residues else -1 for a in range(1, pv)], s,
+                "symbol vs cube enumeration")
+
+
+def _p2_5(p: Prime, **_) -> Iterable[_Line]:
+    # the enumerated cubes lie in 1..p - 1: they miss a class when fewer than p - 1
+    pv = p.value
+    yield _along(0, 0, [pv - 1], [len(cubic_residue_set(p))], "cube enumeration missed classes")
+    yield _down(1, 0, [1] * (pv - 1), [cubic_residue_symbol(a, p) for a in range(1, pv)],
+                "nonzero class with symbol != 1")
+
+
+def _table(lines: Callable[[int, DeterminantTable], Iterable[_Line]]) -> Callable:
+    """A table claim's lines, read off the table among its inputs."""
+    return lambda p, table, **_: lines(p.value, table)
 
 
 def _t3_4_notes(p: Prime) -> list[str]:
@@ -224,11 +143,8 @@ def _t3_4_notes(p: Prime) -> list[str]:
     m = p.value - 2
     # run[k] for k = 0..2m - 1: the ones in s(k), s(k - 1), ..., read from
     # s(1 - m) on, which is exact wherever it is below m >= n
-    run, length = [], 0
-    for v in sequence(DiffPlusC(0), p, 1 - m, 2 * m - 1):
-        length = length + 1 if v == 1 else 0
-        run.append(length)
-    run = run[m - 1:]
+    run = list(accumulate(sequence(DiffPlusC(0), p, 1 - m, 2 * m - 1),
+                          lambda length, v: length + 1 if v == 1 else 0, initial=0))[m:]
     interior = range(2, p.value - 1)
     misses = []
     for n in interior:
@@ -237,118 +153,182 @@ def _t3_4_notes(p: Prime) -> list[str]:
         misses += [(n, c) for c in interior if full[c + n] - full[c] < 2]
     cases = len(interior) ** 2
     notes = [f"all-ones column pairs present in {cases - len(misses)}/{cases} cases"]
-    if misses:
-        notes.append(f"mechanism absent at {misses[:5]}")
-    return notes
+    return notes + [f"mechanism absent at {misses[:5]}"] if misses else notes
 
 
-def _table_claims(p: Prime) -> tuple[_TableClaim, ...]:
-    """The eight table claims for one prime, in catalog order. Expected
-    values come from the closed forms, never from the cell under test;
-    TABLE_PERIOD compares two cells computed independently."""
+def _first_differences(bad: set, top: int) -> list[tuple[int, int]]:
+    """The first 1-based (i, j), in row-major order, with j - i in bad, of
+    each order-n Toeplitz block, 2 <= n <= top, that reads such an offset."""
+    nearest = min(map(abs, bad), default=top)
+    return [next((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j - i in bad)
+            for n in range(max(nearest + 1, 2), top + 1)]
+
+
+def _t3_6(p: Prime, **_) -> Iterable[_Line]:
+    top = p.value - 2
+    a = sequence(DiffPlusC(1), p, 1 - top, top - 1)
+    b = sequence(CubeDiffPlusOne(), p, 1 - top, top - 1)
+    # each order compares its first differing entry, or (1, 1) when there is none
+    firsts = _first_differences({k for k, (u, v) in enumerate(zip(a, b), 1 - top) if u != v}, top)
+    probes = [(1, 1)] * (top - 1 - len(firsts)) + firsts
+    at = [j - i + top - 1 for i, j in probes]
+    yield _down(2, 1, [a[k] for k in at], [b[k] for k in at],
+                [f"entries differ at {ij}" for ij in probes])
+
+
+def _roots(p: Prime) -> tuple[int, int]:
+    """T3_7's primitive roots: the smallest and the next."""
+    root = primitive_root(p)
+    return root, next_primitive_root(p, root)
+
+
+def _t3_7(p: Prime, t_max: int, n_max: int, **_) -> Iterable[_Line]:
     pv = p.value
-    interior = range(2, pv - 1)
-    band = range(pv + 1, pv + EXTENDED_EXTRA_ORDERS + 1)
-    period = range(pv)
-    return (
-        _TableClaim("T3_1", (1, pv), (0, 0), lambda d: [
-            _down(d, 0, range(1, pv + 1), [(-1) ** (n - 1) * (n - 1) for n in range(1, pv + 1)])]),
-        _TableClaim("T3_2", (2, pv - 1), (-1, 1), lambda d: [
-            _down(d, c, range(2, pv), [1] * (pv - 2)) for c in (1, -1)]),
-        _TableClaim("T3_3", (pv, pv), (1, pv - 1), lambda d: [
-            _along(d, pv, range(1, pv), [pv - 1] * (pv - 1))]),
-        _TableClaim("T3_4", (2, pv - 2), (2, pv - 2), lambda d: (
-            _along(d, n, interior, [0] * len(interior)) for n in interior),
-            notes=lambda: _t3_4_notes(p)),
-        _TableClaim("T3_5", (pv - 1, pv - 1), (1, pv - 1), lambda d: [
-            _along(d, pv - 1, range(1, pv), [1] * (pv - 1))]),
-        _TableClaim("ROW_PERIOD_NP", (band[0], band[-1]), (0, pv - 1), lambda d: (
-            _along(d, n, period, [0] * pv) for n in band)),
-        _TableClaim("TABLE_PERIOD", (1, pv), (0, 2 * pv - 1), lambda d: (
-            _Line(1, c, True, d.column(c, 1, pv), d.column(c + pv, 1, pv)) for c in period),
-            detail=lambda c: f"column {c} vs {c + pv}"),
-        _TableClaim("REMARK_N1", (1, 1), (0, 2 * pv - 1), lambda d: [
-            _along(d, 1, range(2 * pv), [0 if c % pv == 0 else 1 for c in range(2 * pv)])]),
-    )
+    root, second = _roots(p)
+    exponents = range(1, pv - 1, 2) if p.mod12 == 5 else range(2, pv, 2)
+    for g, ts, top, tag in ((root, range(1, t_max + 1), n_max, ""),
+                            (second, (1,), 2, f"second root {second}: ")):
+        runs = [(e, pow(g, e, pv), t) for e in exponents for t in ts]
+        minors = even_power_minors(p, ((t, c) for _, c, t in runs), top)
+        for (e, c, t), (terms, dets) in zip(runs, minors):
+            # an all-ones block must have det 0, read as W(m, 0) off the
+            # case's wall; any other fails on its first entry that is not 1
+            bad = {k for k, v in enumerate(terms, 1 - top) if v != 1}
+            firsts = _first_differences(bad, top) if bad else []
+            ones = top - 1 - len(firsts)
+            yield _down(2, c, [0] * ones, dets[1:ones + 1], f"{tag}det with t={t}, e={e}")
+            if firsts:
+                yield _down(ones + 2, c, [1] * len(firsts), [terms[j - i + top - 1] for i, j in firsts],
+                            [f"{tag}entry {ij} with t={t}, e={e}" for ij in firsts])
 
 
-def _evaluate(spec: _TableClaim, p: Prime, table: DeterminantTable) -> TheoremReport:
-    ces = []
-    cases = 0
-    for n, c, down, expected, actual in spec.lines(table):
+_3K2 = (3, (2,))
+
+_CATALOG = (
+    _Claim("P2_3", None, _p2_3),
+    _Claim("P2_4", (3, (1,)), _p2_4, noted=True),
+    _Claim("P2_5", _3K2, _p2_5, noted=True),
+    _Claim("T3_1", _3K2, _table(lambda pv, d: [
+        _down(1, 0, [(-1) ** (n - 1) * (n - 1) for n in range(1, pv + 1)], d.column(0, 1, pv))]),
+        lambda pv: ((1, pv), (0, 0))),
+    _Claim("T3_2", _3K2, _table(lambda pv, d: [
+        _down(2, c, [1] * (pv - 2), d.column(c, 2, pv - 1)) for c in (1, -1)]),
+        lambda pv: ((2, pv - 1), (-1, 1))),
+    _Claim("T3_3", _3K2, _table(lambda pv, d: [
+        _along(pv, 1, [pv - 1] * (pv - 1), d.row(pv, 1, pv - 1))]),
+        lambda pv: ((pv, pv), (1, pv - 1))),
+    _Claim("T3_4", _3K2, _table(lambda pv, d: (
+        _along(n, 2, [0] * (pv - 3), d.row(n, 2, pv - 2)) for n in range(2, pv - 1))),
+        lambda pv: ((2, pv - 2), (2, pv - 2)), _t3_4_notes),
+    _Claim("T3_5", _3K2, _table(lambda pv, d: [
+        _along(pv - 1, 1, [1] * (pv - 1), d.row(pv - 1, 1, pv - 1))]),
+        lambda pv: ((pv - 1, pv - 1), (1, pv - 1))),
+    _Claim("T3_6", _3K2, _t3_6),
+    _Claim("T3_7", (12, (5, 11)), _t3_7, notes=lambda p: [
+        "primitive roots used: {} (full sweep), {} (spot check)".format(*_roots(p)),
+        "shifts r**e are reduced mod p before building the matrix"]),
+    _Claim("ROW_PERIOD_NP", _3K2, _table(lambda pv, d: (
+        _along(n, 0, [0] * pv, d.row(n, 0, pv - 1))
+        for n in range(pv + 1, pv + EXTENDED_EXTRA_ORDERS + 1))),
+        lambda pv: ((pv + 1, pv + EXTENDED_EXTRA_ORDERS), (0, pv - 1))),
+    _Claim("TABLE_PERIOD", _3K2, _table(lambda pv, d: (
+        _down(1, c, d.column(c, 1, pv), d.column(c + pv, 1, pv), f"column {c} vs {c + pv}")
+        for c in range(pv))),
+        lambda pv: ((1, pv), (0, 2 * pv - 1))),
+    _Claim("REMARK_N1", _3K2, _table(lambda pv, d: [
+        _along(1, 0, [0 if c % pv == 0 else 1 for c in range(2 * pv)], d.row(1, 0, 2 * pv - 1))]),
+        lambda pv: ((1, 1), (0, 2 * pv - 1))),
+)
+
+CLAIMS = tuple(entry.claim for entry in _CATALOG)
+
+
+def _fits(entry: _Claim, p: Prime) -> bool:
+    return entry.form is None or p.value % entry.form[0] in entry.form[1]
+
+
+def _evaluate(entry: _Claim, p: Prime, inputs: dict) -> TheoremReport:
+    """The report of one claim for one prime, every case counted and every
+    counterexample collected in sweep order."""
+    if not _fits(entry, p):
+        m = entry.form[0]
+        return TheoremReport(entry.claim, p, 0, [], [f"not applicable: {p.value} % {m} == {p.value % m}"])
+    ces, cases = [], 0
+    for expected, actual, where in entry.lines(p, **inputs):
         cases += len(actual)
         if actual != expected:
             for i, (want, got) in enumerate(zip(expected, actual)):
                 if want != got:
-                    at = (n + i, c) if down else (n, c + i)
-                    ces.append(Counterexample(*at, want, got, spec.detail(at[1])))
-    return TheoremReport(spec.claim, p, cases, ces, spec.notes())
+                    n, c, detail = where(i)
+                    ces.append(Counterexample(n, c, want, got, detail))
+    return TheoremReport(entry.claim, p, cases, ces, entry.notes(p))
 
 
-def _check_table_claim(claim: str, p: "Prime | int") -> TheoremReport:
-    """One table claim on its own, over a table of just its box."""
+def _run(entries: list, p: Prime, a_bound: int, t_max: int, n_max: int) -> list[TheoremReport]:
+    """Evaluate entries for one prime, the table claims among them over one
+    diff table, the smallest box holding each of their boxes."""
+    t_max, n_max = as_int(t_max, "t_max"), as_int(n_max, "n_max")
+    if t_max < 1 or n_max < 2:
+        raise ValueError(f"need t_max >= 1 and n_max >= 2, got ({t_max}, {n_max})")
+    boxes = [entry.box(p.value) for entry in entries if entry.box and _fits(entry, p)]
+    table = generate_table("diff", p, *[(min(lo for lo, _ in ranges), max(hi for _, hi in ranges))
+                                        for ranges in zip(*boxes)]) if boxes else None
+    inputs = {"table": table, "a_bound": a_bound, "t_max": t_max, "n_max": n_max}
+    return [_evaluate(entry, p, inputs) for entry in entries]
+
+
+def _standalone(claim: str, p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremReport:
+    """One matrix claim on its own, over a diff table of just its own box."""
     p = as_prime(p)
-    _require_form_3k2(p, claim)
-    spec = next(s for s in _table_claims(p) if s.claim == claim)
-    return _evaluate(spec, p, generate_table("diff", p, spec.n_range, spec.c_range))
+    entry = _CATALOG[CLAIMS.index(claim)]
+    if not _fits(entry, p):
+        forms = " or ".join(f"{entry.form[0]}k+{r}" for r in entry.form[1])
+        raise ValueError(f"{claim} needs a prime of the form {forms}, got {p.value}")
+    return _run([entry], p, 0, t_max, n_max)[0]
 
 
-def check_t3_1(p: "Prime | int") -> TheoremReport:
-    """Shift 0: det equals (-1)**(n-1) * (n-1) for every order 1 <= n <= p."""
-    return _check_table_claim("T3_1", p)
+def _checker(claim: str, doc: str) -> Callable[["Prime | int"], TheoremReport]:
+    def check(p: "Prime | int") -> TheoremReport:
+        return _standalone(claim, p)
+
+    check.__name__ = check.__qualname__ = f"check_{claim.lower()}"
+    check.__doc__ = doc
+    return check
 
 
-def check_t3_2(p: "Prime | int") -> TheoremReport:
-    """Shifts +1 and -1: det equals 1 for every order 1 < n <= p - 1."""
-    return _check_table_claim("T3_2", p)
+def check_propositions(p: "Prime | int", a_bound: "int | None" = None) -> list[TheoremReport]:
+    """Symbol facts, as three sub-reports.
+
+    P2_3: the symbol is constant on residue classes, maps every nonzero
+    cube to 1, and is even; swept for a in [-a_bound, a_bound] (default
+    2p) plus all of [1, p-1] for the cube fact. a_bound must be an integer
+    of at least 0.
+    P2_4 (p = 3k+1 only): exactly (p-1)/3 nonzero classes are residues and
+    2(p-1)/3 are nonresidues, with the symbol agreeing with brute-force
+    cube enumeration everywhere.
+    P2_5 (p = 3k+2 only): every nonzero class is a residue, again checked
+    against the enumerated cube set rather than the symbol's own shortcut.
+    Inapplicable sub-reports are returned with zero cases and a note.
+    """
+    p = as_prime(p)
+    bound = 2 * p.value if a_bound is None else as_int(a_bound, "a_bound")
+    if bound < 0:
+        raise ValueError(f"a_bound must be at least 0, got {bound}")
+    return _run([entry for entry in _CATALOG if entry.claim.startswith("P2_")], p, bound, 3, 8)
 
 
-def check_t3_3(p: "Prime | int") -> TheoremReport:
-    """Full order n = p: det equals p - 1 for every shift 1 <= c <= p - 1."""
-    return _check_table_claim("T3_3", p)
-
-
-def check_t3_4(p: "Prime | int") -> TheoremReport:
-    """Interior rectangle 2 <= n <= p - 2, 2 <= c <= p - 2: det equals 0.
+check_t3_1 = _checker("T3_1", "Shift 0: det equals (-1)**(n-1) * (n-1) for every order 1 <= n <= p.")
+check_t3_2 = _checker("T3_2", "Shifts +1 and -1: det equals 1 for every order 1 < n <= p - 1.")
+check_t3_3 = _checker("T3_3", "Full order n = p: det equals p - 1 for every shift 1 <= c <= p - 1.")
+check_t3_4 = _checker("T3_4", """Interior rectangle 2 <= n <= p - 2, 2 <= c <= p - 2: det equals 0.
 
     Also counts, per case, the mechanism behind the rank collapse (at
     least two all-ones columns); a case without it is noted, never failed,
     since the determinant value is the claim under test.
-    """
-    return _check_table_claim("T3_4", p)
-
-
-def check_t3_5(p: "Prime | int") -> TheoremReport:
-    """Order n = p - 1: det equals 1 for every shift 1 <= c <= p - 1."""
-    return _check_table_claim("T3_5", p)
-
-
-def _first_entry(n: int, bad: set[int]) -> tuple[int, int]:
-    """The first 1-based (i, j), in row-major order, of an order-n
-    Toeplitz block whose offset j - i is in bad."""
-    return next((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if j - i in bad)
-
-
-def check_t3_6(p: "Prime | int") -> TheoremReport:
-    """The shift-1 matrix and the cubed-difference-plus-one matrix agree
-    entrywise (hence in determinant) for every order 2 <= n <= p - 2."""
-    p = as_prime(p)
-    _require_form_3k2(p, "T3_6")
-    top = p.value - 2
-    # both are Toeplitz: the order-n blocks read the offsets |k| < n of two sequences
-    a = sequence(DiffPlusC(1), p, 1 - top, top - 1)
-    b = sequence(CubeDiffPlusOne(), p, 1 - top, top - 1)
-    bad = {k for k in range(1 - top, top) if a[k + top - 1] != b[k + top - 1]}
-    nearest = min(map(abs, bad), default=top)
-    ces = []
-    cases = 0
-    for n in range(2, top + 1):
-        cases += 1
-        if n > nearest:
-            i, j = _first_entry(n, bad)
-            ces.append(Counterexample(n, 1, a[j - i + top - 1], b[j - i + top - 1],
-                                      f"entries differ at ({i}, {j})"))
-    return TheoremReport("T3_6", p, cases, ces)
+    """)
+check_t3_5 = _checker("T3_5", "Order n = p - 1: det equals 1 for every shift 1 <= c <= p - 1.")
+check_t3_6 = _checker("T3_6", """The shift-1 matrix and the cubed-difference-plus-one matrix agree
+    entrywise (hence in determinant) for every order 2 <= n <= p - 2.""")
 
 
 def check_t3_7(p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremReport:
@@ -364,123 +344,57 @@ def check_t3_7(p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremRepor
     Each case's terms and determinants come from `tables.even_power_minors`,
     with one number wall per distinct sequence within each sweep.
     """
-    p = as_prime(p)
-    if p.mod12 not in (5, 11):
-        raise ValueError(f"T3_7 needs a prime of the form 12k+5 or 12k+11, got {p.value}")
-    if t_max < 1 or n_max < 2:
-        raise ValueError(f"need t_max >= 1 and n_max >= 2, got ({t_max}, {n_max})")
-    pv = p.value
-    root = primitive_root(p)
-    exponents = range(1, pv - 1, 2) if p.mod12 == 5 else range(2, pv, 2)
-    ces = []
-    cases = 0
-
-    def sweep(g: int, ts, n_top: int, tag: str) -> None:
-        # the order-m matrix of a case reads the offsets |k| < m of one
-        # sequence, and its determinant is W(m, 0) of that sequence's wall
-        nonlocal cases
-        runs = [(e, pow(g, e, pv), t) for e in exponents for t in ts]
-        minors = even_power_minors(p, ((t, c) for _, c, t in runs), n_top)
-        for (e, c, t), (terms, dets) in zip(runs, minors):
-            bad = {k for k in range(1 - n_top, n_top) if terms[k + n_top - 1] != 1}
-            nearest = min(map(abs, bad), default=n_top)
-            cases += n_top - 1
-            for m, actual in enumerate(dets[1:], 2):
-                if m > nearest:
-                    i, j = _first_entry(m, bad)
-                    ces.append(
-                        Counterexample(m, c, 1, terms[j - i + n_top - 1],
-                                       f"{tag}entry ({i}, {j}) with t={t}, e={e}")
-                    )
-                elif actual != 0:
-                    ces.append(Counterexample(m, c, 0, actual, f"{tag}det with t={t}, e={e}"))
-
-    sweep(root, range(1, t_max + 1), n_max, "")
-    second = next_primitive_root(p, root)
-    sweep(second, (1,), 2, f"second root {second}: ")
-    notes = [
-        f"primitive roots used: {root} (full sweep), {second} (spot check)",
-        "shifts r**e are reduced mod p before building the matrix",
-    ]
-    return TheoremReport("T3_7", p, cases, ces, notes)
+    return _standalone("T3_7", p, t_max, n_max)
 
 
-def check_row_period_np(p: "Prime | int") -> TheoremReport:
-    """Orders past p: rows repeat with period p, so det equals 0 for every
-    order of the extended band p < n <= p + EXTENDED_EXTRA_ORDERS and every
-    shift 0 <= c <= p - 1."""
-    return _check_table_claim("ROW_PERIOD_NP", p)
-
-
-def check_table_period(p: "Prime | int") -> TheoremReport:
-    """Table columns repeat horizontally: cell(n, c) = cell(n, c + p) over
-    the default two-period table."""
-    return _check_table_claim("TABLE_PERIOD", p)
-
-
-def check_remark_n1(p: "Prime | int") -> TheoremReport:
-    """Order 1: the lone entry is the symbol of c, so det equals 1 for
-    every shift not divisible by p and 0 otherwise; swept over both
-    periods 0 <= c <= 2p - 1."""
-    return _check_table_claim("REMARK_N1", p)
+check_row_period_np = _checker("ROW_PERIOD_NP", """Orders past p: rows repeat with period p, so
+    det equals 0 for every order of the extended band
+    p < n <= p + EXTENDED_EXTRA_ORDERS and every shift 0 <= c <= p - 1.""")
+check_table_period = _checker("TABLE_PERIOD", """Table columns repeat horizontally:
+    cell(n, c) = cell(n, c + p) over the default two-period table.""")
+check_remark_n1 = _checker("REMARK_N1", """Order 1: the lone entry is the symbol of c, so det
+    equals 1 for every shift not divisible by p and 0 otherwise; swept over
+    both periods 0 <= c <= 2p - 1.""")
 
 
 def verify_all(p_max: int, t_max: int = 3, n_max: int = 8) -> list[TheoremReport]:
-    """Run every applicable checker for every odd prime 5 <= p <= p_max.
+    """Run every applicable claim for every odd prime 5 <= p <= p_max.
 
     The symbol propositions run for every prime; the determinant claims
     require the 3k+2 form and are skipped elsewhere. For each such prime
-    the eight table claims read one shared difference-family table, the
-    smallest box holding every claim's box, from one `generate_table`
-    call; columns c and c + p are separate cells, computed from different
-    terms of the symbol sequence.
-    Failures are collected in the reports, never raised. Reports come
-    back sorted by claim id (catalog order) and then prime.
+    the eight table claims read one shared difference-family table from
+    one `generate_table` call; columns c and c + p are separate cells,
+    computed from different terms of the symbol sequence. p_max, t_max and
+    n_max must be integers. Failures are collected in the reports, never
+    raised. Reports come back sorted by claim id, then prime.
     """
+    p_max = as_int(p_max, "p_max")
     if p_max < 5:
         raise ValueError(f"p_max must be at least 5, got {p_max}")
     reports: list[TheoremReport] = []
-    for q in odd_primes_up_to(p_max):
-        if q < 5:
-            continue
-        p = Prime(q)
-        reports.extend(check_propositions(p))
-        if p.mod3 == 2:
-            specs = _table_claims(p)
-            box = [(min(lo for lo, _ in ranges), max(hi for _, hi in ranges))
-                   for ranges in ([s.n_range for s in specs], [s.c_range for s in specs])]
-            table = generate_table("diff", p, *box)
-            reports.extend(_evaluate(spec, p, table) for spec in specs)
-            reports.append(check_t3_6(p))
-            reports.append(check_t3_7(p, t_max, n_max))
-    reports.sort(key=lambda r: (CLAIMS.index(r.claim), r.prime.value))
-    return reports
+    for p in map(Prime, odd_primes_up_to(p_max)[1:]):  # from 5: 3 is neither 3k+1 nor 3k+2
+        reports += _run([entry for entry in _CATALOG if entry.noted or _fits(entry, p)],
+                        p, 2 * p.value, t_max, n_max)
+    return sorted(reports, key=lambda r: (CLAIMS.index(r.claim), r.prime.value))
 
 
 def report_lines(reports: list[TheoremReport]) -> list[str]:
     """Machine-readable verdicts: claim, prime, cases, pass/fail,
     counterexample count; one line per report."""
-    return [
-        f"{r.claim} {r.prime.value} {r.cases_checked} {'pass' if r.passed else 'fail'} {len(r.counterexamples)}"
-        for r in reports
-    ]
+    return [f"{r.claim} {r.prime.value} {r.cases_checked} {'pass' if r.passed else 'fail'} "
+            f"{len(r.counterexamples)}" for r in reports]
 
 
 def report_text(reports: list[TheoremReport], max_counterexamples: int = 5) -> str:
     """Human-readable verdicts with notes and counterexample details."""
     lines = []
     for r in reports:
-        verdict = "PASS" if r.passed else "FAIL"
-        lines.append(
-            f"{r.claim:<13} p={r.prime.value:<5} cases={r.cases_checked:<7} {verdict}"
-            f"  counterexamples={len(r.counterexamples)}"
-        )
-        for note in r.notes:
-            lines.append(f"    note: {note}")
+        lines.append(f"{r.claim:<13} p={r.prime.value:<5} cases={r.cases_checked:<7} "
+                     f"{'PASS' if r.passed else 'FAIL'}  counterexamples={len(r.counterexamples)}")
+        lines += [f"    note: {note}" for note in r.notes]
         for ce in r.counterexamples[:max_counterexamples]:
-            where = f"(n={ce.n}, c={ce.c})"
             tail = f"  [{ce.detail}]" if ce.detail else ""
-            lines.append(f"    at {where}: expected {ce.expected}, got {ce.actual}{tail}")
+            lines.append(f"    at (n={ce.n}, c={ce.c}): expected {ce.expected}, got {ce.actual}{tail}")
         if len(r.counterexamples) > max_counterexamples:
             lines.append(f"    ... {len(r.counterexamples) - max_counterexamples} more")
     return "\n".join(lines) + "\n"

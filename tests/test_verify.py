@@ -1,10 +1,15 @@
 """Claim checkers and the full verification sweep."""
 
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
 import cubres.matrices as matrices
+import cubres.residues as residues
 import cubres.tables as tables
+import cubres.verify as verify
 from cubres import (
     CLAIMS,
     Counterexample,
@@ -34,7 +39,7 @@ from cubres import (
     report_text,
     verify_all,
 )
-from cubres.verify import _t3_4_notes
+from cubres.verify import _CATALOG, _t3_4_notes
 
 
 def test_report_passed_tracks_counterexamples():
@@ -405,23 +410,97 @@ def test_corrupted_engine_is_caught(monkeypatch):
     assert shared["T3_2"].counterexamples == r2.counterexamples
 
 
-@pytest.mark.parametrize("sabotaged", [False, True])
-def test_verify_all_matches_standalone_table_checkers(monkeypatch, sabotaged):
-    # the shared-table path and the one-box-per-claim path must agree,
-    # also on counterexamples: the sabotage depends on the shift, so that
-    # it breaks TABLE_PERIOD as well as the closed forms
-    if sabotaged:
+def _flip_class_3(monkeypatch):
+    """Negate the symbol on the nonzero class 3 mod p, at every place in
+    the package that holds the symbol function."""
+    real = residues.cubic_residue_symbol
+
+    def flipped(a, p):
+        v = real(a, p)
+        return -v if a % as_prime(p).value == 3 else v
+
+    for name, module in list(sys.modules.items()):
+        if name == "cubres" or name.startswith("cubres."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, flipped)
+
+
+def _sabotage(monkeypatch, kind):
+    if kind == "wall":  # shift-dependent, so it breaks TABLE_PERIOD too
         monkeypatch.setattr(tables, "number_wall",
                             _planting(tables.number_wall, lambda n, c: (n + c) % 5 == 0))
-    standalone = {
-        "T3_1": check_t3_1, "T3_2": check_t3_2, "T3_3": check_t3_3,
-        "T3_4": check_t3_4, "T3_5": check_t3_5, "ROW_PERIOD_NP": check_row_period_np,
-        "TABLE_PERIOD": check_table_period, "REMARK_N1": check_remark_n1,
-    }
-    pairs = [(r, standalone[r.claim](r.prime)) for r in verify_all(17) if r.claim in standalone]
-    assert sorted({r.prime.value for r, _ in pairs}) == [5, 11, 17]
-    assert len(pairs) == 8 * 3
-    for shared, alone in pairs:
+    elif kind == "symbol":
+        _flip_class_3(monkeypatch)
+
+
+@pytest.mark.parametrize("sabotage, digest", [
+    ("wall", "57fd68e362dd002dae63926cc34bc00f5a0445c9db19825e2decdc48aefcd03a"),
+    ("symbol", "603382edb043b546a954239ef6e2babf6190bc20d2c9ae092356b158f6be0cc3"),
+])
+def test_counterexample_bytes_are_pinned(monkeypatch, sabotage, digest):
+    # every counterexample of every claim, in order, with its coordinates
+    # and detail, under a sabotage that breaks most claims
+    _sabotage(monkeypatch, sabotage)
+    text = report_text(verify_all(29), max_counterexamples=10**6)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _checker_report(claim, p):
+    if claim.startswith("P2_"):
+        return next(r for r in check_propositions(p) if r.claim == claim)
+    return getattr(verify, f"check_{claim.lower()}")(p)
+
+
+# The claims each sabotage must break. The wall plant reaches every claim
+# read off a number wall: the table claims and T3_7. Flipping a class
+# reaches every claim but the two periodicity claims, which hold for any
+# function of the residue class, flipped or not.
+_BROKEN_BY = {
+    "none": set(),
+    "wall": {entry.claim for entry in _CATALOG if entry.box} | {"T3_7"},
+    "symbol": set(CLAIMS) - {"ROW_PERIOD_NP", "TABLE_PERIOD"},
+}
+
+
+@pytest.mark.parametrize("sabotage", list(_BROKEN_BY))
+def test_verify_all_matches_standalone_checkers(monkeypatch, sabotage):
+    # verify_all shares one diff table per prime, and each checker builds
+    # one of just its own box: every claim must report the same either way,
+    # counterexamples and notes included
+    _sabotage(monkeypatch, sabotage)
+    reports = verify_all(17)
+    assert {r.claim for r in reports} == set(CLAIMS)
+    for shared in reports:
+        alone = _checker_report(shared.claim, shared.prime)
         assert (shared.claim, shared.cases_checked, shared.counterexamples, shared.notes) == \
             (alone.claim, alone.cases_checked, alone.counterexamples, alone.notes)
-    assert {r.claim for r, _ in pairs if r.counterexamples} == (set(standalone) if sabotaged else set())
+    assert {r.claim for r in reports if r.counterexamples} == _BROKEN_BY[sabotage]
+    assert set().union(*_BROKEN_BY.values()) == set(CLAIMS)
+
+
+@pytest.mark.parametrize("a_bound, error", [
+    (2.7, TypeError),  # int() would sweep +-2
+    ("3", TypeError),
+    (-5, ValueError),  # an empty sweep would pass
+])
+def test_propositions_reject_a_bound_that_is_not_a_count(a_bound, error):
+    with pytest.raises(error, match="a_bound"):
+        check_propositions(7, a_bound=a_bound)
+
+
+def test_propositions_accept_a_zero_bound_and_an_index():
+    p23, _, _ = check_propositions(7, a_bound=0)
+    assert p23.passed and p23.cases_checked == 2 + 6
+    assert check_propositions(7, a_bound=np.int64(7))[0].cases_checked == 2 * 15 + 6
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("p_max", {"p_max": "60"}),
+    ("p_max", {"p_max": 60.0}),
+    ("t_max", {"p_max": 11, "t_max": 2.5}),
+    ("n_max", {"p_max": 11, "n_max": "8"}),
+], ids=["p_max-str", "p_max-float", "t_max-float", "n_max-str"])
+def test_verify_all_reads_its_bounds_as_integers(name, kwargs):
+    with pytest.raises(TypeError, match=f"{name} must be an integer"):
+        verify_all(**kwargs)
