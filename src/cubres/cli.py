@@ -187,21 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print a cube-root witness when the symbol is 1")
     s.set_defaults(func=_cmd_symbol)
 
-    m = sub.add_parser("matrix", help="print the symbol matrix for a formula")
-    _formula_args(m, single_matrix=True)
-    m.add_argument("-p", type=int, required=True, help="odd prime modulus")
-    m.add_argument("-n", type=int, required=True, help="matrix order")
-    m.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                   help=f"order cap (default {DEFAULT_MAX_ORDER})")
-    m.set_defaults(func=_cmd_matrix)
-
-    d = sub.add_parser("det", help="exact determinant of the symbol matrix")
-    _formula_args(d, single_matrix=True)
-    d.add_argument("-p", type=int, required=True, help="odd prime modulus")
-    d.add_argument("-n", type=int, required=True, help="matrix order")
-    d.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                   help=f"order cap (default {DEFAULT_MAX_ORDER})")
-    d.set_defaults(func=_cmd_det)
+    for name, help_text, func in (("matrix", "print the symbol matrix for a formula", _cmd_matrix),
+                                  ("det", "exact determinant of the symbol matrix", _cmd_det)):
+        m = sub.add_parser(name, help=help_text)
+        _formula_args(m, single_matrix=True)
+        m.add_argument("-p", type=int, required=True, help="odd prime modulus")
+        m.add_argument("-n", type=int, required=True, help="matrix order")
+        m.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
+                       help=f"order cap (default {DEFAULT_MAX_ORDER})")
+        m.set_defaults(func=func)
 
     t = sub.add_parser("table", help="determinant table over orders and shifts")
     _formula_args(t, single_matrix=False)

@@ -7,7 +7,7 @@ terminals.
 """
 
 from .matrices import ResidueMatrix
-from .residues import Record
+from .residues import Record, as_int
 from .tables import DeterminantTable, SignClass, sign_classify
 
 __all__ = [
@@ -89,42 +89,35 @@ def parse_csv(text: str) -> dict[tuple[int, int], int]:
     return cells
 
 
-def _layout(table: DeterminantTable):
-    """Shared geometry for the text and ANSI grids: a single cell width
-    wide enough for every label and value keeps both views aligned."""
-    shifts = [str(c) for c in table.shifts()]
-    orders = [str(n) for n in table.orders()]
-    values = [list(map(str, table.row(n))) for n in table.orders()]
-    width = max(len(s) for s in ["n\\c", *shifts, *orders, *(v for row in values for v in row)])
-    return width, shifts, orders, values
+def _grid(table: DeterminantTable, paint) -> str:
+    """The fixed-width grid of table_text and emit_ansi, with order and
+    shift labels. One cell width, wide enough for every label and value,
+    keeps both views aligned; paint(v, cell) draws the cell of value v
+    from its text right-justified to that width."""
+    values = [table.row(n) for n in table.orders()]
+    texts = [[str(n), *map(str, row)] for n, row in zip(table.orders(), values)]
+    head = ["n\\c", *map(str, table.shifts())]
+    width = max(len(s) for row in [head, *texts] for s in row)
+    lines = ["  ".join(s.rjust(width) for s in head)]
+    for row, (label, *cells) in zip(values, texts):
+        painted = (paint(v, s.rjust(width)) for v, s in zip(row, cells))
+        lines.append("  ".join([label.rjust(width), *painted]))
+    return "\n".join(lines) + "\n"
 
 
 def table_text(table: DeterminantTable) -> str:
     """Fixed-width numeric grid with order and shift labels."""
-    width, shifts, orders, values = _layout(table)
-    lines = ["  ".join(s.rjust(width) for s in ["n\\c", *shifts])]
-    for label, row in zip(orders, values):
-        lines.append("  ".join(s.rjust(width) for s in [label, *row]))
-    return "\n".join(lines) + "\n"
+    return _grid(table, lambda v, cell: cell)
 
 
 def emit_ansi(table: DeterminantTable, scheme: ColorScheme = DEFAULT_SCHEME, color: bool = True) -> str:
     """The table_text grid with sign-colored cell backgrounds. With
     color=False each cell shows its sign glyph (0 / - / +) instead, same
     geometry, no escape codes."""
-    width, shifts, orders, values = _layout(table)
-    lines = ["  ".join(s.rjust(width) for s in ["n\\c", *shifts])]
-    for n, label, row in zip(table.orders(), orders, values):
-        out = [label.rjust(width)]
-        for v, text in zip(table.row(n), row):
-            s = sign_classify(v)
-            if color:
-                r, g, b = scheme.for_sign(s)
-                out.append(f"\x1b[48;2;{r};{g};{b}m{text.rjust(width)}\x1b[0m")
-            else:
-                out.append(_GLYPHS[s].rjust(width))
-        lines.append("  ".join(out))
-    return "\n".join(lines) + "\n"
+    if not color:
+        return _grid(table, lambda v, cell: _GLYPHS[sign_classify(v)].rjust(len(cell)))
+    codes = {s: "\x1b[48;2;{};{};{}m".format(*scheme.for_sign(s)) for s in SignClass}
+    return _grid(table, lambda v, cell: f"{codes[sign_classify(v)]}{cell}\x1b[0m")
 
 
 def _hex(rgb: tuple) -> str:
@@ -134,7 +127,9 @@ def _hex(rgb: tuple) -> str:
 def emit_svg(table: DeterminantTable, scheme: ColorScheme = DEFAULT_SCHEME, cell_px: int = 12) -> str:
     """One sign-colored rectangle per cell, orders running downward and
     shifts rightward; each rectangle carries its exact value as hover
-    text. Output bytes are a pure function of the inputs."""
+    text. Output bytes are a pure function of the inputs. A cell_px that
+    is not an integer raises TypeError, and one below 1 ValueError."""
+    cell_px = as_int(cell_px, "cell_px")
     if cell_px < 1:
         raise ValueError(f"cell_px must be >= 1, got {cell_px}")
     n_lo, n_hi = table.n_range

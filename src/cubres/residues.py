@@ -14,7 +14,7 @@ each command the import of `dataclasses` and `inspect` (which loads
 """
 
 import operator
-from math import isqrt
+from collections.abc import Iterator
 
 __all__ = [
     "Prime",
@@ -31,20 +31,13 @@ __all__ = [
 
 
 def is_prime(m: int) -> bool:
-    """Exact deterministic primality check by trial division."""
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    limit = isqrt(m)
-    f = 3
-    while f <= limit:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+    """Exact deterministic primality check: m is prime when its smallest
+    prime factor is m itself. It reads the first factor of the trial
+    division that primitive roots use, so the package keeps one
+    trial-division loop, and a composite stops at its smallest factor.
+    A non-integer m raises TypeError."""
+    m = as_int(m, "m")
+    return next(_prime_factors(m), None) == m
 
 
 def odd_primes_up_to(limit: int) -> list[int]:
@@ -217,18 +210,17 @@ def legendre_symbol(a: int, p: "Prime | int") -> int:
     return 1 if pow(r, (p.value - 1) // 2, p.value) == 1 else -1
 
 
-def _distinct_prime_factors(n: int) -> list[int]:
-    out = []
+def _prime_factors(n: int) -> Iterator[int]:
+    """The distinct prime factors of n, ascending, by trial division."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            yield d
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
-    return out
+        yield n
 
 
 def primitive_root(p: "Prime | int") -> int:
@@ -245,7 +237,7 @@ def next_primitive_root(p: "Prime | int", after: int) -> int:
     """Smallest primitive root strictly greater than after."""
     p = as_prime(p)
     pv = p.value
-    order_factors = _distinct_prime_factors(pv - 1)
+    order_factors = list(_prime_factors(pv - 1))
     for g in range(after + 1, pv):
         if all(pow(g, (pv - 1) // q, pv) != 1 for q in order_factors):
             return g

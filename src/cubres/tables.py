@@ -24,7 +24,7 @@ import enum
 from collections.abc import Iterable, Iterator, Mapping
 
 from .matrices import HANKEL, DiffPlusC, EvenPowerPlusC, Formula, SumPlusC, _window, sequence
-from .residues import Prime, Record, as_prime
+from .residues import Prime, Record, as_int, as_prime
 from .wall import number_wall
 
 __all__ = [
@@ -156,8 +156,9 @@ def table_box(p: "Prime | int", n_range: "tuple | None" = None, c_range: "tuple 
 
     Defaults: orders 1..p, or 1..p+EXTENDED_EXTRA_ORDERS when extended (the
     all-zero band past n = p), and shifts 0..2p-1, two horizontal periods.
-    An end given as None takes its default. p = 3, an empty box and orders
-    below 1 raise ValueError.
+    An end given as None takes its default, and one that is not an integer
+    raises TypeError. p = 3, an empty box and orders below 1 raise
+    ValueError.
     """
     pv = as_prime(p).value
     if pv == 3:
@@ -166,10 +167,10 @@ def table_box(p: "Prime | int", n_range: "tuple | None" = None, c_range: "tuple 
         raise ValueError("pass either n_range or extended, not both")
     n_lo, n_hi = (None, None) if n_range is None else n_range
     c_lo, c_hi = (None, None) if c_range is None else c_range
-    n_lo = 1 if n_lo is None else int(n_lo)
-    n_hi = (pv + EXTENDED_EXTRA_ORDERS if extended else pv) if n_hi is None else int(n_hi)
-    c_lo = 0 if c_lo is None else int(c_lo)
-    c_hi = 2 * pv - 1 if c_hi is None else int(c_hi)
+    n_lo = 1 if n_lo is None else as_int(n_lo, "n_range")
+    n_hi = (pv + EXTENDED_EXTRA_ORDERS if extended else pv) if n_hi is None else as_int(n_hi, "n_range")
+    c_lo = 0 if c_lo is None else as_int(c_lo, "c_range")
+    c_hi = 2 * pv - 1 if c_hi is None else as_int(c_hi, "c_range")
     if n_lo < 1:
         raise ValueError(f"orders start at 1, got n_range ({n_lo}, {n_hi})")
     if n_hi < n_lo or c_hi < c_lo:

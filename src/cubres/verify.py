@@ -386,7 +386,12 @@ def report_lines(reports: list[TheoremReport]) -> list[str]:
 
 
 def report_text(reports: list[TheoremReport], max_counterexamples: int = 5) -> str:
-    """Human-readable verdicts with notes and counterexample details."""
+    """Human-readable verdicts with notes and the details of at most
+    max_counterexamples counterexamples per report; below 0 it raises
+    ValueError."""
+    max_counterexamples = as_int(max_counterexamples, "max_counterexamples")
+    if max_counterexamples < 0:
+        raise ValueError(f"max_counterexamples must be at least 0, got {max_counterexamples}")
     lines = []
     for r in reports:
         lines.append(f"{r.claim:<13} p={r.prime.value:<5} cases={r.cases_checked:<7} "

@@ -25,16 +25,20 @@ determinant reads only known terms. A window whose top row touches the
 triangle's edge is cut: only the square of its visible top run is known
 to be zero, and none of its bottom frame lies inside the triangle.
 
-A cut window whose top run spans the whole row ends the wall: row n + k
-is 2k cells narrower than row n, so it lies in the run's square for as
-long as it has cells. The rows below are left as they start, zero.
+The run scan that registers windows also ends the wall: a cut window
+whose top run spans the whole row n ends it, since row n + k is 2k cells
+narrower than row n, so it lies in the run's square for as long as it
+has cells. The rows below are left as they start, zero.
 
 `number_wall` returns a `Wall`, which keeps the triangle as one list per
 row: readers take a row as one list slice, or a column, with one bounds
 check per read rather than one per cell.
 """
 
+import operator
 from typing import Sequence
+
+from .residues import as_int
 
 __all__ = ["Wall", "number_wall"]
 
@@ -95,10 +99,12 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
     and c in [first + n - 1, first + len(seq) - n], the cells whose
     determinant reads only terms of seq; anything else raises IndexError.
     A broken invariant (an inexact division, or a zero divisor outside
-    every known window) raises ArithmeticError. A zero row under a row
-    with no zeros, both across the whole triangle, ends the computation.
+    every known window) raises ArithmeticError, and a term or a depth
+    that is not an integer raises TypeError. A zero row under a row with
+    no zeros, both across the whole triangle, ends the computation.
     """
-    size = len(seq)
+    terms, depth = list(map(operator.index, seq)), as_int(depth, "depth")
+    size = len(terms)
     if size < 1 or depth < 0:
         raise ValueError(f"need a nonempty sequence and depth >= 0, got {size} terms, depth {depth}")
     # rows[n + 1][c - first + 2] holds W(n, c); row n has cells at indices
@@ -111,7 +117,7 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
     wall = Wall(first, size, depth, rows)
     if depth < 1:
         return wall
-    rows[2][2:size + 2] = [int(v) for v in seq]
+    rows[2][2:size + 2] = terms
 
     def at(n: int, j: int) -> int:
         if not (-1 <= n <= depth and n + 1 <= j <= size + 2 - n):
@@ -163,16 +169,11 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
 def _open_windows(rows: list, n: int, size: int, windows: list, at) -> bool:
     """Register every window whose first zero row is n: a maximal run of
     zeros in row n under nonzero cells of row n - 1. True when one run
-    spans the triangle's whole row n, which ends the wall."""
+    spans the triangle's whole row n: that cut window ends the wall."""
     row, up = rows[n + 1], rows[n]
     j_lo, j_hi = n + 1, size + 2 - n
-    seg = row[j_lo:j_hi + 1]
-    if 0 not in seg:
+    if 0 not in row[j_lo:j_hi + 1]:
         return False
-    if not any(seg) and 0 not in up[j_lo:j_hi + 1]:
-        # one top run across the whole row: a cut window that ends the wall
-        windows.append((n, j_lo, j_hi, None))
-        return True
     tops = [j for j in range(j_lo, j_hi + 1) if not row[j] and up[j]]
     i = 0
     while i < len(tops):
@@ -190,7 +191,7 @@ def _open_windows(rows: list, n: int, size: int, windows: list, at) -> bool:
             windows.append((n, a, b, None))
         else:
             windows.append((n, a, b, _inner_frame(n, a, b, at)))
-    return False
+    return len(tops) == j_hi - j_lo + 1
 
 
 def _inner_frame(t: int, a: int, b: int, at) -> tuple:

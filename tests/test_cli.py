@@ -234,15 +234,28 @@ def test_verify_lines_format(capsys):
         # the entries were still a numpy array
         (("matrix", "--sum", "-p", "199", "-n", "199"),
          "48abf80264ebdf96a9e978a9c58944a69e78c9ad118ad50238854ec3c90e4295"),
+        # the text and ANSI grids, colored and plain, and an SVG at another cell size
+        (("table", "-p", "11", "--diff", "--format", "text"),
+         "9792fc23c475d465ed054b581bfaa8ef734789e116e5f58ea457bcdd682af8f3"),
+        (("table", "-p", "37", "--sum", "--format", "text"),
+         "f1f21bf3bc79d04fbcd11086e438aaf95438ebf718c6f9bbee18386535770448"),
+        (("table", "-p", "37", "--sum", "--format", "ansi"),
+         "c76aae4cf6cf7df006c808a50c1c9705d4bd91be4627cc18959660b6e5eb05d7"),
+        (("table", "-p", "13", "--diff", "--extended", "--format", "ansi", "--no-color"),
+         "306ca85ca67f9d53ff850d92f0591a1c3ad7a18860ca15bf02da7363e92ba634"),
+        (("table", "-p", "29", "--even-power", "--t", "2", "--format", "svg", "--cell-px", "7"),
+         "546ac52c92bafbb8ec0cd5494ed09bf55156bd43070d32bb9ae8f563d372446b"),
     ],
     ids=["verify-lines", "table-3k1-csv", "table-3k2-p101-extended", "table-3k1-diff",
          "table-sum-offset-box", "table-even-power-t2", "table-even-power-p101",
          "det-3k1-diff-195",
          "det-3k1-cube-diff-200", "det-3k1-even-power-200", "det-p3", "det-zero-band",
-         "matrix-sum-199"],
+         "matrix-sum-199", "table-text-p11", "table-3k1-text", "table-3k1-ansi",
+         "table-ansi-no-color-extended", "table-even-power-svg-cell-px-7"],
 )
-def test_output_bytes_are_pinned(capsys, argv, sha256):
+def test_output_bytes_are_pinned(capsys, monkeypatch, argv, sha256):
     # recorded from an earlier engine; a faster engine must not move a byte
+    monkeypatch.delenv("NO_COLOR", raising=False)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

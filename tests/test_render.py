@@ -154,6 +154,16 @@ def test_svg_rejects_bad_cell_px():
         emit_svg(t, cell_px=0)
 
 
+def test_svg_reads_cell_px_as_an_integer():
+    t = _tiny_table({(1, 0): 0}, (1, 1), (0, 0))
+    with pytest.raises(ValueError, match="^cell_px must be >= 1, got -3$"):
+        emit_svg(t, cell_px=-3)
+    # a float would write float geometry, x="0.0"
+    for bad in (1.5, 12.0, "12"):
+        with pytest.raises(TypeError, match=f"^cell_px must be an integer, got {type(bad).__name__}$"):
+            emit_svg(t, cell_px=bad)
+
+
 def test_emitters_are_deterministic():
     a = generate_table("diff", 11)
     b = generate_table("diff", 11)

@@ -27,6 +27,14 @@ def test_is_prime_examples():
     assert is_prime(2**31 - 1)  # Mersenne
 
 
+@pytest.mark.parametrize("m", [2.5, 3.0, "7", None])
+def test_is_prime_rejects_non_integers(m):
+    # truncating would pass 2.5 and 3.0 as primes
+    with pytest.raises(TypeError, match=f"^m must be an integer, got {type(m).__name__}$"):
+        is_prime(m)
+    assert is_prime(True) is False
+
+
 def test_is_prime_matches_sieve_below_1000():
     sieve = [True] * 1000
     sieve[0] = sieve[1] = False

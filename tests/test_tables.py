@@ -233,6 +233,20 @@ def test_rejects_p3_and_bad_ranges():
         table_box(11, (12, None))
 
 
+@pytest.mark.parametrize("n_range, c_range, name", [
+    ((1.9, "3"), None, "n_range"),  # int() would make this the box (1, 3)
+    ((None, 4.0), None, "n_range"),
+    (None, (0, "5"), "c_range"),
+    ((1, 3), (-1.5, 2), "c_range"),
+])
+def test_box_ends_that_are_not_integers_raise_type_error(n_range, c_range, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        table_box(7, n_range, c_range)
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        generate_table("diff", 7, n_range, c_range)
+    assert table_box(7, (True, None)) == ((1, 7), (0, 13))
+
+
 def test_cells_mapping_is_read_only():
     t = generate_table("diff", 5, n_range=(1, 2), c_range=(0, 1))
     with pytest.raises(TypeError):

@@ -387,6 +387,18 @@ def test_report_text_truncates_counterexamples():
     assert "... 7 more" in text
 
 
+def test_report_text_reads_max_counterexamples_as_a_count():
+    ces = [Counterexample(n, 0, 0, 1) for n in range(2)]
+    reports = [TheoremReport("T3_1", Prime(5), 5, []), TheoremReport("T3_4", Prime(5), 2, ces)]
+    assert report_text(reports, max_counterexamples=0).splitlines()[1:] == [
+        "T3_4          p=5     cases=2       FAIL  counterexamples=2", "    ... 2 more"]
+    # a negative bound would print "... 1 more" under a passing report
+    with pytest.raises(ValueError, match="^max_counterexamples must be at least 0, got -1$"):
+        report_text(reports, max_counterexamples=-1)
+    with pytest.raises(TypeError, match="^max_counterexamples must be an integer, got float$"):
+        report_text(reports, max_counterexamples=2.0)
+
+
 def test_corrupted_engine_is_caught(monkeypatch):
     # sabotage every order-3 cell that generate_table reads from its
     # number wall: the sweep must collect the mismatches rather than

@@ -85,6 +85,15 @@ def test_triangle_bounds():
         number_wall([1, 2], -1)
 
 
+@pytest.mark.parametrize("seq, depth", [([1, 2.5, 3], 2), ([1, "7", 3], 2), ([1.0, 2], 0),
+                                        ([1, 2, 3], 2.0), ([1, 2, 3], "2")])
+def test_terms_and_depth_that_are_not_integers_raise_type_error(seq, depth):
+    # int() would read 2.5 as 2, and "7" as 7
+    with pytest.raises(TypeError):
+        number_wall(seq, depth)
+    assert number_wall([True, 2, 3], 2)(2, 1) == 2**2 - 3
+
+
 @pytest.mark.parametrize("seq, stop", [([0] * 12, 1), ([1] * 12, 2), ([-1] * 11, 2), ([3] * 7, 2)])
 def test_a_full_width_zero_row_ends_the_wall(seq, stop):
     # all zeros: row 1 is zero under the ones of row 0; a constant: row 2
