@@ -56,11 +56,12 @@ def _formula_args(parser: argparse.ArgumentParser, single_matrix: bool) -> None:
     """The family flags and --t; a single matrix (matrix, det) also takes
     --cube-diff and a shift, which a table sweeps instead."""
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--diff", action="store_true", help="entries from j - i + c")
-    group.add_argument("--sum", action="store_true", help="entries from j + i + c")
-    if single_matrix:
-        group.add_argument("--cube-diff", action="store_true", help="entries from (j - i)**3 + 1")
-    group.add_argument("--even-power", action="store_true", help="entries from (j - i)**(2t) + c")
+    for family, help_text in (("diff", "entries from j - i + c"), ("sum", "entries from j + i + c"),
+                              ("cube-diff", "entries from (j - i)**3 + 1"),
+                              ("even-power", "entries from (j - i)**(2t) + c")):
+        if single_matrix or family != "cube-diff":
+            group.add_argument(f"--{family}", action="store_const", dest="family", const=family,
+                               help=help_text)
     if single_matrix:
         parser.add_argument("-c", "--shift", type=int, default=0, metavar="C",
                             help="shift c in the formula (default 0)")
@@ -68,20 +69,16 @@ def _formula_args(parser: argparse.ArgumentParser, single_matrix: bool) -> None:
                         help="half-exponent t for --even-power (default 1)")
 
 
-def _family(args: argparse.Namespace) -> str:
-    """The table family chosen by the flags (--cube-diff is not one)."""
-    if args.diff:
-        return "diff"
-    return "sum" if args.sum else "even-power"
-
-
-def _formula(args: argparse.Namespace):
+def _single(args: argparse.Namespace) -> tuple:
+    """The (formula, prime, order) of the one matrix that matrix and det read."""
     from .matrices import CubeDiffPlusOne
     from .tables import family_formula
 
-    if args.cube_diff:
-        return CubeDiffPlusOne()
-    return family_formula(_family(args), args.shift, args.t)
+    p = _prime_arg(args.p)
+    _check_order(args.n, args.max_order)
+    if args.family == "cube-diff":
+        return CubeDiffPlusOne(), p, args.n
+    return family_formula(args.family, args.shift, args.t), p, args.n
 
 
 def _write(text: str, path: "str | None") -> None:
@@ -105,18 +102,14 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     from .matrices import build_matrix
     from .render import matrix_text
 
-    p = _prime_arg(args.p)
-    _check_order(args.n, args.max_order)
-    print(matrix_text(build_matrix(_formula(args), p, args.n)))
+    print(matrix_text(build_matrix(*_single(args))))
     return 0
 
 
 def _cmd_det(args: argparse.Namespace) -> int:
     from .tables import formula_minors
 
-    p = _prime_arg(args.p)
-    _check_order(args.n, args.max_order)
-    print(formula_minors(_formula(args), p, args.n)[-1])
+    print(formula_minors(*_single(args))[-1])
     return 0
 
 
@@ -124,8 +117,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     from .render import emit_ansi, emit_csv, emit_svg, table_text
     from .tables import generate_table, table_box
 
+    if args.cell_px < 1:
+        raise ValueError(f"--cell-px must be at least 1, got {args.cell_px}")
     p = _prime_arg(args.p)
-    family = _family(args)
     if args.extended and (args.n_min is not None or args.n_max is not None):
         raise ValueError("--extended replaces the default order range; drop --n-min/--n-max")
     n_range, c_range = table_box(p, None if args.extended else (args.n_min, args.n_max),
@@ -135,7 +129,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if shifts > 2 * args.max_order:
         raise ValueError(f"{shifts} shifts exceed the cap of {2 * args.max_order} "
                          "(twice the order cap); raise it with --max-order")
-    table = generate_table(family, p, n_range, c_range, t=args.t)
+    table = generate_table(args.family, p, n_range, c_range, t=args.t)
     if args.format == "csv":
         out = emit_csv(table)
     elif args.format == "svg":

@@ -167,8 +167,17 @@ def _grid(formula: Formula, p: "Prime | int", n: int) -> tuple:
     return tuple(tuple(line[s:s + n]) for s in (1 + kind * i - lo for i in range(1, n + 1)))
 
 
+def _order(n: int) -> int:
+    """n as a matrix order: TypeError unless an integer, ValueError below 1."""
+    n = as_int(n, "n")
+    if n < 1:
+        raise ValueError(f"matrix order must be >= 1, got {n}")
+    return n
+
+
 def entry_value(formula: Formula, p: "Prime | int", i: int, j: int) -> int:
     """Symbol value at 1-based row i, column j."""
+    i, j = as_int(i, "i"), as_int(j, "j")
     if i < 1 or j < 1:
         raise ValueError(f"row and column indices are 1-based, got ({i}, {j})")
     k = j + formula.kind * i
@@ -178,9 +187,7 @@ def entry_value(formula: Formula, p: "Prime | int", i: int, j: int) -> int:
 def build_matrix(formula: Formula, p: "Prime | int", n: int) -> ResidueMatrix:
     """Construct the order-n matrix of symbol values for this formula:
     2n - 1 sequence values, indexed into the grid by the formula's kind."""
-    p = as_prime(p)
-    if n < 1:
-        raise ValueError(f"matrix order must be >= 1, got {n}")
+    p, n = as_prime(p), _order(n)
     # the grid is the formula's by construction: stored without the check
     return _rebuild(ResidueMatrix, (n, _grid(formula, p, n), p, formula))
 

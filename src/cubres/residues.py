@@ -32,9 +32,9 @@ __all__ = [
 
 def is_prime(m: int) -> bool:
     """Exact deterministic primality check: m is prime when its smallest
-    prime factor is m itself. It reads the first factor of the trial
-    division that primitive roots use, so the package keeps one
-    trial-division loop, and a composite stops at its smallest factor.
+    prime factor is m itself, read off the one trial-division loop, which
+    primitive roots use too. A composite stops at that factor, and a prime
+    costs O(sqrt(m)) divisions; the CLI caps p below 2**31.
     A non-integer m raises TypeError."""
     m = as_int(m, "m")
     return next(_prime_factors(m), None) == m
@@ -100,7 +100,8 @@ class Prime(Record):
     when ``mod3 == 1``. For ``value == 3`` the classes mod 3 and 12 are
     0 and 3; the shifted-difference determinant patterns need one of the
     other two forms, so the table and verification modules reject 3 even
-    though the symbol itself is fine with it.
+    though the symbol itself is fine with it. Validation is `is_prime`'s
+    trial division, O(sqrt(p)) for a prime p, and the CLI caps p below 2**31.
     """
 
     __slots__ = ("value", "mod3", "mod4", "mod12")

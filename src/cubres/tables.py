@@ -23,7 +23,7 @@ read the same lists.
 import enum
 from collections.abc import Iterable, Iterator, Mapping
 
-from .matrices import HANKEL, DiffPlusC, EvenPowerPlusC, Formula, SumPlusC, _window, sequence
+from .matrices import HANKEL, DiffPlusC, EvenPowerPlusC, Formula, SumPlusC, _order, _window, sequence
 from .residues import Prime, Record, as_int, as_prime
 from .wall import number_wall
 
@@ -197,18 +197,17 @@ def generate_table(
     here, so sharing makes no check a tautology; a future claim of
     even-power periodicity must compute its own side. Rows 1..n_hi are
     computed whatever n_lo is. The result is a pure function of the
-    arguments.
+    arguments. t must be an integer, whatever the family.
     """
-    p = as_prime(p)
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    p, t = as_prime(p), as_int(t, "t")
+    formula = family_formula(family, 0, t)  # rejects an unknown family, and t < 1 for even-power
     (n_lo, n_hi), (c_lo, c_hi) = table_box(p, n_range, c_range, extended=extended)
     if family == "even-power":
         cases = ((t, c) for c in range(c_lo, c_hi + 1))
         columns = [minors for _, minors in even_power_minors(p, cases, n_hi)]
         rows = [list(row) for row in zip(*columns)]
     else:
-        rows = _shifted_minors(family_formula(family, 0), p, n_hi, c_lo, c_hi)
+        rows = _shifted_minors(formula, p, n_hi, c_lo, c_hi)
     box = (n_lo, n_hi), (c_lo, c_hi)
     return DeterminantTable(p, family, t, *box, _RowCells(rows[n_lo - 1:], *box))
 
@@ -234,23 +233,21 @@ def formula_minors(formula: Formula, p: "Prime | int", n: int) -> list[int]:
     k = 1..n, as a list indexed by k - 1, from one number wall over the
     formula's sequence: W(k, 0) for a Toeplitz formula, and
     (-1)**(k(k - 1)/2) * W(k, k + 1) for a Hankel one. Any odd prime works,
-    3 included; n < 1 raises ValueError.
+    3 included; n is read by `matrices._order`.
     """
-    p = as_prime(p)
-    if n < 1:
-        raise ValueError(f"matrix order must be >= 1, got {n}")
-    return [row[0] for row in _shifted_minors(formula, p, n, 0, 0)]
+    return [row[0] for row in _shifted_minors(formula, as_prime(p), _order(n), 0, 0)]
 
 
 def even_power_minors(p: "Prime | int", cases: Iterable[tuple[int, int]],
                       n: int) -> Iterator[tuple[tuple, list[int]]]:
     """Yield (terms, minors) for each (t, c) in cases: the terms
     s(1 - n)..s(n - 1) of s(k) = [k**(2t) + c], and W(1..n, 0), the
-    determinants of its blocks of orders 1..n. The argument is even in k,
-    so only k >= 0 is evaluated and mirrored. One wall is built per
-    distinct tuple of terms within the call, keyed on the terms and never
-    on t, c or c mod p, so every case reads its own terms.
+    determinants of its blocks of orders 1..n, n read by `matrices._order`.
+    The argument is even in k, so only k >= 0 is evaluated and mirrored.
+    One wall is built per distinct tuple of terms within the call, keyed on
+    the terms and never on t, c or c mod p, so every case reads its own terms.
     """
+    n = _order(n)
     walls: dict[tuple, list] = {}
     for t, c in cases:
         half = sequence(EvenPowerPlusC(t, c), p, 0, n - 1)

@@ -2,18 +2,19 @@
 
 Each claim is one entry of the private `_CATALOG`, in CLAIMS order: its
 id, the form of prime it needs, its cases as lines of expected and actual
-values with their sweep coordinates, the box of the difference-family
-determinant table they read, and its notes. Expected values come from a
-closed form, the symbol or the enumerated cubes, never from the value
-under test; actual values from a symbol sweep, Toeplitz symbol sequences
-or number walls read by the tables module, never from a built matrix or
-an elimination. One evaluator, `_evaluate`, counts every case, compares
-each line as one list, and only on a mismatch builds a Counterexample per
-differing case, in sweep order; a report passes exactly when it has none.
-Table claims evaluated together share one diff table, the smallest box
-holding each of theirs: all of them in `verify_all`, one in a checker.
+values with their sweep coordinates, and its notes. Expected values come
+from a closed form, the symbol or the enumerated cubes, never from the
+value under test; actual values from a symbol sweep, Toeplitz symbol
+sequences or number walls read by the tables module, never from a built
+matrix or an elimination. One evaluator, `_evaluate`, counts every case,
+compares each line as one list, and only on a mismatch builds a
+Counterexample per differing case, in sweep order; a report passes
+exactly when it has none. The table claims read one diff table per
+prime, built on the first read over orders 1..p + EXTENDED_EXTRA_ORDERS
+and shifts -1..2p - 1; a read outside that box raises KeyError.
 """
 
+from functools import cache
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
@@ -83,12 +84,11 @@ class _Claim(NamedTuple):
     """One catalog entry. For form (m, classes) the claim needs p % m in
     classes (None: any prime); outside it, it raises ValueError, or reports
     zero cases and a note when noted. lines(p, **inputs) yields its cases,
-    reading the inputs it names; box(p) is a table claim's (orders, shifts)."""
+    reading the inputs it names."""
 
     claim: str
     form: "tuple[int, tuple[int, ...]] | None"
     lines: Callable[..., Iterable[_Line]]
-    box: "Callable[[int], tuple] | None" = None
     notes: Callable[[Prime], list] = lambda p: []
     noted: bool = False
 
@@ -131,8 +131,8 @@ def _p2_5(p: Prime, **_) -> Iterable[_Line]:
 
 
 def _table(lines: Callable[[int, DeterminantTable], Iterable[_Line]]) -> Callable:
-    """A table claim's lines, read off the table among its inputs."""
-    return lambda p, table, **_: lines(p.value, table)
+    """A table claim's lines, read off the prime's shared diff table."""
+    return lambda p, table, **_: lines(p.value, table())
 
 
 def _t3_4_notes(p: Prime) -> list[str]:
@@ -209,35 +209,27 @@ _CATALOG = (
     _Claim("P2_4", (3, (1,)), _p2_4, noted=True),
     _Claim("P2_5", _3K2, _p2_5, noted=True),
     _Claim("T3_1", _3K2, _table(lambda pv, d: [
-        _down(1, 0, [(-1) ** (n - 1) * (n - 1) for n in range(1, pv + 1)], d.column(0, 1, pv))]),
-        lambda pv: ((1, pv), (0, 0))),
+        _down(1, 0, [(-1) ** (n - 1) * (n - 1) for n in range(1, pv + 1)], d.column(0, 1, pv))])),
     _Claim("T3_2", _3K2, _table(lambda pv, d: [
-        _down(2, c, [1] * (pv - 2), d.column(c, 2, pv - 1)) for c in (1, -1)]),
-        lambda pv: ((2, pv - 1), (-1, 1))),
+        _down(2, c, [1] * (pv - 2), d.column(c, 2, pv - 1)) for c in (1, -1)])),
     _Claim("T3_3", _3K2, _table(lambda pv, d: [
-        _along(pv, 1, [pv - 1] * (pv - 1), d.row(pv, 1, pv - 1))]),
-        lambda pv: ((pv, pv), (1, pv - 1))),
+        _along(pv, 1, [pv - 1] * (pv - 1), d.row(pv, 1, pv - 1))])),
     _Claim("T3_4", _3K2, _table(lambda pv, d: (
-        _along(n, 2, [0] * (pv - 3), d.row(n, 2, pv - 2)) for n in range(2, pv - 1))),
-        lambda pv: ((2, pv - 2), (2, pv - 2)), _t3_4_notes),
+        _along(n, 2, [0] * (pv - 3), d.row(n, 2, pv - 2)) for n in range(2, pv - 1))), _t3_4_notes),
     _Claim("T3_5", _3K2, _table(lambda pv, d: [
-        _along(pv - 1, 1, [1] * (pv - 1), d.row(pv - 1, 1, pv - 1))]),
-        lambda pv: ((pv - 1, pv - 1), (1, pv - 1))),
+        _along(pv - 1, 1, [1] * (pv - 1), d.row(pv - 1, 1, pv - 1))])),
     _Claim("T3_6", _3K2, _t3_6),
     _Claim("T3_7", (12, (5, 11)), _t3_7, notes=lambda p: [
         "primitive roots used: {} (full sweep), {} (spot check)".format(*_roots(p)),
         "shifts r**e are reduced mod p before building the matrix"]),
     _Claim("ROW_PERIOD_NP", _3K2, _table(lambda pv, d: (
         _along(n, 0, [0] * pv, d.row(n, 0, pv - 1))
-        for n in range(pv + 1, pv + EXTENDED_EXTRA_ORDERS + 1))),
-        lambda pv: ((pv + 1, pv + EXTENDED_EXTRA_ORDERS), (0, pv - 1))),
+        for n in range(pv + 1, pv + EXTENDED_EXTRA_ORDERS + 1)))),
     _Claim("TABLE_PERIOD", _3K2, _table(lambda pv, d: (
         _down(1, c, d.column(c, 1, pv), d.column(c + pv, 1, pv), f"column {c} vs {c + pv}")
-        for c in range(pv))),
-        lambda pv: ((1, pv), (0, 2 * pv - 1))),
+        for c in range(pv)))),
     _Claim("REMARK_N1", _3K2, _table(lambda pv, d: [
-        _along(1, 0, [0 if c % pv == 0 else 1 for c in range(2 * pv)], d.row(1, 0, 2 * pv - 1))]),
-        lambda pv: ((1, 1), (0, 2 * pv - 1))),
+        _along(1, 0, [0 if c % pv == 0 else 1 for c in range(2 * pv)], d.row(1, 0, 2 * pv - 1))])),
 )
 
 CLAIMS = tuple(entry.claim for entry in _CATALOG)
@@ -266,19 +258,18 @@ def _evaluate(entry: _Claim, p: Prime, inputs: dict) -> TheoremReport:
 
 def _run(entries: list, p: Prime, a_bound: int, t_max: int, n_max: int) -> list[TheoremReport]:
     """Evaluate entries for one prime, the table claims among them over one
-    diff table, the smallest box holding each of their boxes."""
+    diff table, built on the first read."""
     t_max, n_max = as_int(t_max, "t_max"), as_int(n_max, "n_max")
     if t_max < 1 or n_max < 2:
         raise ValueError(f"need t_max >= 1 and n_max >= 2, got ({t_max}, {n_max})")
-    boxes = [entry.box(p.value) for entry in entries if entry.box and _fits(entry, p)]
-    table = generate_table("diff", p, *[(min(lo for lo, _ in ranges), max(hi for _, hi in ranges))
-                                        for ranges in zip(*boxes)]) if boxes else None
+    table = cache(lambda: generate_table("diff", p, (1, p.value + EXTENDED_EXTRA_ORDERS),
+                                         (-1, 2 * p.value - 1)))
     inputs = {"table": table, "a_bound": a_bound, "t_max": t_max, "n_max": n_max}
     return [_evaluate(entry, p, inputs) for entry in entries]
 
 
 def _standalone(claim: str, p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremReport:
-    """One matrix claim on its own, over a diff table of just its own box."""
+    """One matrix claim on its own."""
     p = as_prime(p)
     entry = _CATALOG[CLAIMS.index(claim)]
     if not _fits(entry, p):

@@ -150,6 +150,19 @@ def test_table_ansi_color_modes(capsys, monkeypatch):
     assert "\x1b[" not in out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "text", "ansi", "svg"])
+@pytest.mark.parametrize("cell_px", ["0", "-4"])
+def test_table_checks_cell_px_for_every_format(capsys, monkeypatch, tmp_path, fmt, cell_px):
+    # checked before any table work, and the output file is never written;
+    # text, CSV and ANSI once printed the table for --cell-px 0
+    monkeypatch.setattr(cubres.tables, "generate_table", None)
+    path = tmp_path / "out"
+    for argv in ((), ("-o", str(path))):
+        assert run(capsys, "table", "-p", "11", "--diff", "--format", fmt, "--cell-px", cell_px,
+                   *argv) == (2, "", f"error: --cell-px must be at least 1, got {cell_px}\n")
+    assert not path.exists()
+
+
 def test_table_text_format(capsys):
     code, out, _ = run(capsys, "table", "--diff", "-p", "5", "--format", "text")
     assert code == 0
@@ -259,6 +272,37 @@ def test_output_bytes_are_pinned(capsys, monkeypatch, argv, sha256):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's help layout differs between Python versions")
+@pytest.mark.parametrize("argv, sha256", [
+    ((), "9a379a774abe3cb797d5d53a3ce67674b1b98a95ac6094a9ac63334db9a16c8a"),
+    (("symbol",), "3dbc6edf931dd8cf83ad76427aa04793c466920cae413d876433b7e5779a1055"),
+    (("matrix",), "98c4a347fe43de4adad9dfae8fa00b12460a5840b8eadc4e5c61f096ad377370"),
+    (("det",), "cded3d8119a2fea09cc0ea359093624b56bc8fb54abcfc8f985671cec37f46b1"),
+    (("table",), "a76606539fbdf792f5df1eca34516a0202f755f5ba5c92ad513793cc81daf76b"),
+    (("verify",), "e9c2079bd1047022c82aced87bd7d50f1417a822349b1f632e349020f666a80e"),
+], ids=["cubres", "symbol", "matrix", "det", "table", "verify"])
+def test_help_bytes_are_pinned(capsys, monkeypatch, argv, sha256):
+    # the usage lines, flags, groups and defaults of every command, at an
+    # 80-column terminal; a parser refactor must not move a byte
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+def test_family_flags_store_their_family():
+    parser = cli.build_parser()
+    for command, extra in (("matrix", ["-n", "3"]), ("det", ["-n", "3"]), ("table", [])):
+        flags = ["diff", "sum", "even-power"] + (["cube-diff"] if command != "table" else [])
+        for family in flags:
+            args = parser.parse_args([command, f"--{family}", "-p", "7", *extra])
+            assert args.family == family
+    with pytest.raises(SystemExit):
+        parser.parse_args(["table", "--cube-diff", "-p", "7"])
 
 
 def test_det_on_a_3k1_prime_is_pinned(capsys):

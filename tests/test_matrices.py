@@ -249,6 +249,23 @@ def test_build_rejects_bad_order():
         ResidueMatrix(0, np.zeros((0, 0), dtype=np.int8), as_prime(7), DiffPlusC(0))
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+def test_build_reads_the_order_as_an_integer(n):
+    # 2.5 once raised a bare "'float' object cannot be interpreted as an integer"
+    with pytest.raises(TypeError, match=f"^n must be an integer, got {type(n).__name__}$"):
+        build_matrix(DiffPlusC(0), 7, n)
+    m = build_matrix(DiffPlusC(0), 7, np.int64(3))
+    assert m.order == 3 and type(m.order) is int
+    assert m.entries == build_matrix(DiffPlusC(0), 7, 3).entries
+
+
+@pytest.mark.parametrize("i, j, name", [(2.0, 1, "i"), (1, 1.5, "j"), ("1", 2, "i"), (1, None, "j")])
+def test_entry_value_reads_indices_as_integers(i, j, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        entry_value(DiffPlusC(0), 7, i, j)
+    assert entry_value(DiffPlusC(0), 7, np.int64(1), np.int64(3)) == cubic_residue_symbol(2, 7)
+
+
 @pytest.mark.parametrize("formula, p, n", [
     (SumPlusC(0), 199, 199), (DiffPlusC(-4), 11, 6), (EvenPowerPlusC(2, 3), 19, 1),
 ])

@@ -247,6 +247,31 @@ def test_box_ends_that_are_not_integers_raise_type_error(n_range, c_range, name)
     assert table_box(7, (True, None)) == ((1, 7), (0, 13))
 
 
+@pytest.mark.parametrize("read", [
+    lambda n: formula_minors(DiffPlusC(0), 7, n),
+    lambda n: formula_minors(SumPlusC(2), 7, n),
+    lambda n: list(tables.even_power_minors(7, [(1, 0)], n)),
+], ids=["formula_minors-diff", "formula_minors-sum", "even_power_minors"])
+def test_minors_read_the_order_as_an_integer(read):
+    # one order reader: 2.5 once raised a bare "'float' object cannot be
+    # interpreted as an integer", and both readers reject order 0 alike
+    with pytest.raises(TypeError, match="^n must be an integer, got float$"):
+        read(2.5)
+    with pytest.raises(TypeError, match="^n must be an integer, got str$"):
+        read("4")
+    with pytest.raises(ValueError, match="^matrix order must be >= 1, got 0$"):
+        read(0)
+    assert read(True) == read(1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("t", ["x", 2.5, None])
+def test_generate_table_reads_t_as_an_integer(family, t):
+    # generate_table("diff", 7, t="x").t was "x"
+    with pytest.raises(TypeError, match="^t must be an integer"):
+        generate_table(family, 7, (1, 2), (0, 1), t=t)
+
+
 def test_cells_mapping_is_read_only():
     t = generate_table("diff", 5, n_range=(1, 2), c_range=(0, 1))
     with pytest.raises(TypeError):

@@ -39,7 +39,7 @@ from cubres import (
     report_text,
     verify_all,
 )
-from cubres.verify import _CATALOG, _t3_4_notes
+from cubres.verify import _t3_4_notes
 
 
 def test_report_passed_tracks_counterexamples():
@@ -470,15 +470,15 @@ def _checker_report(claim, p):
 # function of the residue class, flipped or not.
 _BROKEN_BY = {
     "none": set(),
-    "wall": {entry.claim for entry in _CATALOG if entry.box} | {"T3_7"},
+    "wall": set(CLAIMS) - {"P2_3", "P2_4", "P2_5", "T3_6"},
     "symbol": set(CLAIMS) - {"ROW_PERIOD_NP", "TABLE_PERIOD"},
 }
 
 
 @pytest.mark.parametrize("sabotage", list(_BROKEN_BY))
 def test_verify_all_matches_standalone_checkers(monkeypatch, sabotage):
-    # verify_all shares one diff table per prime, and each checker builds
-    # one of just its own box: every claim must report the same either way,
+    # verify_all shares one diff table per prime among its claims, and each
+    # checker builds its own: every claim must report the same either way,
     # counterexamples and notes included
     _sabotage(monkeypatch, sabotage)
     reports = verify_all(17)
@@ -516,3 +516,66 @@ def test_propositions_accept_a_zero_bound_and_an_index():
 def test_verify_all_reads_its_bounds_as_integers(name, kwargs):
     with pytest.raises(TypeError, match=f"{name} must be an integer"):
         verify_all(**kwargs)
+
+
+_TABLE_CHECKERS = [check_t3_1, check_t3_2, check_t3_3, check_t3_4, check_t3_5,
+                   check_row_period_np, check_table_period, check_remark_n1]
+
+
+def _spy_on_tables(monkeypatch) -> list:
+    """Record each generate_table call that verify makes."""
+    calls, real = [], verify.generate_table
+
+    def spy(family, p, *box, **kwargs):
+        calls.append((family, as_prime(p).value, box, kwargs))
+        return real(family, p, *box, **kwargs)
+
+    monkeypatch.setattr(verify, "generate_table", spy)
+    return calls
+
+
+def _one_box(p: int) -> tuple:
+    """The one diff table the table claims read: orders 1..p + 10 and
+    shifts -1..2p - 1."""
+    return "diff", p, ((1, p + 10), (-1, 2 * p - 1)), {}
+
+
+def test_verify_all_builds_one_table_per_3k2_prime(monkeypatch):
+    calls = _spy_on_tables(monkeypatch)
+    verify_all(61)
+    assert calls == [_one_box(p) for p in odd_primes_up_to(61) if p % 3 == 2]
+
+
+@pytest.mark.parametrize("check", _TABLE_CHECKERS, ids=lambda check: check.__name__)
+def test_each_table_checker_builds_the_same_one_table(monkeypatch, check):
+    calls = _spy_on_tables(monkeypatch)
+    for p in (5, 11, 29):
+        assert check(p).passed
+    assert calls == [_one_box(p) for p in (5, 11, 29)]
+    # a prime of the wrong form is rejected before any table is built
+    with pytest.raises(ValueError):
+        check(13)
+    assert len(calls) == 3
+
+
+def test_runs_with_no_table_claim_build_no_table(monkeypatch):
+    calls = _spy_on_tables(monkeypatch)
+    for p in (5, 7, 11, 13, 29, 31):
+        check_propositions(p)
+    for p in (5, 11, 29):
+        check_t3_6(p)
+    for p in (5, 11, 17, 29):
+        check_t3_7(p, t_max=2, n_max=5)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, c", [(1, -2), (1, 22), (22, 0), (0, 0)])
+def test_a_table_claim_reading_outside_the_box_raises_key_error(n, c):
+    # the box is one for every claim: a claim that needs more must widen it
+    outside = verify._Claim("OUTSIDE", (3, (2,)), verify._table(lambda pv, d: [
+        verify._down(n, c, [0], d.column(c, n, n))]))
+    with pytest.raises(KeyError):
+        verify._run([outside], Prime(11), 0, 3, 8)
+    inside = outside._replace(lines=verify._table(lambda pv, d: [
+        verify._down(pv + 10, 2 * pv - 1, [0], d.column(2 * pv - 1, pv + 10, pv + 10))]))
+    assert verify._run([inside], Prime(11), 0, 3, 8)[0].passed
