@@ -44,12 +44,12 @@ _HOME = {
                       "cubic_residue_symbol", "cubic_residue_set", "cube_root",
                       "legendre_symbol", "primitive_root", "next_primitive_root")),
         ("matrices", ("DiffPlusC", "SumPlusC", "CubeDiffPlusOne", "EvenPowerPlusC", "Formula",
-                      "ResidueMatrix", "entry_value", "build_matrix", "matrices_equal")),
+                      "family_formula", "ResidueMatrix", "entry_value", "build_matrix",
+                      "matrices_equal")),
         ("determinant", ("determinant", "determinant_oracle", "leading_minors")),
-        ("tables", ("FAMILIES", "SignClass", "sign_classify", "family_formula",
-                    "DeterminantTable", "generate_table")),
-        ("render", ("ColorScheme", "DEFAULT_SCHEME", "matrix_text", "emit_csv", "parse_csv",
-                    "table_text", "emit_ansi", "emit_svg")),
+        ("tables", ("FAMILIES", "DeterminantTable", "generate_table")),
+        ("render", ("SignClass", "sign_classify", "ColorScheme", "DEFAULT_SCHEME", "matrix_text",
+                    "emit_csv", "parse_csv", "table_text", "emit_ansi", "emit_svg")),
         ("verify", ("CLAIMS", "Counterexample", "TheoremReport", "check_propositions",
                     "check_t3_1", "check_t3_2", "check_t3_3", "check_t3_4", "check_t3_5",
                     "check_t3_6", "check_t3_7", "check_row_period_np", "check_table_period",

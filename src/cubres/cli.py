@@ -16,7 +16,7 @@ numpy or the engine module `cubres.determinant`. Beyond `cubres` and
 - `table`: those three and `render`;
 - `verify`: those three and `verify`, which checks its claims on symbol
   sequences and walls;
-- `matrix`: `matrices` and `render`, which needs `tables` and `wall`.
+- `matrix`: `matrices` and `render`.
 
 No command loads `dataclasses`, nor the `inspect` and `ast` it imports:
 the value classes are slotted records on `residues.Record`, since a
@@ -71,13 +71,10 @@ def _formula_args(parser: argparse.ArgumentParser, single_matrix: bool) -> None:
 
 def _single(args: argparse.Namespace) -> tuple:
     """The (formula, prime, order) of the one matrix that matrix and det read."""
-    from .matrices import CubeDiffPlusOne
-    from .tables import family_formula
+    from .matrices import family_formula
 
     p = _prime_arg(args.p)
     _check_order(args.n, args.max_order)
-    if args.family == "cube-diff":
-        return CubeDiffPlusOne(), p, args.n
     return family_formula(args.family, args.shift, args.t), p, args.n
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "CubeDiffPlusOne",
     "EvenPowerPlusC",
     "Formula",
+    "family_formula",
     "ResidueMatrix",
     "sequence",
     "entry_value",
@@ -96,6 +97,19 @@ class EvenPowerPlusC(Record):
 Formula = Union[DiffPlusC, SumPlusC, CubeDiffPlusOne, EvenPowerPlusC]
 
 
+def family_formula(family: str, c: int, t: int = 1) -> Formula:
+    """The formula of a family named as on the command line; cube-diff reads neither c nor t."""
+    if family == "diff":
+        return DiffPlusC(c)
+    if family == "sum":
+        return SumPlusC(c)
+    if family == "cube-diff":
+        return CubeDiffPlusOne()
+    if family == "even-power":
+        return EvenPowerPlusC(t, c)
+    raise ValueError(f"unknown family {family!r}; expected diff, sum, cube-diff or even-power")
+
+
 def sequence(formula: Formula, p: "Prime | int", lo: int, hi: int) -> list[int]:
     """Symbol values seq(k) of this formula for k = lo..hi."""
     p = as_prime(p)
@@ -117,6 +131,7 @@ class ResidueMatrix(Record):
     __hash__ = object.__hash__
 
     def __init__(self, order: int, entries, prime: Prime, formula: Formula) -> None:
+        order, prime = as_int(order, "order"), as_prime(prime)
         if order < 1:
             raise ValueError("matrix must have order >= 1")
         e = tuple(tuple(row) for row in entries)
@@ -131,7 +146,7 @@ class ResidueMatrix(Record):
         grid = _grid(formula, prime, order)
         if e != grid:
             raise ValueError(f"entries are not the order-{order} grid of {formula!r} "
-                             f"at p = {as_prime(prime).value}")
+                             f"at p = {prime.value}")
         # the grid, not the caller's rows: plain ints that nothing else holds
         self._store(order, grid, prime, formula)
 

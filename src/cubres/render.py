@@ -3,14 +3,21 @@
 All emitters are pure: identical inputs produce byte-identical output.
 CSV is the interchange format and parse_csv inverts it exactly; the SVG
 emitter reproduces the color-coded table figures; the ANSI view is for
-terminals.
+terminals. A cell's sign class picks its color.
 """
 
-from .matrices import ResidueMatrix
+import enum
+from typing import TYPE_CHECKING
+
 from .residues import Record, as_int
-from .tables import DeterminantTable, SignClass, sign_classify
+
+if TYPE_CHECKING:
+    from .matrices import ResidueMatrix
+    from .tables import DeterminantTable
 
 __all__ = [
+    "SignClass",
+    "sign_classify",
     "ColorScheme",
     "DEFAULT_SCHEME",
     "matrix_text",
@@ -20,6 +27,22 @@ __all__ = [
     "emit_ansi",
     "emit_svg",
 ]
+
+
+class SignClass(enum.Enum):
+    """Ternary cell classification used for color coding."""
+
+    ZERO = "zero"
+    NEGATIVE = "negative"
+    POSITIVE = "positive"
+
+
+def sign_classify(v: int) -> SignClass:
+    """ZERO, NEGATIVE or POSITIVE according to the sign of v."""
+    if v == 0:
+        return SignClass.ZERO
+    return SignClass.NEGATIVE if v < 0 else SignClass.POSITIVE
+
 
 class ColorScheme(Record):
     """Fill colors per sign class; defaults are blue / orange / green."""
@@ -46,12 +69,12 @@ DEFAULT_SCHEME = ColorScheme()
 _GLYPHS = {SignClass.ZERO: "0", SignClass.NEGATIVE: "-", SignClass.POSITIVE: "+"}
 
 
-def matrix_text(matrix: ResidueMatrix) -> str:
+def matrix_text(matrix: "ResidueMatrix") -> str:
     """One line per row, entries space-separated."""
     return "\n".join(" ".join(str(v) for v in row) for row in matrix.rows())
 
 
-def emit_csv(table: DeterminantTable) -> str:
+def emit_csv(table: "DeterminantTable") -> str:
     """Grid as CSV: corner cell ``n\\c``, shifts across, orders down.
     Every line is newline-terminated and carries no trailing delimiter."""
     lines = ["n\\c," + ",".join(str(c) for c in table.shifts())]
@@ -89,7 +112,7 @@ def parse_csv(text: str) -> dict[tuple[int, int], int]:
     return cells
 
 
-def _grid(table: DeterminantTable, paint) -> str:
+def _grid(table: "DeterminantTable", paint) -> str:
     """The fixed-width grid of table_text and emit_ansi, with order and
     shift labels. One cell width, wide enough for every label and value,
     keeps both views aligned; paint(v, cell) draws the cell of value v
@@ -105,12 +128,12 @@ def _grid(table: DeterminantTable, paint) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_text(table: DeterminantTable) -> str:
+def table_text(table: "DeterminantTable") -> str:
     """Fixed-width numeric grid with order and shift labels."""
     return _grid(table, lambda v, cell: cell)
 
 
-def emit_ansi(table: DeterminantTable, scheme: ColorScheme = DEFAULT_SCHEME, color: bool = True) -> str:
+def emit_ansi(table: "DeterminantTable", scheme: ColorScheme = DEFAULT_SCHEME, color: bool = True) -> str:
     """The table_text grid with sign-colored cell backgrounds. With
     color=False each cell shows its sign glyph (0 / - / +) instead, same
     geometry, no escape codes."""
@@ -124,7 +147,7 @@ def _hex(rgb: tuple) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def emit_svg(table: DeterminantTable, scheme: ColorScheme = DEFAULT_SCHEME, cell_px: int = 12) -> str:
+def emit_svg(table: "DeterminantTable", scheme: ColorScheme = DEFAULT_SCHEME, cell_px: int = 12) -> str:
     """One sign-colored rectangle per cell, orders running downward and
     shifts rightward; each rectangle carries its exact value as hover
     text. Output bytes are a pure function of the inputs. A cell_px that
@@ -144,7 +167,7 @@ def emit_svg(table: DeterminantTable, scheme: ColorScheme = DEFAULT_SCHEME, cell
         y = (n - n_lo) * cell_px
         for c, v in zip(table.shifts(), table.row(n)):
             x = (c - c_lo) * cell_px
-            fill = zero if v == 0 else negative if v < 0 else positive
+            fill = zero if v == 0 else negative if v < 0 else positive  # faster than sign_classify
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" fill="{fill}">'
                 f"<title>n={n} c={c}: {v}</title></rect>"

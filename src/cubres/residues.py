@@ -42,7 +42,7 @@ def is_prime(m: int) -> bool:
 
 def odd_primes_up_to(limit: int) -> list[int]:
     """All odd primes p with 3 <= p <= limit, ascending."""
-    return [m for m in range(3, limit + 1, 2) if is_prime(m)]
+    return [m for m in range(3, as_int(limit, "limit") + 1, 2) if is_prime(m)]
 
 
 class Record:
@@ -235,11 +235,10 @@ def primitive_root(p: "Prime | int") -> int:
 
 
 def next_primitive_root(p: "Prime | int", after: int) -> int:
-    """Smallest primitive root strictly greater than after."""
-    p = as_prime(p)
-    pv = p.value
+    """Smallest primitive root above max(after, 1); after must be an integer."""
+    pv = as_prime(p).value
     order_factors = list(_prime_factors(pv - 1))
-    for g in range(after + 1, pv):
+    for g in range(max(as_int(after, "after"), 1) + 1, pv):
         if all(pow(g, (pv - 1) // q, pv) != 1 for q in order_factors):
             return g
     raise ValueError(f"no primitive root modulo {pv} above {after}")

@@ -11,8 +11,7 @@ one W(n, c + n + 1) with the sign of reversing its n columns. Diff and
 sum tables read it, and so does `formula_minors`, whose last value the
 `det` command prints. `even_power_minors` reads W(1..n, 0) off one wall
 per distinct even-power sequence, for even-power tables and the T3_7
-checker. None of this imports numpy. Sign classes drive the color-coded
-views in the render module.
+checker. None of this imports numpy.
 
 A table keeps one list per order, a wall row or a row of transposed wall
 columns. `DeterminantTable.cells` is a read-only mapping view over those
@@ -20,19 +19,15 @@ rows, keyed (n, c) in row-major order, and `row`, `column` and `cell`
 read the same lists.
 """
 
-import enum
 from collections.abc import Iterable, Iterator, Mapping
 
-from .matrices import HANKEL, DiffPlusC, EvenPowerPlusC, Formula, SumPlusC, _order, _window, sequence
+from .matrices import HANKEL, EvenPowerPlusC, Formula, _order, _window, family_formula, sequence
 from .residues import Prime, Record, as_int, as_prime
 from .wall import number_wall
 
 __all__ = [
     "FAMILIES",
     "EXTENDED_EXTRA_ORDERS",
-    "SignClass",
-    "sign_classify",
-    "family_formula",
     "DeterminantTable",
     "table_box",
     "generate_table",
@@ -44,32 +39,6 @@ FAMILIES = ("diff", "sum", "even-power")
 
 # extra orders past p in the extended view, where the all-zero band lives
 EXTENDED_EXTRA_ORDERS = 10
-
-
-class SignClass(enum.Enum):
-    """Ternary cell classification used for color coding."""
-
-    ZERO = "zero"
-    NEGATIVE = "negative"
-    POSITIVE = "positive"
-
-
-def sign_classify(v: int) -> SignClass:
-    """ZERO, NEGATIVE or POSITIVE according to the sign of v."""
-    if v == 0:
-        return SignClass.ZERO
-    return SignClass.NEGATIVE if v < 0 else SignClass.POSITIVE
-
-
-def family_formula(family: str, c: int, t: int = 1) -> Formula:
-    """The concrete formula for one table column."""
-    if family == "diff":
-        return DiffPlusC(c)
-    if family == "sum":
-        return SumPlusC(c)
-    if family == "even-power":
-        return EvenPowerPlusC(t, c)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
 class _RowCells(Mapping):
@@ -200,7 +169,9 @@ def generate_table(
     arguments. t must be an integer, whatever the family.
     """
     p, t = as_prime(p), as_int(t, "t")
-    formula = family_formula(family, 0, t)  # rejects an unknown family, and t < 1 for even-power
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    formula = family_formula(family, 0, t)  # rejects t < 1 for even-power
     (n_lo, n_hi), (c_lo, c_hi) = table_box(p, n_range, c_range, extended=extended)
     if family == "even-power":
         cases = ((t, c) for c in range(c_lo, c_hi + 1))

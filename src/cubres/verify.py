@@ -243,7 +243,10 @@ def _evaluate(entry: _Claim, p: Prime, inputs: dict) -> TheoremReport:
     """The report of one claim for one prime, every case counted and every
     counterexample collected in sweep order."""
     if not _fits(entry, p):
-        m = entry.form[0]
+        m, classes = entry.form
+        if not entry.noted:
+            forms = " or ".join(f"{m}k+{r}" for r in classes)
+            raise ValueError(f"{entry.claim} needs a prime of the form {forms}, got {p.value}")
         return TheoremReport(entry.claim, p, 0, [], [f"not applicable: {p.value} % {m} == {p.value % m}"])
     ces, cases = [], 0
     for expected, actual, where in entry.lines(p, **inputs):
@@ -270,12 +273,7 @@ def _run(entries: list, p: Prime, a_bound: int, t_max: int, n_max: int) -> list[
 
 def _standalone(claim: str, p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremReport:
     """One matrix claim on its own."""
-    p = as_prime(p)
-    entry = _CATALOG[CLAIMS.index(claim)]
-    if not _fits(entry, p):
-        forms = " or ".join(f"{entry.form[0]}k+{r}" for r in entry.form[1])
-        raise ValueError(f"{claim} needs a prime of the form {forms}, got {p.value}")
-    return _run([entry], p, 0, t_max, n_max)[0]
+    return _run([_CATALOG[CLAIMS.index(claim)]], as_prime(p), 0, t_max, n_max)[0]
 
 
 def _checker(claim: str, doc: str) -> Callable[["Prime | int"], TheoremReport]:

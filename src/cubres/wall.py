@@ -10,9 +10,10 @@ Desnanot-Jacobi (Dodgson condensation) its rows obey
 so each cell costs O(1) exact integer steps, and every division is
 checked. The zeros of a wall form g x g square windows with a nonzero
 inner frame. Where the divisor W(n - 2, c) lies in a window, the cell is
-either zero (inside the window) or on one of the two rows below it, which
-come from Lunnon's frame theorem (W. F. Lunnon, "The number-wall
-algorithm: an LFSR cookbook", J. Integer Sequences 4, 2001). Index the
+either zero (inside the window) or on one of the two rows below it. Those
+rows are solved when the wall reaches them, from frame cells read off the
+wall, by Lunnon's frame theorem (W. F. Lunnon, "The number-wall algorithm:
+an LFSR cookbook", J. Integer Sequences 4, 2001). Index the
 inner frame's top side A and left side B from its top-left corner, its
 right side C and bottom side D from its bottom-right corner, and call the
 outer frame next to them E, F, G and H. Then A, B, C and D are geometric
@@ -124,10 +125,10 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
             raise _broken(f"frame read at ({n}, {j}) outside the triangle")
         return rows[n + 1][j]
 
-    # windows as (t, a, b, frame): first zero row t, array indices a..b,
-    # and what `_inner_frame` returns, or None for a cut window
+    # windows as (t, a, b, cut): first zero row t, array indices a..b, and
+    # whether the triangle's edge cuts the window
     windows: list[tuple] = []
-    full = _open_windows(rows, 1, size, windows, at)
+    full = _open_windows(rows, 1, size, windows)
     opened, solves, n = len(windows), 0, 1
     while not full and n < depth:
         n += 1
@@ -145,20 +146,20 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
             else:
                 zeros += 1
         owned = 0
-        for t, a, b, frame in windows:
+        for t, a, b, cut in windows:
             if not t <= n - 2 <= t + b - a:
                 continue
             lo, hi = max(a, j_lo), min(b, j_hi)
             owned += max(0, hi - lo + 1)
-            if frame is not None and n - t > b - a:
-                _solve_frame(row, n - t == b - a + 1, t, a, b, frame, lo, hi, at)
+            if not cut and n - t > b - a:
+                _solve_frame(row, n - t == b - a + 1, t, a, b, lo, hi, at)
                 solves += 1
         if zeros != owned:
             raise _broken(f"{zeros} zero divisors in row {n}, {owned} inside windows")
         # keep the windows whose outer bottom row t + g + 1 is still to come
         windows = [w for w in windows if w[0] + (w[2] - w[1] + 1) + 1 > n]
         kept = len(windows)
-        full = _open_windows(rows, n, size, windows, at)
+        full = _open_windows(rows, n, size, windows)
         opened += len(windows) - kept
     # rows 2..n were computed, and row k holds size + 2 - 2k cells
     wall.cells_computed = (n - 1) * (size - n)
@@ -166,7 +167,7 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
     return wall
 
 
-def _open_windows(rows: list, n: int, size: int, windows: list, at) -> bool:
+def _open_windows(rows: list, n: int, size: int, windows: list) -> bool:
     """Register every window whose first zero row is n: a maximal run of
     zeros in row n under nonzero cells of row n - 1. True when one run
     spans the triangle's whole row n: that cut window ends the wall."""
@@ -182,52 +183,42 @@ def _open_windows(rows: list, n: int, size: int, windows: list, at) -> bool:
             i += 1
             b += 1
         i += 1
-        if a == j_lo or b == j_hi:
-            # cut: the run's square ends before the rows past it, so none
-            # of its bottom frame is inside the triangle
-            v = b - a + 1
-            if max(a, n + v + 1) <= min(b, size + 2 - n - v):
-                raise _broken(f"cut window at row {n} has frame cells inside the triangle")
-            windows.append((n, a, b, None))
-        else:
-            windows.append((n, a, b, _inner_frame(n, a, b, at)))
+        cut = a == j_lo or b == j_hi
+        v = b - a + 1
+        if cut and max(a, n + v + 1) <= min(b, size + 2 - n - v):
+            # the run's square ends before the rows past it, so none of a
+            # cut window's bottom frame is inside the triangle
+            raise _broken(f"cut window at row {n} has frame cells inside the triangle")
+        windows.append((n, a, b, cut))
     return len(tops) == j_hi - j_lo + 1
 
 
-def _inner_frame(t: int, a: int, b: int, at) -> tuple:
-    """P, Q, R and S of the window with zero rows t.. and columns a..b, as
-    numerator-denominator pairs from its top two frame rows, and its inner
-    bottom row D_0..D_g.
+def _solve_frame(row: list, inner: bool, t: int, a: int, b: int, lo: int, hi: int, at) -> None:
+    """Write the cells lo..hi of the window's inner bottom row D (inner) or
+    outer bottom row H into row, reading the frame off the wall.
 
     A_k = W(t - 1, a - 1 + k), B_k = W(t - 1 + k, a - 1), C_k = W(t + g - k, b + 1)
     and D_k = W(t + g, b + 1 - k). The corners C_0 and D_{g+1} may lie
-    outside the triangle, so C_0 = C_g / R**g, with R = A_{g+1} / C_g."""
+    outside the triangle, so D is solved as C_0 * S**k, with C_0 = C_g / R**g
+    and R = A_{g+1} / C_g; H reads D_k off the row above it."""
     g = b - a + 1
     a0, a1, ag1 = at(t - 1, a - 1), at(t - 1, a), at(t - 1, b + 1)
     b1, cg = at(t, a - 1), at(t, b + 1)
     # S = (-1)**g * Q * R / P with P = A_1/A_0, Q = B_1/A_0, R = A_{g+1}/C_g
     s_num, s_den = (-1) ** g * b1 * ag1, a1 * cg
-    d = [_exact(cg ** (g + 1), ag1 ** g)]
-    for _ in range(g):
-        d.append(_exact(d[-1] * s_num, s_den))
-    return a0, a1, ag1, b1, cg, s_num, s_den, d
-
-
-def _solve_frame(row: list, inner: bool, t: int, a: int, b: int, frame: tuple,
-                 lo: int, hi: int, at) -> None:
-    """Write the cells lo..hi of the window's inner bottom row D (inner) or
-    outer bottom row H into row."""
-    a0, a1, ag1, b1, cg, s_num, s_den, d = frame
-    g = b - a + 1
+    if inner:
+        d = [_exact(cg ** (g + 1), ag1 ** g)]
+        for _ in range(b + 1 - lo):
+            d.append(_exact(d[-1] * s_num, s_den))
+        for j in range(lo, hi + 1):
+            row[j] = d[b + 1 - j]
+        return
     for j in range(lo, hi + 1):
         k = b + 1 - j
-        if inner:
-            row[j] = d[k]
-            continue
         # H_k = (D_k / R) * (Q E_k/A_k + (-1)**k * (P F_k/B_k - S G_k/C_k))
         ak, ek = at(t - 1, a - 1 + k), at(t - 2, a - 1 + k)
         bk, fk = at(t - 1 + k, a - 1), at(t - 1 + k, a - 2)
         ck, gk = at(t + g - k, b + 1), at(t + g - k, b + 2)
         num = b1 * ek * bk * s_den * ck + (-1) ** k * ak * (
             a1 * fk * s_den * ck - s_num * gk * a0 * bk)
-        row[j] = _exact(d[k] * cg * num, ag1 * a0 * ak * bk * s_den * ck)
+        row[j] = _exact(at(t + g, j) * cg * num, ag1 * a0 * ak * bk * s_den * ck)

@@ -479,7 +479,7 @@ _LOADED_PER_COMMAND = textwrap.dedent("""
     ((["verify", "--p-max", "11"],),
      (["matrices", "tables", "verify", "wall"],)),
     ((["matrix", "--diff", "-p", "11", "-n", "5"],),
-     (["matrices", "render", "tables", "wall"],)),
+     (["matrices", "render"],)),
 ], ids=["symbol-det-table", "verify", "matrix"])
 def test_each_command_imports_only_the_modules_it_runs(commands, added):
     # the parser and `symbol` need only residues; `table` never loads

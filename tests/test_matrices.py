@@ -17,6 +17,7 @@ from cubres import (
     cubic_residue_symbol,
     determinant,
     entry_value,
+    family_formula,
     matrices_equal,
     odd_primes_up_to,
 )
@@ -193,6 +194,21 @@ def test_residue_matrix_rejects_non_integer_entries():
         ResidueMatrix(2, entries, as_prime(5), DiffPlusC(0))
     with pytest.raises(TypeError):
         ResidueMatrix(2, np.ones((2, 2), dtype=bool), as_prime(5), DiffPlusC(0))
+
+
+def test_residue_matrix_reads_its_order_and_prime():
+    m = build_matrix(DiffPlusC(0), 7, 2)
+    with pytest.raises(TypeError, match="^order must be an integer, got float$"):
+        ResidueMatrix(2.0, m.entries, Prime(7), DiffPlusC(0))
+    assert ResidueMatrix(np.int64(2), m.entries, Prime(7), DiffPlusC(0)).order == 2
+    # a plain int prime is stored as the Prime it names
+    lone = ResidueMatrix(1, [[0]], 7, DiffPlusC(0))
+    assert type(lone.prime) is Prime and lone.prime == Prime(7)
+
+
+def test_family_formula_covers_cube_diff():
+    # the one family that reads neither the shift nor t
+    assert family_formula("cube-diff", 5) == family_formula("cube-diff", 0, t=3) == CubeDiffPlusOne()
 
 
 def test_residue_matrix_keeps_a_private_read_only_copy():

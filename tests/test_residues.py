@@ -248,6 +248,22 @@ def test_next_primitive_root():
         next_primitive_root(5, 3)  # 3 is the largest primitive root mod 5
 
 
+def test_next_primitive_root_below_one_is_the_smallest_root():
+    for m in (5, 7, 23, 41):
+        assert [next_primitive_root(m, after) for after in (-5, -1, 0, 1)] == [primitive_root(m)] * 4
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: next_primitive_root(7, "3"), "after"),
+    (lambda: next_primitive_root(7, 2.0), "after"),
+    (lambda: odd_primes_up_to("10"), "limit"),
+    (lambda: odd_primes_up_to(10.5), "limit"),
+], ids=["after-str", "after-float", "limit-str", "limit-float"])
+def test_root_and_prime_bounds_are_read_as_integers(call, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        call()
+
+
 def test_odd_primes_up_to():
     assert odd_primes_up_to(20) == [3, 5, 7, 11, 13, 17, 19]
     assert odd_primes_up_to(2) == []

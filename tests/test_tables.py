@@ -40,6 +40,12 @@ def test_family_formula():
         family_formula("cube", 0)
 
 
+def test_tables_take_no_cube_diff_family():
+    with pytest.raises(ValueError, match=r"^unknown family 'cube-diff'; expected one of "
+                                         r"\('diff', 'sum', 'even-power'\)$"):
+        generate_table("cube-diff", 7)
+
+
 def test_default_extents():
     t = generate_table("diff", 5)
     assert t.n_range == (1, 5)

@@ -42,6 +42,13 @@ from cubres import (
 from cubres.verify import _t3_4_notes
 
 
+def test_a_standalone_checker_names_the_form_of_prime_it_needs():
+    with pytest.raises(ValueError, match=r"^T3_1 needs a prime of the form 3k\+2, got 7$"):
+        check_t3_1(7)
+    with pytest.raises(ValueError, match=r"^T3_7 needs a prime of the form 12k\+5 or 12k\+11, got 13$"):
+        check_t3_7(13)
+
+
 def test_report_passed_tracks_counterexamples():
     r = TheoremReport("T3_1", Prime(5), 5)
     assert r.passed

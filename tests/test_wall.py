@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubres.wall as wall_module
-from cubres import leading_minors
+from cubres import DiffPlusC, leading_minors
+from cubres.matrices import sequence
 from cubres.wall import number_wall
 
 
@@ -143,6 +144,16 @@ def test_counters_on_a_planted_recurrence(monkeypatch):
     # a periodic sequence: row 5 is zero across the triangle and ends the wall
     w = number_wall([1, -1, 0, 1] * 6, 12)
     assert (w.cells_computed, w.windows_opened, w.frame_solves) == (4 * 19, 7, 6)
+
+
+def test_counters_on_a_3k1_symbol_wall(monkeypatch):
+    # the p = 37 diff wall of verify's box, orders 1..47 and shifts -1..73:
+    # the windows of a 3k+1 symbol sequence, with frames solved at both
+    # bottom rows
+    seen = _spy_frames(monkeypatch)
+    w = number_wall(sequence(DiffPlusC(0), 37, -47, 119), 47, first=-47)
+    assert (w.depth, w.cells_computed, w.windows_opened, w.frame_solves) == (47, 4773, 108, 146)
+    assert w.frame_solves == seen[True] + seen[False] and seen[True] and seen[False]
 
 
 def test_zero_divisor_outside_every_window_is_an_error(monkeypatch):
