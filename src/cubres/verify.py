@@ -6,10 +6,12 @@ values with their sweep coordinates, and its notes. Expected values come
 from a closed form, the symbol or the enumerated cubes, never from the
 value under test; actual values from a symbol sweep, Toeplitz symbol
 sequences or number walls read by the tables module, never from a built
-matrix or an elimination. One evaluator, `_evaluate`, counts every case,
-compares each line as one list, and only on a mismatch builds a
-Counterexample per differing case, in sweep order; a report passes
-exactly when it has none. The table claims read one diff table per
+matrix or an elimination. Each claim reads, defaults and checks its own
+inputs. One evaluator, `_evaluate`, counts every case, compares each line
+as one list, and only on a mismatch builds a Counterexample per differing
+case, in sweep order; a report passes exactly when it has none. A line
+whose sides differ in length is a defect of the catalog or of the code it
+reads, and raises ValueError. The table claims read one diff table per
 prime, built on the first read over orders 1..p + EXTENDED_EXTRA_ORDERS
 and shifts -1..2p - 1; a read outside that box raises KeyError.
 """
@@ -83,8 +85,8 @@ def _along(n: int, c: int, expected: list, actual: list, detail: str = "") -> _L
 class _Claim(NamedTuple):
     """One catalog entry. For form (m, classes) the claim needs p % m in
     classes (None: any prime); outside it, it raises ValueError, or reports
-    zero cases and a note when noted. lines(p, **inputs) yields its cases,
-    reading the inputs it names."""
+    zero cases and a note when noted. lines(p, **inputs) yields its cases;
+    it reads, defaults and checks the inputs it names, and ignores the rest."""
 
     claim: str
     form: "tuple[int, tuple[int, ...]] | None"
@@ -93,10 +95,13 @@ class _Claim(NamedTuple):
     noted: bool = False
 
 
-def _p2_3(p: Prime, a_bound: int, **_) -> Iterable[_Line]:
+def _p2_3(p: Prime, a_bound: "int | None" = None, **_) -> Iterable[_Line]:
+    pv = p.value
+    a_bound = 2 * pv if a_bound is None else as_int(a_bound, "a_bound")
+    if a_bound < 0:
+        raise ValueError(f"a_bound must be at least 0, got {a_bound}")
     # case 2i compares s(a) with s(a mod p), and case 2i + 1 s(-a) with
     # s(a), for the i-th a of [-a_bound, a_bound]: s(-a) is s read backwards
-    pv = p.value
     s = [cubic_residue_symbol(a, p) for a in range(-a_bound, a_bound + 1)]
     same = [cubic_residue_symbol(a % pv, p) for a in range(-a_bound, a_bound + 1)]
 
@@ -183,6 +188,9 @@ def _roots(p: Prime) -> tuple[int, int]:
 
 
 def _t3_7(p: Prime, t_max: int, n_max: int, **_) -> Iterable[_Line]:
+    t_max, n_max = as_int(t_max, "t_max"), as_int(n_max, "n_max")
+    if t_max < 1 or n_max < 2:
+        raise ValueError(f"need t_max >= 1 and n_max >= 2, got ({t_max}, {n_max})")
     pv = p.value
     root, second = _roots(p)
     exponents = range(1, pv - 1, 2) if p.mod12 == 5 else range(2, pv, 2)
@@ -194,7 +202,7 @@ def _t3_7(p: Prime, t_max: int, n_max: int, **_) -> Iterable[_Line]:
             # an all-ones block must have det 0, read as W(m, 0) off the
             # case's wall; any other fails on its first entry that is not 1
             bad = {k for k, v in enumerate(terms, 1 - top) if v != 1}
-            firsts = _first_differences(bad, top) if bad else []
+            firsts = _first_differences(bad, top)
             ones = top - 1 - len(firsts)
             yield _down(2, c, [0] * ones, dets[1:ones + 1], f"{tag}det with t={t}, e={e}")
             if firsts:
@@ -250,6 +258,8 @@ def _evaluate(entry: _Claim, p: Prime, inputs: dict) -> TheoremReport:
         return TheoremReport(entry.claim, p, 0, [], [f"not applicable: {p.value} % {m} == {p.value % m}"])
     ces, cases = [], 0
     for expected, actual, where in entry.lines(p, **inputs):
+        if len(expected) != len(actual):
+            raise ValueError(f"{entry.claim}: line lengths differ ({len(expected)} expected, {len(actual)} actual)")
         cases += len(actual)
         if actual != expected:
             for i, (want, got) in enumerate(zip(expected, actual)):
@@ -259,26 +269,18 @@ def _evaluate(entry: _Claim, p: Prime, inputs: dict) -> TheoremReport:
     return TheoremReport(entry.claim, p, cases, ces, entry.notes(p))
 
 
-def _run(entries: list, p: Prime, a_bound: int, t_max: int, n_max: int) -> list[TheoremReport]:
-    """Evaluate entries for one prime, the table claims among them over one
-    diff table, built on the first read."""
-    t_max, n_max = as_int(t_max, "t_max"), as_int(n_max, "n_max")
-    if t_max < 1 or n_max < 2:
-        raise ValueError(f"need t_max >= 1 and n_max >= 2, got ({t_max}, {n_max})")
-    table = cache(lambda: generate_table("diff", p, (1, p.value + EXTENDED_EXTRA_ORDERS),
-                                         (-1, 2 * p.value - 1)))
-    inputs = {"table": table, "a_bound": a_bound, "t_max": t_max, "n_max": n_max}
+def _run(entries: list, p: "Prime | int", **inputs) -> list[TheoremReport]:
+    """Evaluate entries for one prime over one diff table, built on the first
+    read, and the inputs as given; each claim defaults and checks its own."""
+    p = as_prime(p)
+    inputs["table"] = cache(lambda: generate_table("diff", p, (1, p.value + EXTENDED_EXTRA_ORDERS),
+                                                   (-1, 2 * p.value - 1)))
     return [_evaluate(entry, p, inputs) for entry in entries]
-
-
-def _standalone(claim: str, p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremReport:
-    """One matrix claim on its own."""
-    return _run([_CATALOG[CLAIMS.index(claim)]], as_prime(p), 0, t_max, n_max)[0]
 
 
 def _checker(claim: str, doc: str) -> Callable[["Prime | int"], TheoremReport]:
     def check(p: "Prime | int") -> TheoremReport:
-        return _standalone(claim, p)
+        return _run([_CATALOG[CLAIMS.index(claim)]], p)[0]
 
     check.__name__ = check.__qualname__ = f"check_{claim.lower()}"
     check.__doc__ = doc
@@ -299,11 +301,7 @@ def check_propositions(p: "Prime | int", a_bound: "int | None" = None) -> list[T
     against the enumerated cube set rather than the symbol's own shortcut.
     Inapplicable sub-reports are returned with zero cases and a note.
     """
-    p = as_prime(p)
-    bound = 2 * p.value if a_bound is None else as_int(a_bound, "a_bound")
-    if bound < 0:
-        raise ValueError(f"a_bound must be at least 0, got {bound}")
-    return _run([entry for entry in _CATALOG if entry.claim.startswith("P2_")], p, bound, 3, 8)
+    return _run([entry for entry in _CATALOG if entry.claim.startswith("P2_")], p, a_bound=a_bound)
 
 
 check_t3_1 = _checker("T3_1", "Shift 0: det equals (-1)**(n-1) * (n-1) for every order 1 <= n <= p.")
@@ -333,7 +331,7 @@ def check_t3_7(p: "Prime | int", t_max: int = 3, n_max: int = 8) -> TheoremRepor
     Each case's terms and determinants come from `tables.even_power_minors`,
     with one number wall per distinct sequence within each sweep.
     """
-    return _standalone("T3_7", p, t_max, n_max)
+    return _run([_CATALOG[CLAIMS.index("T3_7")]], p, t_max=t_max, n_max=n_max)[0]
 
 
 check_row_period_np = _checker("ROW_PERIOD_NP", """Orders past p: rows repeat with period p, so
@@ -354,8 +352,8 @@ def verify_all(p_max: int, t_max: int = 3, n_max: int = 8) -> list[TheoremReport
     the eight table claims read one shared difference-family table from
     one `generate_table` call; columns c and c + p are separate cells,
     computed from different terms of the symbol sequence. p_max, t_max and
-    n_max must be integers. Failures are collected in the reports, never
-    raised. Reports come back sorted by claim id, then prime.
+    n_max must be integers. The reports, sorted by claim id then prime, hold
+    every failure; a line whose sides differ in length raises ValueError.
     """
     p_max = as_int(p_max, "p_max")
     if p_max < 5:
@@ -363,7 +361,7 @@ def verify_all(p_max: int, t_max: int = 3, n_max: int = 8) -> list[TheoremReport
     reports: list[TheoremReport] = []
     for p in map(Prime, odd_primes_up_to(p_max)[1:]):  # from 5: 3 is neither 3k+1 nor 3k+2
         reports += _run([entry for entry in _CATALOG if entry.noted or _fits(entry, p)],
-                        p, 2 * p.value, t_max, n_max)
+                        p, t_max=t_max, n_max=n_max)
     return sorted(reports, key=lambda r: (CLAIMS.index(r.claim), r.prime.value))
 
 

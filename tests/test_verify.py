@@ -582,7 +582,35 @@ def test_a_table_claim_reading_outside_the_box_raises_key_error(n, c):
     outside = verify._Claim("OUTSIDE", (3, (2,)), verify._table(lambda pv, d: [
         verify._down(n, c, [0], d.column(c, n, n))]))
     with pytest.raises(KeyError):
-        verify._run([outside], Prime(11), 0, 3, 8)
+        verify._run([outside], Prime(11))
     inside = outside._replace(lines=verify._table(lambda pv, d: [
         verify._down(pv + 10, 2 * pv - 1, [0], d.column(2 * pv - 1, pv + 10, pv + 10))]))
-    assert verify._run([inside], Prime(11), 0, 3, 8)[0].passed
+    assert verify._run([inside], Prime(11))[0].passed
+
+
+def test_every_claim_but_t3_7_runs_with_no_inputs():
+    # a claim defaults what it reads: only T3_7's sweep bounds have no private default
+    for entry in verify._CATALOG:
+        if entry.claim != "T3_7":
+            assert verify._run([entry], 11)[0].passed
+    with pytest.raises(TypeError, match="t_max"):
+        verify._run([verify._CATALOG[CLAIMS.index("T3_7")]], 11)
+
+
+@pytest.mark.parametrize("run, error, message", [
+    (lambda: check_t3_7(11, t_max=2.5), TypeError, "t_max must be an integer, got float"),
+    (lambda: verify_all(11, t_max=0), ValueError, r"need t_max >= 1 and n_max >= 2, got \(0, 8\)"),
+    # the form of the prime is checked before the claim reads its inputs
+    (lambda: check_t3_7(13, t_max=0), ValueError, r"T3_7 needs a prime of the form 12k\+5 or 12k\+11, got 13"),
+], ids=["t_max-float", "all-t_max-0", "form-first"])
+def test_a_claim_reports_a_bad_input_with_its_type_and_text(run, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        run()
+
+
+@pytest.mark.parametrize("expected, actual", [([0], [0, 5, 7]), ([0, 0, 0], [0])])
+def test_a_line_whose_sides_differ_in_length_raises(expected, actual):
+    # zip would compare only the shorter side's cases and could pass the rest unseen
+    uneven = verify._Claim("UNEVEN", None, lambda p, **_: [verify._down(1, 0, expected, actual)])
+    with pytest.raises(ValueError, match=rf"^UNEVEN: line lengths differ \({len(expected)} expected, {len(actual)} actual\)$"):
+        verify._run([uneven], 11)
