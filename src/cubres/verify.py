@@ -100,19 +100,11 @@ def _p2_3(p: Prime, a_bound: "int | None" = None, **_) -> Iterable[_Line]:
     a_bound = 2 * pv if a_bound is None else as_int(a_bound, "a_bound")
     if a_bound < 0:
         raise ValueError(f"a_bound must be at least 0, got {a_bound}")
-    # case 2i compares s(a) with s(a mod p), and case 2i + 1 s(-a) with
-    # s(a), for the i-th a of [-a_bound, a_bound]: s(-a) is s read backwards
+    # s(a) against s(a mod p), then s(-a), for a in [-a_bound, a_bound]: s(-a) is s read backwards
     s = [cubic_residue_symbol(a, p) for a in range(-a_bound, a_bound + 1)]
     same = [cubic_residue_symbol(a % pv, p) for a in range(-a_bound, a_bound + 1)]
-
-    def where(i: int) -> tuple[int, int, str]:
-        a = i // 2 - a_bound
-        if i % 2:
-            return a, -a, "negating a changed the symbol"
-        return a, a % pv, "symbol not constant on the class of a"
-
-    yield _Line([v for pair in zip(same, s) for v in pair],
-                [v for pair in zip(s, reversed(s)) for v in pair], where)
+    yield _Line(same, s, lambda i: (i - a_bound, (i - a_bound) % pv, "symbol not constant on the class of a"))
+    yield _Line(s, s[::-1], lambda i: (i - a_bound, a_bound - i, "negating a changed the symbol"))
     yield _Line([1] * (pv - 1), [cubic_residue_symbol(a**3, p) for a in range(1, pv)],
                 lambda i: (i + 1, (i + 1) ** 3 % pv, "nonzero cube with symbol != 1"))
 

@@ -9,15 +9,16 @@ Desnanot-Jacobi (Dodgson condensation) its rows obey
 
 so each cell costs O(1) exact integer steps, and every division is
 checked. The zeros of a wall form g x g square windows with a nonzero
-inner frame. Where the divisor W(n - 2, c) lies in a window, the cell is
-either zero (inside the window) or on one of the two rows below it. Those
-rows are solved when the wall reaches them, from frame cells read off the
-wall, by Lunnon's frame theorem (W. F. Lunnon, "The number-wall algorithm:
-an LFSR cookbook", J. Integer Sequences 4, 2001). Index the
-inner frame's top side A and left side B from its top-left corner, its
-right side C and bottom side D from its bottom-right corner, and call the
-outer frame next to them E, F, G and H. Then A, B, C and D are geometric
-with ratios P, Q, R and S, where PS/QR = (-1)**g, and for 1 <= k <= g
+inner frame. A row's zero divisors, counted once per row, must be the
+cells of the windows that hold row n - 2. Below such a divisor the cell
+is either zero (inside the window) or on one of the two rows below it,
+solved when the wall reaches them from frame cells read off the wall, by
+Lunnon's frame theorem (W. F. Lunnon, "The number-wall algorithm: an LFSR
+cookbook", J. Integer Sequences 4, 2001). Index the inner frame's top
+side A and left side B from its top-left corner, its right side C and
+bottom side D from its bottom-right corner, and call the outer frame next
+to them E, F, G and H. Then A, B, C and D are geometric with ratios P, Q,
+R and S, where PS/QR = (-1)**g, and for 1 <= k <= g
 
     Q*E_k/A_k + (-1)**k * P*F_k/B_k = R*H_k/D_k + (-1)**k * S*G_k/C_k.
 
@@ -99,8 +100,9 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
     seq[i] is the term s(first + i). W(n, c) is defined for -1 <= n <= depth
     and c in [first + n - 1, first + len(seq) - n], the cells whose
     determinant reads only terms of seq; anything else raises IndexError.
-    A broken invariant (an inexact division, or a zero divisor outside
-    every known window) raises ArithmeticError, and a term or a depth
+    Each row's zero divisors are counted once and must be the cells of
+    the windows that hold row n - 2; any other, or an inexact division,
+    breaks an invariant and raises ArithmeticError. A term or a depth
     that is not an integer raises TypeError. A zero row under a row with
     no zeros, both across the whole triangle, ends the computation.
     """
@@ -134,7 +136,6 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
         n += 1
         up2, up, row = rows[n - 1], rows[n], rows[n + 1]
         j_lo, j_hi = n + 1, size + 2 - n
-        zeros = 0
         for j in range(j_lo, j_hi + 1):
             d = up2[j]
             if d:
@@ -143,17 +144,15 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
                 if r:
                     raise _broken("inexact Dodgson division")
                 row[j] = q
-            else:
-                zeros += 1
         owned = 0
         for t, a, b, cut in windows:
-            if not t <= n - 2 <= t + b - a:
-                continue
-            lo, hi = max(a, j_lo), min(b, j_hi)
-            owned += max(0, hi - lo + 1)
-            if not cut and n - t > b - a:
-                _solve_frame(row, n - t == b - a + 1, t, a, b, lo, hi, at)
-                solves += 1
+            if t <= n - 2:  # the filter below keeps t + g + 1 > n, so n - 2 <= t + b - a always
+                lo, hi = max(a, j_lo), min(b, j_hi)
+                owned += max(0, hi - lo + 1)
+                if not cut and n - t > b - a:
+                    _solve_frame(row, n - t == b - a + 1, t, a, b, lo, hi, at)
+                    solves += 1
+        zeros = up2[j_lo:j_hi + 1].count(0)
         if zeros != owned:
             raise _broken(f"{zeros} zero divisors in row {n}, {owned} inside windows")
         # keep the windows whose outer bottom row t + g + 1 is still to come
@@ -176,13 +175,10 @@ def _open_windows(rows: list, n: int, size: int, windows: list) -> bool:
     if 0 not in row[j_lo:j_hi + 1]:
         return False
     tops = [j for j in range(j_lo, j_hi + 1) if not row[j] and up[j]]
-    i = 0
-    while i < len(tops):
-        a = b = tops[i]
-        while i + 1 < len(tops) and tops[i + 1] == b + 1:
-            i += 1
-            b += 1
-        i += 1
+    # a run starts where the previous top is not j - 1, and ends where the next is not j + 1
+    starts = [j for i, j in enumerate(tops) if i == 0 or tops[i - 1] != j - 1]
+    ends = [j for i, j in enumerate(tops, 1) if i == len(tops) or tops[i] != j + 1]
+    for a, b in zip(starts, ends):
         cut = a == j_lo or b == j_hi
         v = b - a + 1
         if cut and max(a, n + v + 1) <= min(b, size + 2 - n - v):

@@ -1,5 +1,7 @@
 """Determinant table generation and classification."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from cubres import (
     family_formula,
     generate_table,
     leading_minors,
+    legendre_symbol,
     odd_primes_up_to,
     sign_classify,
 )
@@ -214,6 +217,56 @@ def test_even_power_columns_share_one_wall_per_distinct_sequence(monkeypatch):
     assert depths == [13] * 13
     for c in range(13):
         assert t.column(c) == t.column(c + 13) == formula_minors(EvenPowerPlusC(1, c), 13, 13)
+
+
+# the 3k+2 primes to 59 and the t <= 6 with gcd(2t, p - 1) = 2
+_EVEN_POWER_PAIRS = [(p, t) for p in odd_primes_up_to(59) if p % 3 == 2
+                     for t in range(1, 7) if math.gcd(2 * t, p - 1) == 2]
+
+
+def _even_power_row_p(p, t):
+    return generate_table("even-power", p, (p, p), (0, p - 1), t=t).row(p)
+
+
+def _even_power_det(p, c):
+    return p - 1 if c == 0 else p - 2 if legendre_symbol(-c, p) == 1 else 0
+
+
+def test_even_power_row_p_in_closed_form():
+    """Row p of the even-power table is p - 1 at c = 0, p - 2 where -c is
+    a nonzero square, and 0 elsewhere, for 3k+2 primes with gcd(2t, p - 1) = 2.
+
+    Cubing permutes the nonzero classes of a 3k+2 prime, so the symbol is
+    [m != 0 mod p] and s(k) = 1 - [k**(2t) = -c]. As gcd(2t, p - 1) = 2,
+    k -> k**(2t) maps the nonzero classes two to one onto the nonzero
+    squares, so s is the all-ones sequence less one zero at k = 0 (c = 0),
+    two at k = +-k0 (-c = k0**2), or none. s is p-periodic, so the order-p
+    block is circulant, with eigenvalues the sums of s(k) * w**(jk) over
+    k mod p, w = e^(2 pi i/p). J - I has the eigenvalue p - 1 once and
+    -1 p - 1 times: det p - 1. With two zeros they are p - 2 at j = 0 and
+    -(w**(j k0) + w**(-j k0)) elsewhere, whose product over j != 0 is the
+    product of -w**(-a) times that of 1 + w**(2a) over a != 0, 1 * 1; so
+    det p - 2. With none the block is all ones: det 0.
+    """
+    assert len(_EVEN_POWER_PAIRS) == 37
+    for p, t in _EVEN_POWER_PAIRS:
+        assert _even_power_row_p(p, t) == [_even_power_det(p, c) for c in range(p)], (p, t)
+
+
+@pytest.mark.parametrize("where", ["first", "centre", "last"])
+def test_even_power_row_p_sees_one_flipped_term(monkeypatch, where):
+    # every wall reads one term turned from 0 to 1 or back: s(1 - p), s(0) or s(p - 1)
+    def flipped(seq, depth, **kwargs):
+        seq = list(seq)
+        k = {"first": 0, "centre": len(seq) // 2, "last": -1}[where]
+        seq[k] = 1 - seq[k]
+        return real(seq, depth, **kwargs)
+
+    real = tables.number_wall
+    monkeypatch.setattr(tables, "number_wall", flipped)
+    for p, t in _EVEN_POWER_PAIRS:
+        if t == 1:
+            assert _even_power_row_p(p, t) != [_even_power_det(p, c) for c in range(p)], (p, t)
 
 
 def test_rejects_p3_and_bad_ranges():

@@ -429,20 +429,39 @@ def test_corrupted_engine_is_caught(monkeypatch):
     assert shared["T3_2"].counterexamples == r2.counterexamples
 
 
-def _flip_class_3(monkeypatch):
-    """Negate the symbol on the nonzero class 3 mod p, at every place in
-    the package that holds the symbol function."""
+def _flip_symbol(monkeypatch, flips):
+    """Negate the symbol of a mod p wherever flips(a, p) holds, at every
+    place in the package that holds the symbol function."""
     real = residues.cubic_residue_symbol
 
     def flipped(a, p):
         v = real(a, p)
-        return -v if a % as_prime(p).value == 3 else v
+        return -v if flips(a, as_prime(p).value) else v
 
     for name, module in list(sys.modules.items()):
         if name == "cubres" or name.startswith("cubres."):
             for attr, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, attr, flipped)
+
+
+def _flip_class_3(monkeypatch):
+    """Negate the symbol on the nonzero class 3 mod p."""
+    _flip_symbol(monkeypatch, lambda a, pv: a % pv == 3)
+
+
+def test_p2_3_catches_a_symbol_that_is_not_a_function_of_the_class(monkeypatch):
+    # flipped at a = p + 3 alone, s(14) leaves the class of 3 and breaks
+    # the evenness at +-14: the class line's case comes first, then the
+    # parity line's two, each with its own coordinates and detail
+    _flip_symbol(monkeypatch, lambda a, pv: a == pv + 3)
+    p23, p24, p25 = check_propositions(11)
+    assert p23.cases_checked == 2 * 45 + 10 and p24.passed and p25.passed
+    assert p23.counterexamples == [
+        Counterexample(14, 3, 1, -1, "symbol not constant on the class of a"),
+        Counterexample(-14, 14, 1, -1, "negating a changed the symbol"),
+        Counterexample(14, -14, -1, 1, "negating a changed the symbol"),
+    ]
 
 
 def _sabotage(monkeypatch, kind):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubres.wall as wall_module
-from cubres import DiffPlusC, leading_minors
+from cubres import DiffPlusC, leading_minors, legendre_symbol, odd_primes_up_to
 from cubres.matrices import sequence
 from cubres.wall import number_wall
 
@@ -163,6 +163,88 @@ def test_zero_divisor_outside_every_window_is_an_error(monkeypatch):
     assert number_wall([1, 1, 2, 3, 5], 3)(2, 2) == 1
     with pytest.raises(ArithmeticError, match="zero divisors"):
         number_wall([1, -1, 1, 0, 0, 0, 1, 1, -1], 4)
+
+
+def _bump_after_solve(real):
+    """A frame solve that writes one cell off by one."""
+    def solve(row, inner, t, a, b, lo, hi, at):
+        real(row, inner, t, a, b, lo, hi, at)
+        row[lo] += 1
+    return solve
+
+
+def _solve_off_a_doubled_frame(real):
+    """A frame solve that reads every frame cell doubled, and A_1 one more."""
+    def solve(row, inner, t, a, b, lo, hi, at):
+        real(row, inner, t, a, b, lo, hi, lambda n, j: 2 * at(n, j) + (n == t - 1 and j == a))
+    return solve
+
+
+def _register_uncut(real):
+    """A run scan that marks every window as not cut by the triangle."""
+    def scan(rows, n, size, windows):
+        full = real(rows, n, size, windows)
+        windows[:] = [(t, a, b, False) for t, a, b, _ in windows]
+        return full
+    return scan
+
+
+@pytest.mark.parametrize("name, sabotage, seq, first, message", [
+    ("_solve_frame", _bump_after_solve, [1, -1, 0, 1, 1] + FIB + [2, -1, 0, 1, 1, 1], -4,
+     "inexact Dodgson division"),
+    ("_solve_frame", _solve_off_a_doubled_frame, [1, -1, 0, 1, 1] + FIB + [2, -1, 0, 1, 1, 1], -4,
+     "inexact division"),
+    ("_open_windows", _register_uncut, [0, 0, 0, 0, 1, 2, -1, 1, 1, 3, -2, 1, 1], 0,
+     r"frame read at \(1, 1\) outside the triangle"),
+], ids=["frame-cell-off-by-one", "frame-read-doubled", "cut-window-read-as-whole"])
+def test_a_broken_invariant_raises_rather_than_returns(monkeypatch, name, sabotage, seq, first, message):
+    # a wrong frame cell is caught by the next division that reads it, and
+    # a frame read outside the triangle by the read itself
+    monkeypatch.setattr(wall_module, name, sabotage(getattr(wall_module, name)))
+    with pytest.raises(ArithmeticError, match=f"^{message}; number-wall invariant broken$"):
+        number_wall(seq, len(seq), first=first)
+
+
+def _paley_row(p, flip=None):
+    """Row p of the wall of s(m) = (m/p) + [p | m] at the shifts 0..2p,
+    over its terms s(1 - p)..s(3p - 1), with term number flip negated."""
+    seq = [legendre_symbol(m, p) + (m % p == 0) for m in range(1 - p, 3 * p)]
+    if flip is not None:
+        seq[flip] = -seq[flip]
+    return number_wall(seq, p, first=1 - p).row(p, 0, 2 * p)
+
+
+def _paley_det(p):
+    return (p + 1 if p % 4 == 3 else 1 - p) ** ((p - 1) // 2)
+
+
+def test_paley_row_p_in_closed_form():
+    """W(p, c) = (p + 1)**((p - 1)/2) for p = 3 mod 4, and (1 - p)**((p - 1)/2)
+    for p = 1 mod 4, at every shift.
+
+    s is p-periodic, so the order-p block (s(c + j - i)) is circulant, and
+    moving c cycles its columns, an even permutation for odd p. Its
+    eigenvalues are the sums of s(k) * w**(jk) over k mod p, w = e^(2 pi i/p):
+    1 at j = 0, since the Legendre symbols sum to 0, and 1 + (j/p) G at
+    j != 0, with G the quadratic Gauss sum. Half the j are squares, so the
+    determinant is ((1 + G)(1 - G))**((p - 1)/2) = (1 - G**2)**((p - 1)/2),
+    and G**2 = (-1/p) p is p for p = 1 mod 4 and -p for p = 3 mod 4
+    (Paley, 1933). At p = 97 each cell is 96**48, of 96 digits, and the
+    wall reaches it only through the p - 1 rows above it.
+    """
+    for p in odd_primes_up_to(97)[1:]:
+        assert _paley_row(p) == [_paley_det(p)] * (2 * p + 1), p
+
+
+@pytest.mark.parametrize("where", ["first", "centre", "last"])
+def test_paley_row_p_sees_one_flipped_term(where):
+    # the first and last terms reach only the row's end cells, W(p, 0) and
+    # W(p, 2p); the centre term s(p) reaches all the others. For p = 3 mod 4
+    # the last term's cofactor in W(p, 2p) is 0, so no cell can see it flip
+    for p in odd_primes_up_to(97)[1:]:
+        if where != "last" or p % 4 == 1:
+            flip = {"first": 0, "centre": 2 * p - 1, "last": 4 * p - 2}[where]
+            assert _paley_row(p, flip) != [_paley_det(p)] * (2 * p + 1), p
 
 
 @st.composite
