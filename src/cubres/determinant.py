@@ -20,15 +20,13 @@ elimination.
 
 Importing the module does not import numpy, `cubres.matrices` or
 `cubres.tables`; each function that uses one imports it when called.
-Only `determinant`'s int64 path imports numpy, and a numpy array is
-read as one only when numpy is already loaded, since none can exist
-otherwise.
+Only `determinant`'s int64 path imports numpy. Input of any kind is read
+row by row, each entry by `residues.as_int`; an input with an `ndim`
+other than 2, such as a 3-d numpy array, raises ValueError.
 """
 
 from __future__ import annotations
 
-import sys
-from numbers import Integral
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -44,30 +42,24 @@ _ORACLE_MAX_ORDER = 7
 
 
 def _to_rows(matrix) -> list[list[int]]:
-    """Normalize to a fresh square list of Python ints."""
+    """A fresh square list of Python ints, each entry read by `as_int`: a
+    numpy array's entries are numpy scalars, so a bool or float array fails."""
     from .matrices import ResidueMatrix
+    from .residues import as_int
 
     if isinstance(matrix, ResidueMatrix):
         return matrix.rows()
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(matrix, np.ndarray):
-        if matrix.ndim != 2:
-            raise ValueError(f"matrix must be 2-dimensional, got ndim={matrix.ndim}")
-        if matrix.dtype != object and not np.issubdtype(matrix.dtype, np.integer):
-            raise TypeError(f"exact determinants need integer entries, got dtype {matrix.dtype}")
-        rows = matrix.tolist()
-    else:
-        rows = [list(row) for row in matrix]
+    ndim = getattr(matrix, "ndim", 2)
+    if ndim != 2:
+        raise ValueError(f"matrix must be 2-dimensional, got ndim={ndim}")
+    rows = [[as_int(v, "entry") for v in row] for row in matrix]
     n = len(rows)
     if n == 0:
         raise ValueError("matrix must have order >= 1")
     for row in rows:
         if len(row) != n:
             raise ValueError(f"matrix must be square, got a row of length {len(row)} in order {n}")
-        for v in row:
-            if type(v) is not int and not isinstance(v, Integral):
-                raise TypeError(f"exact determinants need integer entries, got {type(v).__name__}")
-    return [[int(v) for v in row] for row in rows]
+    return rows
 
 
 def determinant(matrix) -> int:

@@ -134,15 +134,10 @@ class ResidueMatrix(Record):
         order, prime = as_int(order, "order"), as_prime(prime)
         if order < 1:
             raise ValueError("matrix must have order >= 1")
-        e = tuple(tuple(row) for row in entries)
-        for cls in {type(v) for row in e for v in row}:
-            if cls is bool or not hasattr(cls, "__index__"):
-                raise TypeError(f"entries must have an integer dtype, got {cls.__name__}")
+        e = tuple(tuple(as_int(v, "entry") for v in row) for row in entries)
         if len(e) != order or any(len(row) != order for row in e):
             shape = (len(e), *sorted({len(row) for row in e}))
             raise ValueError(f"entries must be {order} x {order}, got shape {shape}")
-        if not set().union(*e) <= {-1, 0, 1}:
-            raise ValueError("entries must lie in {-1, 0, 1}")
         grid = _grid(formula, prime, order)
         if e != grid:
             raise ValueError(f"entries are not the order-{order} grid of {formula!r} "

@@ -45,18 +45,20 @@ def sign_classify(v: int) -> SignClass:
 
 
 class ColorScheme(Record):
-    """Fill colors per sign class; defaults are blue / orange / green."""
+    """Fill colors per sign class; defaults are blue / orange / green. Each
+    color is three components in 0..255, read by `as_int` into a tuple."""
 
     __slots__ = ("zero", "negative", "positive")
 
     def __init__(self, zero: tuple = (59, 117, 196), negative: tuple = (230, 126, 34),
                  positive: tuple = (46, 139, 87)) -> None:
-        for rgb in (zero, negative, positive):
-            if len(rgb) != 3 or any(not isinstance(x, int) or not 0 <= x <= 255 for x in rgb):
+        rgbs = [tuple(as_int(x, "color component") for x in rgb) for rgb in (zero, negative, positive)]
+        for rgb in rgbs:
+            if len(rgb) != 3 or not all(0 <= x <= 255 for x in rgb):
                 raise ValueError(f"not an RGB triple: {rgb!r}")
-        if len({zero, negative, positive}) != 3:
+        if len(set(rgbs)) != 3:
             raise ValueError("scheme colors must be pairwise distinct")
-        self._store(zero, negative, positive)
+        self._store(*rgbs)
 
     def for_sign(self, s: SignClass) -> tuple:
         if s is SignClass.ZERO:
@@ -150,8 +152,8 @@ def _hex(rgb: tuple) -> str:
 def emit_svg(table: "DeterminantTable", scheme: ColorScheme = DEFAULT_SCHEME, cell_px: int = 12) -> str:
     """One sign-colored rectangle per cell, orders running downward and
     shifts rightward; each rectangle carries its exact value as hover
-    text. Output bytes are a pure function of the inputs. A cell_px that
-    is not an integer raises TypeError, and one below 1 ValueError."""
+    text. Output bytes are a pure function of the inputs. A cell_px below
+    1 raises ValueError."""
     cell_px = as_int(cell_px, "cell_px")
     if cell_px < 1:
         raise ValueError(f"cell_px must be >= 1, got {cell_px}")

@@ -34,8 +34,7 @@ def is_prime(m: int) -> bool:
     """Exact deterministic primality check: m is prime when its smallest
     prime factor is m itself, read off the one trial-division loop, which
     primitive roots use too. A composite stops at that factor, and a prime
-    costs O(sqrt(m)) divisions; the CLI caps p below 2**31.
-    A non-integer m raises TypeError."""
+    costs O(sqrt(m)) divisions; the CLI caps p below 2**31."""
     m = as_int(m, "m")
     return next(_prime_factors(m), None) == m
 
@@ -107,8 +106,7 @@ class Prime(Record):
     __slots__ = ("value", "mod3", "mod4", "mod12")
 
     def __init__(self, value: int) -> None:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"modulus must be an int, got {type(value).__name__}")
+        value = as_int(value, "modulus")
         if not is_prime(value):
             raise ValueError(f"modulus must be prime, got {value}")
         if value == 2:
@@ -117,15 +115,17 @@ class Prime(Record):
 
 
 def as_prime(p: "Prime | int") -> Prime:
-    """Coerce an int (or any integer-like) to a validated Prime."""
-    if isinstance(p, Prime):
-        return p
-    return Prime(operator.index(p))
+    """p itself when a Prime, else the Prime of an integer read by `as_int`."""
+    return p if isinstance(p, Prime) else Prime(p)
 
 
 def as_int(value, name: str) -> int:
-    """value as an int, for anything with `__index__`; any other type
-    raises TypeError naming the argument."""
+    """value as a plain int, by the package's one integer rule: what Python
+    takes as a sequence index is an integer, so an int, a numpy integer or a
+    Python bool (read as 0 or 1). Anything else, a numpy bool included,
+    raises TypeError("<name> must be an integer, got <type>"). It reads
+    moduli, symbol arguments, orders, indices, shifts, t, matrix entries,
+    wall terms and positions, table boxes and cells, colors, counts and bounds."""
     try:
         return operator.index(value)
     except TypeError:
@@ -140,7 +140,6 @@ def cubic_residue_symbol(a: int, p: "Prime | int") -> int:
     large. When p % 3 != 1 cubing permutes the nonzero residues and every
     nonzero value scores 1. When p % 3 == 1 the nonzero cubes are exactly
     the roots of x**((p-1)/3) == 1, one modular exponentiation per query.
-    A non-integer a raises TypeError.
     """
     p = as_prime(p)
     r = as_int(a, "a") % p.value

@@ -22,7 +22,7 @@ read the same lists.
 from collections.abc import Iterable, Iterator, Mapping
 
 from .matrices import HANKEL, EvenPowerPlusC, Formula, _order, _window, family_formula, sequence
-from .residues import Prime, Record, as_int, as_prime
+from .residues import Prime, Record, _rebuild, as_int, as_prime
 from .wall import number_wall
 
 __all__ = [
@@ -74,24 +74,25 @@ class DeterminantTable(Record):
     """Exact determinants on an inclusive (n, c) grid for one prime and
     one formula family. t is only meaningful for the even-power family.
 
-    cells may be any mapping that holds exactly the grid's keys. It is
-    read into one list per order once, and the field then holds a
-    read-only view over those lists, which `row`, `column` and `cell`
-    read too. A key outside the grid raises KeyError. A table is not
-    hashable, since its cells are not.
+    The constructor reads the prime by `as_prime`, t by `as_int`, the
+    family against FAMILIES and the box by `table_box`. cells may be any
+    mapping that holds exactly the grid's keys; each value is read by
+    `as_int`, into one list per order and a read-only view over them that
+    `row`, `column` and `cell` read. A key outside the grid, or a reversed range, raises KeyError.
+    A table is not hashable, since its cells are not.
     """
 
     __slots__ = ("prime", "family", "t", "n_range", "c_range", "cells")
 
     def __init__(self, prime: Prime, family: str, t: int, n_range: tuple[int, int],
                  c_range: tuple[int, int], cells: Mapping[tuple[int, int], int]) -> None:
-        self._store(prime, family, t, n_range, c_range, cells)
-        if not (isinstance(cells, _RowCells) and cells._box == (n_range, c_range)):
-            view = _RowCells([[cells[n, c] for c in self.shifts()] for n in self.orders()],
-                             n_range, c_range)
-            if len(cells) != len(view):
-                raise ValueError(f"{len(cells)} cells given for a grid of {len(view)}")
-            object.__setattr__(self, "cells", view)
+        prime, t, family = as_prime(prime), as_int(t, "t"), _family(family)
+        (n_lo, n_hi), (c_lo, c_hi) = box = table_box(prime, n_range, c_range)
+        view = _RowCells([[as_int(cells[n, c], "cell") for c in range(c_lo, c_hi + 1)]
+                          for n in range(n_lo, n_hi + 1)], *box)
+        if len(cells) != len(view):
+            raise ValueError(f"{len(cells)} cells given for a grid of {len(view)}")
+        self._store(prime, family, t, *box, view)
 
     def orders(self) -> range:
         return range(self.n_range[0], self.n_range[1] + 1)
@@ -107,6 +108,8 @@ class DeterminantTable(Record):
         c_lo = self.c_range[0] if c_lo is None else c_lo
         c_hi = self.c_range[1] if c_hi is None else c_hi
         self.cell(n, c_lo), self.cell(n, c_hi)
+        if c_hi < c_lo:
+            raise KeyError(f"shifts {c_lo}..{c_hi} of row {n} are reversed")
         lo = self.c_range[0]
         return self.cells._rows[n - self.n_range[0]][c_lo - lo:c_hi - lo + 1]
 
@@ -115,8 +118,16 @@ class DeterminantTable(Record):
         n_lo = self.n_range[0] if n_lo is None else n_lo
         n_hi = self.n_range[1] if n_hi is None else n_hi
         self.cell(n_lo, c), self.cell(n_hi, c)
+        if n_hi < n_lo:
+            raise KeyError(f"orders {n_lo}..{n_hi} of column {c} are reversed")
         lo, j = self.n_range[0], c - self.c_range[0]
         return [row[j] for row in self.cells._rows[n_lo - lo:n_hi - lo + 1]]
+
+
+def _family(family: str) -> str:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return family
 
 
 def table_box(p: "Prime | int", n_range: "tuple | None" = None, c_range: "tuple | None" = None,
@@ -125,9 +136,8 @@ def table_box(p: "Prime | int", n_range: "tuple | None" = None, c_range: "tuple 
 
     Defaults: orders 1..p, or 1..p+EXTENDED_EXTRA_ORDERS when extended (the
     all-zero band past n = p), and shifts 0..2p-1, two horizontal periods.
-    An end given as None takes its default, and one that is not an integer
-    raises TypeError. p = 3, an empty box and orders below 1 raise
-    ValueError.
+    An end given as None takes its default. p = 3, an empty box and orders
+    below 1 raise ValueError.
     """
     pv = as_prime(p).value
     if pv == 3:
@@ -166,21 +176,19 @@ def generate_table(
     here, so sharing makes no check a tautology; a future claim of
     even-power periodicity must compute its own side. Rows 1..n_hi are
     computed whatever n_lo is. The result is a pure function of the
-    arguments. t must be an integer, whatever the family.
+    arguments, each read as `DeterminantTable` reads it, and its cells are
+    stored as computed, with no second check.
     """
-    p, t = as_prime(p), as_int(t, "t")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    p, t, family = as_prime(p), as_int(t, "t"), _family(family)
     formula = family_formula(family, 0, t)  # rejects t < 1 for even-power
-    (n_lo, n_hi), (c_lo, c_hi) = table_box(p, n_range, c_range, extended=extended)
+    (n_lo, n_hi), (c_lo, c_hi) = box = table_box(p, n_range, c_range, extended=extended)
     if family == "even-power":
         cases = ((t, c) for c in range(c_lo, c_hi + 1))
         columns = [minors for _, minors in even_power_minors(p, cases, n_hi)]
         rows = [list(row) for row in zip(*columns)]
     else:
         rows = _shifted_minors(formula, p, n_hi, c_lo, c_hi)
-    box = (n_lo, n_hi), (c_lo, c_hi)
-    return DeterminantTable(p, family, t, *box, _RowCells(rows[n_lo - 1:], *box))
+    return _rebuild(DeterminantTable, (p, family, t, *box, _RowCells(rows[n_lo - 1:], *box)))
 
 
 def _shifted_minors(formula: Formula, p: Prime, n_hi: int, c_lo: int, c_hi: int) -> list[list[int]]:

@@ -284,8 +284,7 @@ def check_propositions(p: "Prime | int", a_bound: "int | None" = None) -> list[T
 
     P2_3: the symbol is constant on residue classes, maps every nonzero
     cube to 1, and is even; swept for a in [-a_bound, a_bound] (default
-    2p) plus all of [1, p-1] for the cube fact. a_bound must be an integer
-    of at least 0.
+    2p) plus all of [1, p-1] for the cube fact; a_bound must be at least 0.
     P2_4 (p = 3k+1 only): exactly (p-1)/3 nonzero classes are residues and
     2(p-1)/3 are nonresidues, with the symbol agreeing with brute-force
     cube enumeration everywhere.
@@ -343,9 +342,9 @@ def verify_all(p_max: int, t_max: int = 3, n_max: int = 8) -> list[TheoremReport
     require the 3k+2 form and are skipped elsewhere. For each such prime
     the eight table claims read one shared difference-family table from
     one `generate_table` call; columns c and c + p are separate cells,
-    computed from different terms of the symbol sequence. p_max, t_max and
-    n_max must be integers. The reports, sorted by claim id then prime, hold
-    every failure; a line whose sides differ in length raises ValueError.
+    computed from different terms of the symbol sequence. The reports,
+    sorted by claim id then prime, hold every failure; a line whose sides
+    differ in length raises ValueError.
     """
     p_max = as_int(p_max, "p_max")
     if p_max < 5:

@@ -37,7 +37,6 @@ row: readers take a row as one list slice, or a column, with one bounds
 check per read rather than one per cell.
 """
 
-import operator
 from typing import Sequence
 
 from .residues import as_int
@@ -61,8 +60,9 @@ class Wall:
 
     wall(n, c) is the cell W(n, c), wall.row(n, c_lo, c_hi) the list of
     W(n, c) for c_lo <= c <= c_hi, and wall.column(c, n_lo, n_hi) the list
-    of W(n, c) for n_lo <= n <= n_hi. Each read checks the triangle's
-    bounds once, not once per cell, and raises IndexError outside it.
+    of W(n, c) for n_lo <= n <= n_hi. Each read takes its positions by
+    `as_int` and checks the triangle's bounds once, not once per cell. A
+    position outside the triangle, or a reversed range, raises IndexError.
 
     The counters record the engine's work, counted per row and per window:
     cells_computed, the cells of the rows below row 1 that it computed;
@@ -81,6 +81,7 @@ class Wall:
         return self.row(n, c, c)[0]
 
     def row(self, n: int, c_lo: int, c_hi: int) -> list[int]:
+        n, c_lo, c_hi = as_int(n, "n"), as_int(c_lo, "c"), as_int(c_hi, "c")
         lo, hi = c_lo - self.first + 2, c_hi - self.first + 2
         if -1 <= n <= self.depth and n + 1 <= lo <= hi <= self.size + 2 - n:
             return self._rows[n + 1][lo:hi + 1]
@@ -88,8 +89,11 @@ class Wall:
                          f"from {self.first} down to row {self.depth}")
 
     def column(self, c: int, n_lo: int, n_hi: int) -> list[int]:
+        c, n_lo, n_hi = as_int(c, "c"), as_int(n_lo, "n"), as_int(n_hi, "n")
         # rows narrow downward: the column's ends bound every cell between
         self.row(n_lo, c, c), self.row(n_hi, c, c)
+        if n_hi < n_lo:
+            raise IndexError(f"W({n_lo}..{n_hi}, {c}) is a reversed range")
         j = c - self.first + 2
         return [row[j] for row in self._rows[n_lo + 1:n_hi + 2]]
 
@@ -102,11 +106,11 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
     determinant reads only terms of seq; anything else raises IndexError.
     Each row's zero divisors are counted once and must be the cells of
     the windows that hold row n - 2; any other, or an inexact division,
-    breaks an invariant and raises ArithmeticError. A term or a depth
-    that is not an integer raises TypeError. A zero row under a row with
-    no zeros, both across the whole triangle, ends the computation.
+    breaks an invariant and raises ArithmeticError. A zero row under a
+    row with no zeros, both across the whole triangle, ends the computation.
     """
-    terms, depth = list(map(operator.index, seq)), as_int(depth, "depth")
+    terms, depth = [as_int(v, "term") for v in seq], as_int(depth, "depth")
+    first = as_int(first, "first")
     size = len(terms)
     if size < 1 or depth < 0:
         raise ValueError(f"need a nonempty sequence and depth >= 0, got {size} terms, depth {depth}")

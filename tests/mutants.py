@@ -9,7 +9,8 @@ run loudly, so a refactor that rewrites mutated code must carry its
 mutants along. Entries are only added; removing one needs a reason in
 CHANGES.md.
 
-pytest does not collect this file. Run it as `python tests/mutants.py`.
+pytest does not collect this file. Run it as `python tests/mutants.py`; it
+prints each verdict with the time its run took.
 
 Selections run under -W error, as tier-1 does, with the one filter that
 README's Tests section names: where libcst is installed beside
@@ -22,6 +23,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,6 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-W", "error",
           "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"]
 WALL, VERIFY = "tests/test_wall.py", "tests/test_verify.py"
+TABLES, DETERMINANT = "tests/test_tables.py", "tests/test_determinant.py"
+RESIDUES, RECORDS = "tests/test_residues.py", "tests/test_records.py"
 
 
 class Mutant(NamedTuple):
@@ -64,6 +68,53 @@ CORPUS = (
            '            raise ValueError(f"{entry.claim}: line lengths differ ({len(expected)} expected, '
            '{len(actual)} actual)")\n',
            "", VERIFY),
+    Mutant("memo-key", "even-power walls are shared by order, not by terms", "tables.py",
+           "        if terms not in walls:\n"
+           "            walls[terms] = number_wall(terms, n, first=1 - n).column(0, 1, n)\n"
+           "        yield terms, walls[terms]\n",
+           "        if n not in walls:\n"
+           "            walls[n] = number_wall(terms, n, first=1 - n).column(0, 1, n)\n"
+           "        yield terms, walls[n]\n", TABLES),
+    Mutant("mirror", "the even-power mirror repeats s(0)", "tables.py",
+           "terms = (*half[:0:-1], *half)", "terms = (*half[::-1], *half)", TABLES),
+    Mutant("dodgson-cell", "one Dodgson cell of row 3 is off by one", "wall.py",
+           "                row[j] = q\n", "                row[j] = q + (n == 3 and j == j_lo)\n", WALL),
+    Mutant("inversions", "the elimination drops the inversion sign", "determinant.py",
+           "minors[k] = -piv if inversions & 1 else piv", "minors[k] = piv", DETERMINANT),
+    Mutant("rightmost-pivot", "the elimination pivots on the rightmost nonzero column", "determinant.py",
+           "pos = next((j for j, v in enumerate(top) if v), None)",
+           "pos = next((j for j, v in reversed(list(enumerate(top))) if v), None)", DETERMINANT),
+    Mutant("in-block", "every pivot is taken for a leading minor", "determinant.py",
+           "        if reach == k:\n", "        if True:\n", DETERMINANT),
+    Mutant("rows-from-top", "a table's rows are sliced from order 1, not from n_lo", "tables.py",
+           "_RowCells(rows[n_lo - 1:], *box)", "_RowCells(rows, *box)", TABLES),
+    Mutant("hankel-offset", "the Hankel offset moves for a negative c_lo", "tables.py",
+           "at = n + 1 if hankel else 0", "at = n + 1 + (c_lo < 0) if hankel else 0", TABLES),
+    Mutant("shift-sabotage", "diff cells past the first period are off by one at order 2", "tables.py",
+           "        row = wall.row(n, c_lo + at, c_hi + at)\n",
+           "        row = [v + (n == 2 and c >= p.value) for c, v in\n"
+           "               enumerate(wall.row(n, c_lo + at, c_hi + at), c_lo)]\n", VERIFY),
+    Mutant("T3_6-self", "T3_6 compares b with b", "verify.py",
+           "[a[k] for k in at], [b[k] for k in at]", "[b[k] for k in at], [b[k] for k in at]", VERIFY),
+    Mutant("period-self", "TABLE_PERIOD compares a column with itself", "verify.py",
+           "d.column(c, 1, pv), d.column(c + pv, 1, pv)", "d.column(c, 1, pv), d.column(c, 1, pv)", VERIFY),
+    Mutant("first-only", "the evaluator stops at a line's first counterexample", "verify.py",
+           "                    ces.append(Counterexample(n, c, want, got, detail))\n",
+           "                    ces.append(Counterexample(n, c, want, got, detail))\n"
+           "                    break\n", VERIFY),
+    Mutant("H-column", "H reads D_k one column off", "wall.py",
+           "_exact(at(t + g, j) * cg * num", "_exact(at(t + g, j - 1) * cg * num", WALL),
+    Mutant("S-sign", "S has its sign flipped in _solve_frame", "wall.py",
+           "s_num, s_den = (-1) ** g * b1 * ag1", "s_num, s_den = (-1) ** (g + 1) * b1 * ag1", WALL),
+    Mutant("symbol", "the symbol of 2 mod a 3k+2 prime is -1", "residues.py",
+           "    if p.mod3 != 1:\n        return 1\n",
+           "    if p.mod3 != 1:\n        return -1 if r == 2 else 1\n", VERIFY),
+    Mutant("as_int-int", "as_int reads with int(), so 2.0 and \"2\" pass", "residues.py",
+           "return operator.index(value)", "return int(value)", RESIDUES),
+    Mutant("grid-check", "ResidueMatrix takes any entries of the right shape", "matrices.py",
+           "        if e != grid:\n", "        if False:\n", RECORDS),
+    Mutant("table-prime", "DeterminantTable stores its prime as given", "tables.py",
+           "prime, t, family = as_prime(prime),", "prime, t, family = prime,", TABLES),
 )
 
 
@@ -88,11 +139,14 @@ def main() -> int:
         shutil.copy(ROOT / "pyproject.toml", work)
         _fresh_source(work)
         for selection in dict.fromkeys(m.selection for m in CORPUS):
+            start = time.perf_counter()
             done = _run(work, selection)
             if done.returncode != 0:
                 print(f"unmutated source fails {selection}:\n{done.stdout[-2000:]}")
                 return 1
+            print(f"{'unmutated':<15} passed  ({selection}, {time.perf_counter() - start:.0f} s)")
         for m in CORPUS:
+            start = time.perf_counter()
             path = _fresh_source(work) / m.file
             text = path.read_text()
             if text.count(m.snippet) != 1:
@@ -103,7 +157,7 @@ def main() -> int:
                 verdict = {0: "SURVIVED", 1: "caught"}.get(
                     done.returncode, f"pytest exit {done.returncode}:\n{done.stdout[-2000:]}")
             bad += verdict != "caught"
-            print(f"{m.name:<13} {verdict}  ({m.file}: {m.what})")
+            print(f"{m.name:<15} {verdict}  ({m.file}: {m.what}; {time.perf_counter() - start:.0f} s)")
     return 1 if bad else 0
 
 

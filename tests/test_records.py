@@ -134,22 +134,22 @@ def test_a_theorem_report_is_mutable_and_unhashable():
 @pytest.mark.parametrize("make, error, message", [
     (lambda: Prime(4), ValueError, "modulus must be prime, got 4"),
     (lambda: Prime(2), ValueError, "modulus must be an odd prime, got 2"),
-    (lambda: Prime(True), TypeError, "modulus must be an int, got bool"),
-    (lambda: Prime(7.0), TypeError, "modulus must be an int, got float"),
-    (lambda: Prime("7"), TypeError, "modulus must be an int, got str"),
+    (lambda: Prime(True), ValueError, "modulus must be prime, got 1"),
+    (lambda: Prime(7.0), TypeError, "modulus must be an integer, got float"),
+    (lambda: Prime("7"), TypeError, "modulus must be an integer, got str"),
     (lambda: EvenPowerPlusC(0, 1), ValueError, "t must be a positive integer, got 0"),
     (lambda: ColorScheme(zero=(1, 2)), ValueError, "not an RGB triple: (1, 2)"),
     (lambda: ColorScheme(zero=(1, 2, 256)), ValueError, "not an RGB triple: (1, 2, 256)"),
-    (lambda: ColorScheme(positive=(1, 2, 3.0)), ValueError, "not an RGB triple: (1, 2, 3.0)"),
+    (lambda: ColorScheme(positive=(1, 2, 3.0)), TypeError, "color component must be an integer, got float"),
     (lambda: ColorScheme((1, 2, 3), (1, 2, 3)), ValueError, "scheme colors must be pairwise distinct"),
     (lambda: ResidueMatrix(0, [[1]], Prime(5), DiffPlusC(0)), ValueError,
      "matrix must have order >= 1"),
     (lambda: ResidueMatrix(1, [[1.0]], Prime(5), DiffPlusC(0)), TypeError,
-     "entries must have an integer dtype, got float"),
+     "entry must be an integer, got float"),
     (lambda: ResidueMatrix(2, [[1]], Prime(5), DiffPlusC(0)), ValueError,
      "entries must be 2 x 2, got shape (1, 1)"),
     (lambda: ResidueMatrix(1, [[2]], Prime(5), DiffPlusC(0)), ValueError,
-     "entries must lie in {-1, 0, 1}"),
+     "entries are not the order-1 grid of DiffPlusC(c=0) at p = 5"),
     (lambda: ResidueMatrix(2, [[0, 1], [1, 1]], Prime(5), DiffPlusC(0)), ValueError,
      "entries are not the order-2 grid of DiffPlusC(c=0) at p = 5"),
     (lambda: DeterminantTable(Prime(5), "diff", 1, (1, 1), (0, 0), {(1, 0): 1, (2, 0): 3}),

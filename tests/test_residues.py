@@ -1,20 +1,27 @@
 """Symbol, classification, and primitive-root behavior."""
 
+import numpy as np
 import pytest
 
 import cubres.cli as cli
 from cubres import (
+    ColorScheme,
+    DeterminantTable,
+    DiffPlusC,
     Prime,
+    ResidueMatrix,
     as_prime,
     cube_root,
     cubic_residue_set,
     cubic_residue_symbol,
+    determinant,
     is_prime,
     legendre_symbol,
     next_primitive_root,
     odd_primes_up_to,
     primitive_root,
 )
+from cubres.wall import number_wall
 
 
 def test_is_prime_examples():
@@ -267,3 +274,59 @@ def test_root_and_prime_bounds_are_read_as_integers(call, name):
 def test_odd_primes_up_to():
     assert odd_primes_up_to(20) == [3, 5, 7, 11, 13, 17, 19]
     assert odd_primes_up_to(2) == []
+
+
+class _Index:
+    """An integer that is no int: it has only `__index__`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# entry point: (read, base, name). read(v) hands v to the entry point,
+# base is an integer it reads, and name the argument its TypeError names
+_INTEGER_READERS = {
+    "Prime": (lambda v: Prime(v), 7, "modulus"),
+    "as_prime": (lambda v: as_prime(v), 7, "modulus"),
+    "symbol": (lambda v: cubic_residue_symbol(v, 7), 6, "a"),
+    "ResidueMatrix-entry": (lambda v: ResidueMatrix(1, [[v]], 7, DiffPlusC(1)).entries, 1, "entry"),
+    "determinant-entry": (lambda v: determinant([[v, 1], [1, 3]]), 2, "entry"),
+    "wall-term": (lambda v: number_wall([1, v, 3], 2).row(2, 1, 1), 2, "term"),
+    "wall-first": (lambda v: number_wall([1, 2, 3], 2, first=v).first, 2, "first"),
+    "color-component": (lambda v: ColorScheme(zero=(v, 0, 0)).zero, 1, "color component"),
+    "table-t": (lambda v: DeterminantTable(5, "diff", v, (1, 1), (0, 0), {(1, 0): 0}).t, 2, "t"),
+    "table-cell": (lambda v: DeterminantTable(5, "diff", 1, (1, 1), (0, 0), {(1, 0): v}).cells[1, 0],
+                   2, "cell"),
+    "table-box": (lambda v: DeterminantTable(5, "diff", 1, (v, 2), (0, 0), {(1, 0): 0, (2, 0): 0})
+                  .n_range, 1, "n_range"),
+}
+
+
+def _outcome(read, value):
+    """What read(value) gives: the repr of its result, so a numpy integer
+    left unconverted shows, or its error's type and text."""
+    try:
+        return repr(read(value))
+    except (TypeError, ValueError) as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("entry", _INTEGER_READERS)
+def test_every_entry_point_reads_integers_by_one_rule(entry):
+    # an int, a numpy integer, an __index__ class and a Python bool are
+    # integers, each read as the plain int it stands for; a float, a str,
+    # None, a numpy float and a numpy bool (its type is named bool too) are not
+    read, base, name = _INTEGER_READERS[entry]
+    expected = _outcome(read, base)
+    assert not isinstance(expected, tuple), expected
+    for value in (np.int64(base), _Index(base)):
+        assert _outcome(read, value) == expected, type(value)
+    assert _outcome(read, True) == _outcome(read, 1)
+    # a box end given as None takes its default, as table_box documents
+    for bad in (2.0, "2", np.float64(2.0), np.True_) + ((None,) if entry != "table-box" else ()):
+        with pytest.raises(TypeError) as info:
+            read(bad)
+        assert str(info.value) == f"{name} must be an integer, got {type(bad).__name__}"

@@ -1,7 +1,9 @@
 """Determinant table generation and classification."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from cubres import (
     SignClass,
     SumPlusC,
     build_matrix,
+    cubic_residue_symbol,
     determinant,
     family_formula,
     generate_table,
@@ -27,6 +30,7 @@ from cubres import (
 )
 from cubres import tables
 from cubres.tables import formula_minors, table_box
+from cubres.wall import number_wall
 
 
 def test_sign_classify():
@@ -70,6 +74,33 @@ def test_extended_extents():
     assert table_box(7, c_range=(None, 3), extended=True) == ((1, 17), (0, 3))
     with pytest.raises(ValueError, match="either n_range or extended"):
         table_box(5, (1, None), extended=True)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((4, "diff", 1, (1, 1), (0, 0)), ValueError, "modulus must be prime, got 4"),
+    ((3, "diff", 1, (1, 1), (0, 0)), ValueError,
+     "tables need a prime of the form 3k+1 or 3k+2; 3 is neither"),
+    ((5, "nope", 1, (1, 1), (0, 0)), ValueError,
+     "unknown family 'nope'; expected one of ('diff', 'sum', 'even-power')"),
+    ((5, "cube-diff", 1, (1, 1), (0, 0)), ValueError,
+     "unknown family 'cube-diff'; expected one of ('diff', 'sum', 'even-power')"),
+    ((5, "diff", 1.5, (1, 1), (0, 0)), TypeError, "t must be an integer, got float"),
+    ((5, "diff", 1, (2, 1), (0, 0)), ValueError, "order and shift ranges must be nonempty"),
+    ((5, "diff", 1, (1, 1), (0, -1)), ValueError, "order and shift ranges must be nonempty"),
+    ((5, "diff", 1, (0, 1), (0, 0)), ValueError, "orders start at 1, got n_range (0, 1)"),
+], ids=["p-4", "p-3", "family-nope", "family-cube-diff", "t-float", "orders-reversed",
+        "shifts-reversed", "order-0"])
+def test_a_table_reads_its_inputs_as_a_matrix_does(args, error, message):
+    # the constructor once stored p = 4, family "nope", t = 1.5 and the box (2, 1) as given
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        DeterminantTable(*args, {(1, 0): 0})
+
+
+def test_a_table_stores_what_it_reads():
+    table = DeterminantTable(np.int64(5), "diff", True, [1, np.int64(2)], (0, 0), {(1, 0): 0, (2, 0): -1})
+    assert table == DeterminantTable(Prime(5), "diff", 1, (1, 2), (0, 0), {(1, 0): 0, (2, 0): -1})
+    assert repr((table.prime, table.t, table.n_range)) == f"({Prime(5)!r}, 1, (1, 2))"
+    assert generate_table("diff", 5, (1, 2), (0, 0)) == table
 
 
 def test_shift_zero_column_alternates():
@@ -267,6 +298,86 @@ def test_even_power_row_p_sees_one_flipped_term(monkeypatch, where):
     for p, t in _EVEN_POWER_PAIRS:
         if t == 1:
             assert _even_power_row_p(p, t) != [_even_power_det(p, c) for c in range(p)], (p, t)
+
+
+_CUBIC_PRIMES = [p for p in odd_primes_up_to(199) if p % 3 == 1]
+
+
+def _cubic_det(p):
+    """-((p - 1)/3) * N**((p - 1)/3), N = (8pL - 12p + 1)/27, with L found by
+    searching M for 4p = L**2 + 27 M**2 and taking the sign with L = 1 mod 3."""
+    m = next(m for m in range(1, p) if math.isqrt(4 * p - 27 * m * m) ** 2 == 4 * p - 27 * m * m)
+    L = math.isqrt(4 * p - 27 * m * m)
+    L = L if L % 3 == 1 else -L
+    N, r = divmod(8 * p * L - 12 * p + 1, 27)
+    assert r == 0, p
+    return -((p - 1) // 3) * N ** ((p - 1) // 3)
+
+
+def _cubic_row_p(p, flip=None):
+    """Row p of the wall of s(m) = [m/p] at the shifts 0..p - 1, over its
+    terms s(1 - p)..s(2p - 2), with term number flip negated."""
+    seq = [cubic_residue_symbol(m, p) for m in range(1 - p, 2 * p - 1)]
+    if flip is not None:
+        seq[flip] = -seq[flip]
+    return number_wall(seq, p, first=1 - p).row(p, 0, p - 1)
+
+
+def test_cubic_row_p_in_closed_form():
+    """Row p of the diff table of a 3k+1 prime is -((p - 1)/3) * N**((p - 1)/3),
+    N = (8pL - 12p + 1)/27, where 4p = L**2 + 27 M**2 and L = 1 mod 3.
+
+    s(m) = [m/p] is p-periodic, so the order-p block (s(c + j - i)) is
+    circulant, and moving c cycles its columns, an even permutation for odd
+    p. Its eigenvalues are the sums of s(k) * w**(jk) over k mod p,
+    w = e^(2 pi i/p). At j = 0 that is the symbol's sum over a period,
+    (p - 1)/3 cubes less 2(p - 1)/3 non-cubes: -(p - 1)/3. At j != 0,
+    s = 2[k a nonzero cube] - [k != 0] gives 2 eta + 1, where eta is the
+    Gauss period of the cubic coset of j, the sum of w**k over it. Each
+    of the three cosets holds (p - 1)/3 of the j, so the determinant is
+    -((p - 1)/3) times the product of the 2 eta_i + 1, raised to (p - 1)/3.
+    The periods are the roots of Gauss's cubic period polynomial
+    f(x) = x**3 + x**2 - ((p - 1)/3) x - (p(L + 3) - 1)/27 (Berndt, Evans
+    and Williams, Gauss and Jacobi Sums, 1998), so that product is
+    -8 f(-1/2) = (8pL - 12p + 1)/27 = N. N is -1, -25, 31, 23 and -137 at
+    p = 7, 13, 19, 31 and 37; at p = 13 each cell is -4 * 25**4 = -1562500.
+    """
+    assert len(_CUBIC_PRIMES) == 21 and _cubic_det(13) == -1562500
+    for p in _CUBIC_PRIMES:
+        assert generate_table("diff", p, (p, p), (0, p - 1)).row(p) == [_cubic_det(p)] * p, p
+
+
+@pytest.mark.parametrize("where", ["first", "centre", "last"])
+def test_cubic_row_p_sees_one_flipped_term(where):
+    # s(1 - p) and s(2p - 2) reach only W(p, 0) and W(p, p - 1); the centre
+    # term s((p - 1)/2) reaches every cell. None of the three is a zero
+    for p in _CUBIC_PRIMES:
+        if p < 100:
+            assert _cubic_row_p(p) == [_cubic_det(p)] * p, p
+            flip = {"first": 0, "centre": (3 * p - 3) // 2, "last": 3 * p - 3}[where]
+            assert _cubic_row_p(p, flip) != [_cubic_det(p)] * p, p
+
+
+@pytest.mark.parametrize("read, error, message", [
+    (lambda w, d: w.row(1, 3, 1), IndexError,
+     "W(1, 3..1) is outside the wall of 11 terms from 0 down to row 6"),
+    (lambda w, d: w.column(5, 5, 2), IndexError, "W(5..2, 5) is a reversed range"),
+    (lambda w, d: w(1.5, 1), TypeError, "n must be an integer, got float"),
+    (lambda w, d: w.row(1, 0, "2"), TypeError, "c must be an integer, got str"),
+    (lambda w, d: w.column(np.float64(3), 1, 2), TypeError, "c must be an integer, got float64"),
+    (lambda w, d: d.row(1, 5, 3), KeyError, "shifts 5..3 of row 1 are reversed"),
+    (lambda w, d: d.column(0, 4, 2), KeyError, "orders 4..2 of column 0 are reversed"),
+], ids=["wall-row", "wall-column", "wall-cell-float", "wall-row-str", "wall-column-numpy-float",
+        "table-row", "table-column"])
+def test_a_reversed_range_or_a_position_that_is_not_an_integer_is_an_error(read, error, message):
+    # a reversed range once read as empty, and wall(1.5, 1) raised a bare
+    # "list indices must be integers"
+    w, d = number_wall(list(range(1, 12)), 6), generate_table("diff", 5, (1, 5), (0, 5))
+    assert w.row(1, 3, 3) == [4] and w.column(5, 2, 5) == [w(n, 5) for n in range(2, 6)]
+    assert d.row(1, 5, 5) == [d.cell(1, 5)] and d.column(0, 2, 2) == [d.cell(2, 0)]
+    with pytest.raises(error) as info:
+        read(w, d)
+    assert (info.value.args[0] if error is KeyError else str(info.value)) == message
 
 
 def test_rejects_p3_and_bad_ranges():
