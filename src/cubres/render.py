@@ -37,11 +37,14 @@ class SignClass(enum.Enum):
     POSITIVE = "positive"
 
 
+# The one sign rule: a value's sign (v > 0) - (v < 0), that is 0, 1 or -1,
+# indexes its class here, and each emitter indexes its per-class list alike.
+_BY_SIGN = (SignClass.ZERO, SignClass.POSITIVE, SignClass.NEGATIVE)
+
+
 def sign_classify(v: int) -> SignClass:
     """ZERO, NEGATIVE or POSITIVE according to the sign of v."""
-    if v == 0:
-        return SignClass.ZERO
-    return SignClass.NEGATIVE if v < 0 else SignClass.POSITIVE
+    return _BY_SIGN[(v > 0) - (v < 0)]
 
 
 class ColorScheme(Record):
@@ -61,14 +64,11 @@ class ColorScheme(Record):
         self._store(*rgbs)
 
     def for_sign(self, s: SignClass) -> tuple:
-        if s is SignClass.ZERO:
-            return self.zero
-        return self.negative if s is SignClass.NEGATIVE else self.positive
+        """The color of sign class s; each class's value names its field."""
+        return getattr(self, s.value)
 
 
 DEFAULT_SCHEME = ColorScheme()
-
-_GLYPHS = {SignClass.ZERO: "0", SignClass.NEGATIVE: "-", SignClass.POSITIVE: "+"}
 
 
 def matrix_text(matrix: "ResidueMatrix") -> str:
@@ -140,9 +140,10 @@ def emit_ansi(table: "DeterminantTable", scheme: ColorScheme = DEFAULT_SCHEME, c
     color=False each cell shows its sign glyph (0 / - / +) instead, same
     geometry, no escape codes."""
     if not color:
-        return _grid(table, lambda v, cell: _GLYPHS[sign_classify(v)].rjust(len(cell)))
-    codes = {s: "\x1b[48;2;{};{};{}m".format(*scheme.for_sign(s)) for s in SignClass}
-    return _grid(table, lambda v, cell: f"{codes[sign_classify(v)]}{cell}\x1b[0m")
+        glyphs = ["0", "+", "-"]
+        return _grid(table, lambda v, cell: glyphs[(v > 0) - (v < 0)].rjust(len(cell)))
+    codes = ["\x1b[48;2;{};{};{}m".format(*scheme.for_sign(s)) for s in _BY_SIGN]
+    return _grid(table, lambda v, cell: f"{codes[(v > 0) - (v < 0)]}{cell}\x1b[0m")
 
 
 def _hex(rgb: tuple) -> str:
@@ -164,12 +165,12 @@ def emit_svg(table: "DeterminantTable", scheme: ColorScheme = DEFAULT_SCHEME, ce
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
     ]
-    zero, negative, positive = (_hex(rgb) for rgb in (scheme.zero, scheme.negative, scheme.positive))
+    fills = [_hex(scheme.for_sign(s)) for s in _BY_SIGN]
     for n in table.orders():
         y = (n - n_lo) * cell_px
         for c, v in zip(table.shifts(), table.row(n)):
             x = (c - c_lo) * cell_px
-            fill = zero if v == 0 else negative if v < 0 else positive  # faster than sign_classify
+            fill = fills[(v > 0) - (v < 0)]
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" fill="{fill}">'
                 f"<title>n={n} c={c}: {v}</title></rect>"

@@ -30,17 +30,47 @@ __all__ = [
 ]
 
 
+# The prime bases 2..41. Trial division by them decides every m below
+# 41**2, and strong probable-prime tests to all 13 decide every m below
+# psi_13 = _PRIMALITY_CAP, the least strong pseudoprime to all of them
+# (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIMALITY_CAP = 3317044064679887385961981
+
+
 def is_prime(m: int) -> bool:
-    """Exact deterministic primality check: m is prime when its smallest
-    prime factor is m itself, read off the one trial-division loop, which
-    primitive roots use too. A composite stops at that factor, and a prime
-    costs O(sqrt(m)) divisions; the CLI caps p below 2**31."""
+    """Exact deterministic primality check for m below psi_13 =
+    3317044064679887385961981: trial division by the primes to 41, then
+    strong probable-prime tests to those 13 bases, which no composite below
+    psi_13 passes. O(log(m)**3) bit operations; m >= psi_13 raises ValueError."""
     m = as_int(m, "m")
-    return next(_prime_factors(m), None) == m
+    if m >= _PRIMALITY_CAP:
+        raise ValueError(f"primality is proven only below psi_13 = {_PRIMALITY_CAP}, got {m}")
+    for q in _BASES:
+        if m % q == 0:
+            return m == q
+    if m < 41 * 41:
+        return m > 1
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def odd_primes_up_to(limit: int) -> list[int]:
-    """All odd primes p with 3 <= p <= limit, ascending."""
+    """All odd primes p with 3 <= p <= limit, ascending: one `is_prime`
+    call per odd number, so O(limit) calls."""
     return [m for m in range(3, as_int(limit, "limit") + 1, 2) if is_prime(m)]
 
 
@@ -99,8 +129,9 @@ class Prime(Record):
     when ``mod3 == 1``. For ``value == 3`` the classes mod 3 and 12 are
     0 and 3; the shifted-difference determinant patterns need one of the
     other two forms, so the table and verification modules reject 3 even
-    though the symbol itself is fine with it. Validation is `is_prime`'s
-    trial division, O(sqrt(p)) for a prime p, and the CLI caps p below 2**31.
+    though the symbol itself is fine with it. Validation is `is_prime`,
+    exact below its cap psi_13 = 3317044064679887385961981; a value from
+    the cap up raises ValueError. The CLI caps p below 2**31.
     """
 
     __slots__ = ("value", "mod3", "mod4", "mod12")
@@ -194,7 +225,7 @@ def cubic_residue_set(p: "Prime | int") -> set[int]:
     """The nonzero cubic residues mod p: {x**3 mod p for 1 <= x < p}.
 
     Has (p-1)/3 elements when p % 3 == 1 and all p-1 nonzero classes
-    otherwise.
+    otherwise. Costs p - 1 modular cubes, O(p).
     """
     p = as_prime(p)
     return {pow(x, 3, p.value) for x in range(1, p.value)}
@@ -211,7 +242,8 @@ def legendre_symbol(a: int, p: "Prime | int") -> int:
 
 
 def _prime_factors(n: int) -> Iterator[int]:
-    """The distinct prime factors of n, ascending, by trial division."""
+    """The distinct prime factors of n, ascending, by trial division: up to
+    sqrt(n) divisions, O(sqrt(n)). Only the primitive roots read it."""
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -228,13 +260,16 @@ def primitive_root(p: "Prime | int") -> int:
 
     A candidate g generates iff g**((p-1)/q) != 1 for every prime q
     dividing p - 1; candidates are tried in increasing order, so the
-    choice is reproducible run to run.
+    choice is reproducible run to run. Factoring p - 1 by trial division
+    costs O(sqrt(p)), as in `next_primitive_root`.
     """
     return next_primitive_root(p, 1)
 
 
 def next_primitive_root(p: "Prime | int", after: int) -> int:
-    """Smallest primitive root above max(after, 1); after must be an integer."""
+    """Smallest primitive root above max(after, 1); after must be an integer.
+    p - 1 is factored by trial division, O(sqrt(p)) divisions; the CLI's
+    `verify` calls this only for p up to its cap of 400."""
     pv = as_prime(p).value
     order_factors = list(_prime_factors(pv - 1))
     for g in range(max(as_int(after, "after"), 1) + 1, pv):

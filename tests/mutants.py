@@ -33,6 +33,7 @@ PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", 
 WALL, VERIFY = "tests/test_wall.py", "tests/test_verify.py"
 TABLES, DETERMINANT = "tests/test_tables.py", "tests/test_determinant.py"
 RESIDUES, RECORDS = "tests/test_residues.py", "tests/test_records.py"
+RENDER = "tests/test_render.py"
 
 
 class Mutant(NamedTuple):
@@ -115,6 +116,19 @@ CORPUS = (
            "        if e != grid:\n", "        if False:\n", RECORDS),
     Mutant("table-prime", "DeterminantTable stores its prime as given", "tables.py",
            "prime, t, family = as_prime(prime),", "prime, t, family = prime,", TABLES),
+    Mutant("sign-order", "positive and negative cells swap colors", "render.py",
+           "_BY_SIGN = (SignClass.ZERO, SignClass.POSITIVE, SignClass.NEGATIVE)",
+           "_BY_SIGN = (SignClass.ZERO, SignClass.NEGATIVE, SignClass.POSITIVE)", RENDER),
+    Mutant("base-41", "the strong test drops its last base, 41", "residues.py",
+           "29, 31, 37, 41)", "29, 31, 37)", RESIDUES),
+    Mutant("float-dodgson", "the Dodgson division rounds through a float", "wall.py",
+           "q, r = divmod(x * x - up[j - 1] * up[j + 1], d)",
+           "q, r = round((x * x - up[j - 1] * up[j + 1]) / d), 0", WALL),
+    Mutant("even-power-sign", "the even-power argument is k**(2t) - c", "matrices.py",
+           "pow(k, 2 * self.t, p) + self.c", "pow(k, 2 * self.t, p) - self.c", TABLES),
+    Mutant("cubic-euler", "the cubic symbol of a 3k+1 prime tests squares", "residues.py",
+           "return 1 if pow(r, (p.value - 1) // 3, p.value) == 1 else -1",
+           "return 1 if pow(r, (p.value - 1) // 2, p.value) == 1 else -1", TABLES),
 )
 
 

@@ -1,5 +1,6 @@
 """Emitters: CSV, text grid, ANSI, SVG."""
 
+import re
 from types import MappingProxyType
 
 import pytest
@@ -90,20 +91,31 @@ def test_table_text_grid():
     assert len({len(line) for line in lines[:3]}) == 1
 
 
+# one cell of each sign, and a scheme of its own beside the default one
+_SIGNED = {(1, 0): 0, (1, 1): -3, (1, 2): 7}
+_DISTINCT = ColorScheme(zero=(1, 2, 3), negative=(4, 5, 6), positive=(7, 8, 9))
+
+
 def test_ansi_color_codes_by_sign():
-    t = _tiny_table({(1, 0): 0, (1, 1): -3, (1, 2): 7}, (1, 1), (0, 2))
-    out = emit_ansi(t)
-    z = DEFAULT_SCHEME.zero
-    n = DEFAULT_SCHEME.negative
-    p = DEFAULT_SCHEME.positive
-    assert f"\x1b[48;2;{z[0]};{z[1]};{z[2]}m" in out
-    assert f"\x1b[48;2;{n[0]};{n[1]};{n[2]}m" in out
-    assert f"\x1b[48;2;{p[0]};{p[1]};{p[2]}m" in out
-    assert out.count("\x1b[0m") == 3
+    t = _tiny_table(_SIGNED, (1, 1), (0, 2))
+    for scheme in (DEFAULT_SCHEME, _DISTINCT):
+        out = emit_ansi(t, scheme=scheme)
+        z, n, p = ("\x1b[48;2;{};{};{}m".format(*rgb) for rgb in (scheme.zero, scheme.negative, scheme.positive))
+        # each cell, right-justified to the grid's width of 3, carries its own sign's color
+        assert out.split("\n")[1] == f"  1  {z}  0\x1b[0m  {n} -3\x1b[0m  {p}  7\x1b[0m"
+        assert out.count("\x1b[0m") == 3
+
+
+def test_svg_fill_by_sign():
+    t = _tiny_table(_SIGNED, (1, 1), (0, 2))
+    for scheme in (DEFAULT_SCHEME, _DISTINCT):
+        z, n, p = ("#{:02x}{:02x}{:02x}".format(*rgb) for rgb in (scheme.zero, scheme.negative, scheme.positive))
+        cells = re.findall(r'fill="(#[0-9a-f]{6})"><title>n=1 c=(\d): (-?\d+)</title>', emit_svg(t, scheme=scheme))
+        assert cells == [(z, "0", "0"), (n, "1", "-3"), (p, "2", "7")]
 
 
 def test_ansi_no_color_uses_glyphs():
-    t = _tiny_table({(1, 0): 0, (1, 1): -3, (1, 2): 7}, (1, 1), (0, 2))
+    t = _tiny_table(_SIGNED, (1, 1), (0, 2))
     out = emit_ansi(t, color=False)
     assert "\x1b[" not in out
     cells = out.split("\n")[1].split()[1:]

@@ -1,7 +1,12 @@
 """Symbol, classification, and primitive-root behavior."""
 
+import math
+import random
+import time
+
 import numpy as np
 import pytest
+import sympy
 
 import cubres.cli as cli
 from cubres import (
@@ -42,15 +47,61 @@ def test_is_prime_rejects_non_integers(m):
     assert is_prime(True) is False
 
 
-def test_is_prime_matches_sieve_below_1000():
-    sieve = [True] * 1000
-    sieve[0] = sieve[1] = False
-    for i in range(2, 32):
+def test_is_prime_agrees_with_a_sieve_below_100000():
+    sieve = bytearray([1]) * 100000
+    sieve[0] = sieve[1] = 0
+    for i in range(2, 317):
         if sieve[i]:
-            for j in range(i * i, 1000, i):
-                sieve[j] = False
-    for m in range(1000):
-        assert is_prime(m) == sieve[m], m
+            sieve[i * i::i] = bytes(len(range(i * i, 100000, i)))
+    assert [m for m in range(100000) if is_prime(m)] == [m for m in range(100000) if sieve[m]]
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases, for k
+# from 4 to 12 (Sorenson and Webster, Math. Comp. 86, 2017), with its
+# factors. None has a factor below 41, so only the strong tests refuse it
+_STRONG_PSEUDOPRIMES = {
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+}
+
+
+@pytest.mark.parametrize("m", sorted(_STRONG_PSEUDOPRIMES))
+def test_strong_pseudoprimes_to_fewer_bases_are_composite(m):
+    assert math.prod(_STRONG_PSEUDOPRIMES[m]) == m
+    assert not is_prime(m)
+    with pytest.raises(ValueError, match="^modulus must be prime"):
+        Prime(m)
+
+
+def test_is_prime_agrees_with_sympy_on_large_inputs():
+    # odd numbers of 20 to 25 digits below the cap, and a prime after each of the first 30
+    rng = random.Random(29)
+    ms = [rng.randrange(10**19, 3 * 10**24) | 1 for _ in range(300)]
+    ms += [sympy.nextprime(m) for m in ms[:30]]
+    assert [is_prime(m) for m in ms] == [sympy.isprime(m) for m in ms]
+
+
+def test_primality_is_capped_at_psi_13():
+    psi13 = 3317044064679887385961981
+    cap = f"^primality is proven only below psi_13 = {psi13}, got "
+    # psi_13 passes the strong test to every base 2..41, so no test below could refuse it
+    for m in (psi13, psi13 + 2, 10**30):
+        with pytest.raises(ValueError, match=cap + str(m)):
+            is_prime(m)
+        with pytest.raises(ValueError, match=cap + str(m)):
+            Prime(m)
+    assert not is_prime(psi13 - 1)
+    assert is_prime(sympy.prevprime(psi13))
+
+
+def test_a_large_prime_is_validated_quickly():
+    start = time.perf_counter()
+    assert Prime(2**61 - 1).mod3 == 1
+    assert time.perf_counter() - start < 0.1
 
 
 def test_prime_classification():

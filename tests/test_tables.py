@@ -162,55 +162,6 @@ def test_extended_table_matches_per_cell_determinants(family, p):
         assert v == determinant(build_matrix(family_formula(family, c, t), p, n).rows()), (n, c)
 
 
-def _matches_column_minors(table):
-    # the oracle: leading_minors of each column's order-n_hi build, as
-    # plain rows, so the engine runs and not the wall. Shifts
-    # c and c + p build equal matrices, so each distinct matrix is
-    # eliminated once; every cell is still compared with its own column
-    minors = {}
-    for c in table.shifts():
-        m = build_matrix(family_formula(table.family, c, table.t), table.prime, table.n_range[1])
-        key = m.entries
-        if key not in minors:
-            minors[key] = leading_minors(m.rows())
-        for n in table.orders():
-            assert table.cell(n, c) == minors[key][n - 1], (table.family, table.t, n, c)
-
-
-@pytest.mark.parametrize("family, t, extended", [
-    ("diff", 1, True), ("sum", 1, False), ("even-power", 1, False), ("even-power", 2, False)])
-@pytest.mark.parametrize("p", [q for q in odd_primes_up_to(60) if q >= 5])
-def test_every_cell_matches_leading_minors(family, t, extended, p):
-    _matches_column_minors(generate_table(family, p, t=t, extended=extended))
-
-
-@pytest.mark.parametrize("family, p, extended", [("diff", 101, True), ("sum", 97, False)])
-def test_large_tables_match_leading_minors(family, p, extended):
-    _matches_column_minors(generate_table(family, p, extended=extended))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    p=st.sampled_from([q for q in odd_primes_up_to(97) if q >= 5]),
-    family=st.sampled_from(FAMILIES),
-    t=st.integers(1, 3),
-    n_hi=st.integers(1, 25),
-    n_span=st.integers(0, 24),
-    c_lo=st.integers(-50, 50),
-    c_width=st.integers(1, 30),
-)
-def test_boxes_off_the_origin_match_leading_minors(p, family, t, n_hi, n_span, c_lo, c_width):
-    # the wall's first term and each order's read offset depend on the
-    # box's corner; the oracle is the elimination engine on each column's
-    # plain rows, which shares no offset arithmetic with the wall
-    n_lo = max(1, n_hi - n_span)
-    c_hi = c_lo + c_width - 1
-    table = generate_table(family, p, (n_lo, n_hi), (c_lo, c_hi), t=t)
-    for c in range(c_lo, c_hi + 1):
-        rows = build_matrix(family_formula(family, c, t), p, n_hi).rows()
-        assert table.column(c) == leading_minors(rows)[n_lo - 1:], (n_lo, c)
-
-
 def test_generation_is_deterministic():
     a = generate_table("diff", 11)
     b = generate_table("diff", 11)
@@ -548,3 +499,66 @@ def test_formula_minors_bounds_and_exports():
     for name in ("formula_minors", "even_power_minors"):
         assert name in tables.__all__
         assert name not in cubres.__all__
+
+
+@pytest.mark.parametrize("family", ["diff", "sum"])
+def test_boxes_left_of_the_origin_match_leading_minors(family):
+    # a fixed, quick case of the box test below, run before the slow
+    # whole-table oracles: a box of negative shifts moves the wall's first
+    # term, and a Hankel block reads its wall n + 1 cells to the right
+    for p in (5, 11):
+        table = generate_table(family, p, (1, p), (-2 * p, -1))
+        for c in table.shifts():
+            rows = build_matrix(family_formula(family, c), p, p).rows()
+            assert table.column(c) == leading_minors(rows), (p, c)
+
+
+# The whole-table oracles are the slowest tests here, so they run last:
+# a mutant that a quicker test above catches fails before they start
+def _matches_column_minors(table):
+    # the oracle: leading_minors of each column's order-n_hi build, as
+    # plain rows, so the engine runs and not the wall. Shifts
+    # c and c + p build equal matrices, so each distinct matrix is
+    # eliminated once; every cell is still compared with its own column
+    minors = {}
+    for c in table.shifts():
+        m = build_matrix(family_formula(table.family, c, table.t), table.prime, table.n_range[1])
+        key = m.entries
+        if key not in minors:
+            minors[key] = leading_minors(m.rows())
+        for n in table.orders():
+            assert table.cell(n, c) == minors[key][n - 1], (table.family, table.t, n, c)
+
+
+@pytest.mark.parametrize("family, t, extended", [
+    ("diff", 1, True), ("sum", 1, False), ("even-power", 1, False), ("even-power", 2, False)])
+@pytest.mark.parametrize("p", [q for q in odd_primes_up_to(60) if q >= 5])
+def test_every_cell_matches_leading_minors(family, t, extended, p):
+    _matches_column_minors(generate_table(family, p, t=t, extended=extended))
+
+
+@pytest.mark.parametrize("family, p, extended", [("diff", 101, True), ("sum", 97, False)])
+def test_large_tables_match_leading_minors(family, p, extended):
+    _matches_column_minors(generate_table(family, p, extended=extended))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([q for q in odd_primes_up_to(97) if q >= 5]),
+    family=st.sampled_from(FAMILIES),
+    t=st.integers(1, 3),
+    n_hi=st.integers(1, 25),
+    n_span=st.integers(0, 24),
+    c_lo=st.integers(-50, 50),
+    c_width=st.integers(1, 30),
+)
+def test_boxes_off_the_origin_match_leading_minors(p, family, t, n_hi, n_span, c_lo, c_width):
+    # the wall's first term and each order's read offset depend on the
+    # box's corner; the oracle is the elimination engine on each column's
+    # plain rows, which shares no offset arithmetic with the wall
+    n_lo = max(1, n_hi - n_span)
+    c_hi = c_lo + c_width - 1
+    table = generate_table(family, p, (n_lo, n_hi), (c_lo, c_hi), t=t)
+    for c in range(c_lo, c_hi + 1):
+        rows = build_matrix(family_formula(family, c, t), p, n_hi).rows()
+        assert table.column(c) == leading_minors(rows)[n_lo - 1:], (n_lo, c)

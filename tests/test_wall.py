@@ -236,6 +236,15 @@ def test_paley_row_p_in_closed_form():
         assert _paley_row(p) == [_paley_det(p)] * (2 * p + 1), p
 
 
+def test_paley_cell_at_order_p_to_199():
+    # the same closed form at shift 0 for every prime 5..199, each wall over
+    # the 2p - 1 terms s(1 - p)..s(p - 1) that W(p, 0) reads; at p = 199
+    # the cell is 200**99, of 228 digits
+    for p in odd_primes_up_to(199)[1:]:
+        seq = [legendre_symbol(m, p) + (m % p == 0) for m in range(1 - p, p)]
+        assert number_wall(seq, p, first=1 - p).row(p, 0, 0) == [_paley_det(p)], p
+
+
 @pytest.mark.parametrize("where", ["first", "centre", "last"])
 def test_paley_row_p_sees_one_flipped_term(where):
     # the first and last terms reach only the row's end cells, W(p, 0) and
