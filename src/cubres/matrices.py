@@ -5,15 +5,15 @@ or Hankel (entry (i, j) is seq(i + j)), and the symbol argument of seq(k)
 at one index k. `sequence` is the one place a formula is evaluated: an
 order-n matrix reads 2n - 1 consecutive values of it, one entry reads one.
 
-A `ResidueMatrix` is the grid of one (formula, prime, order): its entries
-are a tuple of rows of plain ints, and its constructor rejects any grid
-that is not the formula's. So the determinants of one are read off the
-formula's number wall. Nothing here imports numpy.
+A `ResidueMatrix` is the grid of one (formula, prime, order): its
+constructor computes that grid and stores it as a tuple of rows of plain
+ints. So the determinants of one are read off the formula's number wall.
+Nothing here imports numpy.
 """
 
 from typing import Union
 
-from .residues import Prime, Record, _rebuild, as_int, as_prime, cubic_residue_symbol
+from .residues import Prime, Record, as_int, as_prime, cubic_residue_symbol
 
 __all__ = [
     "DiffPlusC",
@@ -120,30 +120,20 @@ class ResidueMatrix(Record):
     """The immutable order-n grid of one formula's symbol values at one
     prime, kept as a tuple of rows of plain ints in {-1, 0, 1}.
 
-    The constructor rejects entries that are not the formula's grid, so a
-    ResidueMatrix is its (formula, prime, order) and its determinants can
-    be read off the formula's number wall. Two matrices are equal only
-    when they are the same object.
+    The constructor computes the grid from (formula, prime, order), so a
+    ResidueMatrix is its formula's grid and its determinants can be read
+    off the formula's number wall. It rejects nothing but a bad prime
+    (`as_prime`) or order (`_order`). Two matrices are equal only when
+    they are the same object.
     """
 
     __slots__ = ("order", "entries", "prime", "formula")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, order: int, entries, prime: Prime, formula: Formula) -> None:
-        order, prime = as_int(order, "order"), as_prime(prime)
-        if order < 1:
-            raise ValueError("matrix must have order >= 1")
-        e = tuple(tuple(as_int(v, "entry") for v in row) for row in entries)
-        if len(e) != order or any(len(row) != order for row in e):
-            shape = (len(e), *sorted({len(row) for row in e}))
-            raise ValueError(f"entries must be {order} x {order}, got shape {shape}")
-        grid = _grid(formula, prime, order)
-        if e != grid:
-            raise ValueError(f"entries are not the order-{order} grid of {formula!r} "
-                             f"at p = {prime.value}")
-        # the grid, not the caller's rows: plain ints that nothing else holds
-        self._store(order, grid, prime, formula)
+    def __init__(self, formula: Formula, prime: "Prime | int", order: int) -> None:
+        prime, order = as_prime(prime), _order(order)
+        self._store(order, _grid(formula, prime, order), prime, formula)
 
     def entry(self, i: int, j: int) -> int:
         """1-based access, matching the formula indexing."""
@@ -197,9 +187,7 @@ def entry_value(formula: Formula, p: "Prime | int", i: int, j: int) -> int:
 def build_matrix(formula: Formula, p: "Prime | int", n: int) -> ResidueMatrix:
     """Construct the order-n matrix of symbol values for this formula:
     2n - 1 sequence values, indexed into the grid by the formula's kind."""
-    p, n = as_prime(p), _order(n)
-    # the grid is the formula's by construction: stored without the check
-    return _rebuild(ResidueMatrix, (n, _grid(formula, p, n), p, formula))
+    return ResidueMatrix(formula, p, n)
 
 
 def matrices_equal(a: ResidueMatrix, b: ResidueMatrix) -> bool:

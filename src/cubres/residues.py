@@ -13,8 +13,8 @@ each command the import of `dataclasses` and `inspect` (which loads
 `ast`, `dis` and `tokenize`) and an `exec` per class.
 """
 
+import math
 import operator
-from collections.abc import Iterator
 
 __all__ = [
     "Prime",
@@ -241,18 +241,57 @@ def legendre_symbol(a: int, p: "Prime | int") -> int:
     return 1 if pow(r, (p.value - 1) // 2, p.value) == 1 else -1
 
 
-def _prime_factors(n: int) -> Iterator[int]:
-    """The distinct prime factors of n, ascending, by trial division: up to
-    sqrt(n) divisions, O(sqrt(n)). Only the primitive roots read it."""
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            yield d
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        yield n
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of 1 <= n < psi_13, ascending. Trial
+    division by the primes to 41 leaves a cofactor; `is_prime` proves each
+    piece of it prime, and `_split` breaks each composite piece in two.
+    A split costs about the square root of the piece's least prime factor,
+    so at most about n**(1/4) steps. Only the primitive roots read it."""
+    factors = set()
+    for q in _BASES:
+        if n % q == 0:
+            factors.add(q)
+            while n % q == 0:
+                n //= q
+    pieces = [n] if n > 1 else []
+    while pieces:
+        m = pieces.pop()
+        if is_prime(m):
+            factors.add(m)
+        else:
+            d = _split(m)
+            pieces += [d, m // d]
+    return sorted(factors)
+
+
+def _split(m: int) -> int:
+    """A divisor 1 < d < m of a composite m with no prime factor below 43,
+    by Brent's variant of Pollard's rho: the walk y -> y*y + c mod m from
+    y = 2, for c = 1, 2, ... in turn until one walk splits m. Products of
+    128 differences share one gcd."""
+    for c in range(1, m):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = math.gcd(q, m)
+                k += 128
+            r *= 2
+        if g == m:  # the batch overshot: step back through it one term at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(x - ys, m)
+        if g != m:
+            return g
+    raise ArithmeticError(f"no rho walk splits {m}")
 
 
 def primitive_root(p: "Prime | int") -> int:
@@ -260,18 +299,18 @@ def primitive_root(p: "Prime | int") -> int:
 
     A candidate g generates iff g**((p-1)/q) != 1 for every prime q
     dividing p - 1; candidates are tried in increasing order, so the
-    choice is reproducible run to run. Factoring p - 1 by trial division
-    costs O(sqrt(p)), as in `next_primitive_root`.
+    choice is reproducible run to run. p - 1 is factored as in
+    `next_primitive_root`.
     """
     return next_primitive_root(p, 1)
 
 
 def next_primitive_root(p: "Prime | int", after: int) -> int:
     """Smallest primitive root above max(after, 1); after must be an integer.
-    p - 1 is factored by trial division, O(sqrt(p)) divisions; the CLI's
-    `verify` calls this only for p up to its cap of 400."""
+    p - 1 is factored by `_prime_factors`, in at most about p**(1/4) steps;
+    candidates are then tried one by one from after + 1."""
     pv = as_prime(p).value
-    order_factors = list(_prime_factors(pv - 1))
+    order_factors = _prime_factors(pv - 1)
     for g in range(max(as_int(after, "after"), 1) + 1, pv):
         if all(pow(g, (pv - 1) // q, pv) != 1 for q in order_factors):
             return g

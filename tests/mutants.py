@@ -32,8 +32,8 @@ PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", 
           "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"]
 WALL, VERIFY = "tests/test_wall.py", "tests/test_verify.py"
 TABLES, DETERMINANT = "tests/test_tables.py", "tests/test_determinant.py"
-RESIDUES, RECORDS = "tests/test_residues.py", "tests/test_records.py"
-RENDER = "tests/test_render.py"
+RESIDUES, RENDER = "tests/test_residues.py", "tests/test_render.py"
+MATRICES = "tests/test_matrices.py"
 
 
 class Mutant(NamedTuple):
@@ -112,8 +112,6 @@ CORPUS = (
            "    if p.mod3 != 1:\n        return -1 if r == 2 else 1\n", VERIFY),
     Mutant("as_int-int", "as_int reads with int(), so 2.0 and \"2\" pass", "residues.py",
            "return operator.index(value)", "return int(value)", RESIDUES),
-    Mutant("grid-check", "ResidueMatrix takes any entries of the right shape", "matrices.py",
-           "        if e != grid:\n", "        if False:\n", RECORDS),
     Mutant("table-prime", "DeterminantTable stores its prime as given", "tables.py",
            "prime, t, family = as_prime(prime),", "prime, t, family = prime,", TABLES),
     Mutant("sign-order", "positive and negative cells swap colors", "render.py",
@@ -129,6 +127,13 @@ CORPUS = (
     Mutant("cubic-euler", "the cubic symbol of a 3k+1 prime tests squares", "residues.py",
            "return 1 if pow(r, (p.value - 1) // 3, p.value) == 1 else -1",
            "return 1 if pow(r, (p.value - 1) // 2, p.value) == 1 else -1", TABLES),
+    Mutant("matrix-prime", "ResidueMatrix stores its prime as given", "matrices.py",
+           "prime, order = as_prime(prime), _order(order)", "prime, order = prime, _order(order)", MATRICES),
+    Mutant("sum-kind", "the sum family is read as Toeplitz, j - i + c", "matrices.py",
+           "    kind = HANKEL\n", "    kind = TOEPLITZ\n", MATRICES),
+    Mutant("composite-piece", "a composite piece of p - 1 is taken as prime", "residues.py",
+           "        if is_prime(m):\n            factors.add(m)\n",
+           "        if True:\n            factors.add(m)\n", RESIDUES),
 )
 
 

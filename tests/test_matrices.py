@@ -15,7 +15,6 @@ from cubres import (
     as_prime,
     build_matrix,
     cubic_residue_symbol,
-    determinant,
     entry_value,
     family_formula,
     matrices_equal,
@@ -188,58 +187,28 @@ def test_matrix_accessors_and_immutability():
     assert m.prime == Prime(7)
 
 
-def test_residue_matrix_rejects_non_integer_entries():
-    entries = np.array([[0.5, 1.0], [1.0, 1.0]])
-    with pytest.raises(TypeError):
-        ResidueMatrix(2, entries, as_prime(5), DiffPlusC(0))
-    with pytest.raises(TypeError):
-        ResidueMatrix(2, np.ones((2, 2), dtype=bool), as_prime(5), DiffPlusC(0))
-
-
 def test_residue_matrix_reads_its_order_and_prime():
-    m = build_matrix(DiffPlusC(0), 7, 2)
-    with pytest.raises(TypeError, match="^order must be an integer, got float$"):
-        ResidueMatrix(2.0, m.entries, Prime(7), DiffPlusC(0))
-    assert ResidueMatrix(np.int64(2), m.entries, Prime(7), DiffPlusC(0)).order == 2
+    # the order is read as build_matrix reads it
+    with pytest.raises(TypeError, match="^n must be an integer, got float$"):
+        ResidueMatrix(DiffPlusC(0), Prime(7), 2.0)
+    assert ResidueMatrix(DiffPlusC(0), Prime(7), np.int64(2)).order == 2
     # a plain int prime is stored as the Prime it names
-    lone = ResidueMatrix(1, [[0]], 7, DiffPlusC(0))
+    lone = ResidueMatrix(DiffPlusC(0), 7, 1)
     assert type(lone.prime) is Prime and lone.prime == Prime(7)
+    assert lone.entries == ((0,),) and type(lone.order) is int
+
+
+def test_residue_matrix_takes_no_entries():
+    # the grid is computed, never passed: the old (order, entries, prime,
+    # formula) call has one argument too many
+    rows = build_matrix(DiffPlusC(0), 5, 2).rows()
+    with pytest.raises(TypeError, match="takes 4 positional arguments but 5 were given"):
+        ResidueMatrix(2, rows, Prime(5), DiffPlusC(0))
 
 
 def test_family_formula_covers_cube_diff():
     # the one family that reads neither the shift nor t
     assert family_formula("cube-diff", 5) == family_formula("cube-diff", 0, t=3) == CubeDiffPlusOne()
-
-
-def test_residue_matrix_keeps_a_private_read_only_copy():
-    # the order-2 grid of DiffPlusC(0) at p = 5, as a caller's own array
-    e = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    m = ResidueMatrix(2, e, as_prime(5), DiffPlusC(0))
-    e[0, 0] = 5
-    e[1, 1] = 5
-    assert m.entry(1, 1) == 0 and m.entry(2, 2) == 0
-    assert m.entries == ((0, 1), (1, 0)) and type(m.entry(1, 2)) is int
-    assert determinant(m) == -1
-    with pytest.raises(TypeError):
-        m.entries[0][0] = 1
-
-
-@pytest.mark.parametrize("formula, p, n", [
-    (DiffPlusC(0), 5, 2), (DiffPlusC(4), 11, 6), (SumPlusC(3), 13, 5),
-    (CubeDiffPlusOne(), 7, 4), (EvenPowerPlusC(2, 3), 19, 5), (SumPlusC(1), 3, 3),
-])
-def test_residue_matrix_rejects_any_one_flipped_entry(formula, p, n):
-    # a ResidueMatrix must be its formula's grid, since its determinants
-    # are read off that formula's number wall
-    rows = build_matrix(formula, p, n).rows()
-    assert ResidueMatrix(n, rows, as_prime(p), formula).rows() == rows
-    for i in range(n):
-        for j in range(n):
-            for v in {-1, 0, 1} - {rows[i][j]}:
-                flipped = [row[:] for row in rows]
-                flipped[i][j] = v
-                with pytest.raises(ValueError, match="grid of"):
-                    ResidueMatrix(n, flipped, as_prime(p), formula)
 
 
 @pytest.mark.parametrize("make, message", [
@@ -261,8 +230,8 @@ def test_build_rejects_bad_order():
     with pytest.raises(ValueError):
         build_matrix(DiffPlusC(0), 7, -2)
     # the constructor applies the same rule, as determinant([]) does
-    with pytest.raises(ValueError, match="order >= 1"):
-        ResidueMatrix(0, np.zeros((0, 0), dtype=np.int8), as_prime(7), DiffPlusC(0))
+    with pytest.raises(ValueError, match="^matrix order must be >= 1, got 0$"):
+        ResidueMatrix(DiffPlusC(0), as_prime(7), 0)
 
 
 @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
@@ -286,8 +255,7 @@ def test_entry_value_reads_indices_as_integers(i, j, name):
     (SumPlusC(0), 199, 199), (DiffPlusC(-4), 11, 6), (EvenPowerPlusC(2, 3), 19, 1),
 ])
 def test_build_evaluates_its_grid_once(monkeypatch, formula, p, n):
-    # build_matrix reads 2n - 1 sequence terms once; the constructor, given
-    # entries from a caller, reads them again to check that they are the grid
+    # build_matrix is the constructor, which reads 2n - 1 sequence terms once
     calls = []
 
     def spy(f, q, lo, hi):
@@ -300,8 +268,8 @@ def test_build_evaluates_its_grid_once(monkeypatch, formula, p, n):
     assert calls == [2 * n - 1]
     assert (m.order, m.prime, m.formula) == (n, as_prime(p), formula)
     assert all(type(v) is int for row in m.entries for v in row)
-    again = ResidueMatrix(n, m.rows(), as_prime(p), formula)
-    assert calls == [2 * n - 1] * 2 and matrices_equal(again, m)
+    again = ResidueMatrix(formula, p, n)
+    assert calls == [2 * n - 1] * 2 and matrices_equal(again, m) and again is not m
 
 
 def test_negative_and_large_shifts():
@@ -339,3 +307,27 @@ def test_build_matches_plain_expression_and_leading_blocks(family, p, c, t, orde
     assert m.rows() == want
     assert all(type(v) is int for row in m.entries for v in row)
     assert tuple(row[:n] for row in build_matrix(formula, p, big).entries[:n]) == m.entries
+
+
+# the primes to 200 by form, 3k+1 and 3k+2; the two shift families take p = 3 too
+_PRIMES_BY_FORM = {form: [q for q in odd_primes_up_to(200) if q % 3 == form] for form in (1, 2)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    family=st.sampled_from(range(len(_PLAIN_FAMILIES))),
+    form=st.sampled_from(sorted(_PRIMES_BY_FORM)),
+    n=st.integers(1, 12),
+    t=st.integers(1, 5),
+)
+def test_every_entry_is_the_symbol_of_the_papers_expression(data, family, form, n, t):
+    # family < 2 is diff or sum; each entry is read off the matrix and
+    # compared with the symbol of the paper's expression in (i, j)
+    make, plain = _PLAIN_FAMILIES[family]
+    p = data.draw(st.sampled_from(_PRIMES_BY_FORM[form] + [3] * (family < 2)), label="p")
+    c = data.draw(st.integers(-2 * p, 2 * p), label="c")
+    m = build_matrix(make(c, t), p, n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert m.entry(i, j) == cubic_residue_symbol(plain(i, j, c, t), p), (i, j)

@@ -142,16 +142,8 @@ def test_a_theorem_report_is_mutable_and_unhashable():
     (lambda: ColorScheme(zero=(1, 2, 256)), ValueError, "not an RGB triple: (1, 2, 256)"),
     (lambda: ColorScheme(positive=(1, 2, 3.0)), TypeError, "color component must be an integer, got float"),
     (lambda: ColorScheme((1, 2, 3), (1, 2, 3)), ValueError, "scheme colors must be pairwise distinct"),
-    (lambda: ResidueMatrix(0, [[1]], Prime(5), DiffPlusC(0)), ValueError,
-     "matrix must have order >= 1"),
-    (lambda: ResidueMatrix(1, [[1.0]], Prime(5), DiffPlusC(0)), TypeError,
-     "entry must be an integer, got float"),
-    (lambda: ResidueMatrix(2, [[1]], Prime(5), DiffPlusC(0)), ValueError,
-     "entries must be 2 x 2, got shape (1, 1)"),
-    (lambda: ResidueMatrix(1, [[2]], Prime(5), DiffPlusC(0)), ValueError,
-     "entries are not the order-1 grid of DiffPlusC(c=0) at p = 5"),
-    (lambda: ResidueMatrix(2, [[0, 1], [1, 1]], Prime(5), DiffPlusC(0)), ValueError,
-     "entries are not the order-2 grid of DiffPlusC(c=0) at p = 5"),
+    (lambda: ResidueMatrix(DiffPlusC(0), Prime(5), 0), ValueError, "matrix order must be >= 1, got 0"),
+    (lambda: ResidueMatrix(DiffPlusC(0), 9, 1), ValueError, "modulus must be prime, got 9"),
     (lambda: DeterminantTable(Prime(5), "diff", 1, (1, 1), (0, 0), {(1, 0): 1, (2, 0): 3}),
      ValueError, "2 cells given for a grid of 1"),
     (lambda: DeterminantTable(Prime(5), "diff", 1, (1, 1), (0, 1), {(1, 0): 1}), KeyError, "(1, 1)"),

@@ -26,6 +26,7 @@ from cubres import (
     odd_primes_up_to,
     primitive_root,
 )
+from cubres.residues import _prime_factors
 from cubres.wall import number_wall
 
 
@@ -306,6 +307,41 @@ def test_next_primitive_root():
         next_primitive_root(5, 3)  # 3 is the largest primitive root mod 5
 
 
+def _trial_division_factors(n):
+    """The distinct prime factors of n by plain trial division."""
+    factors, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return factors + [n] * (n > 1)
+
+
+def test_prime_factors_agree_with_trial_division():
+    # cofactors past 41 are split by rho: 43**2 = 1849 is the first one
+    for n in range(1, 10**4):
+        assert _prime_factors(n) == _trial_division_factors(n), n
+    for p in odd_primes_up_to(10**5):
+        assert _prime_factors(p - 1) == _trial_division_factors(p - 1), p
+
+
+@pytest.mark.parametrize("p, factors", [
+    (200000000001419, [2, 100000000000709]),  # a safe prime
+    (2000002000276000078007723, [2, 1000000000039, 1000001000099]),
+])
+def test_primitive_roots_of_large_primes_are_quick(p, factors):
+    # trial division took 0.5 s on the first and would take about 10**12 divisions on the second
+    assert math.prod(factors) == p - 1 and all(sympy.isprime(q) for q in factors)
+    start = time.perf_counter()
+    g = primitive_root(p)
+    assert time.perf_counter() - start < 2
+    assert all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+    for h in range(2, g):
+        assert any(pow(h, (p - 1) // q, p) == 1 for q in factors), h
+
+
 def test_next_primitive_root_below_one_is_the_smallest_root():
     for m in (5, 7, 23, 41):
         assert [next_primitive_root(m, after) for after in (-5, -1, 0, 1)] == [primitive_root(m)] * 4
@@ -343,7 +379,7 @@ _INTEGER_READERS = {
     "Prime": (lambda v: Prime(v), 7, "modulus"),
     "as_prime": (lambda v: as_prime(v), 7, "modulus"),
     "symbol": (lambda v: cubic_residue_symbol(v, 7), 6, "a"),
-    "ResidueMatrix-entry": (lambda v: ResidueMatrix(1, [[v]], 7, DiffPlusC(1)).entries, 1, "entry"),
+    "ResidueMatrix-order": (lambda v: ResidueMatrix(DiffPlusC(1), 7, v).order, 1, "n"),
     "determinant-entry": (lambda v: determinant([[v, 1], [1, 3]]), 2, "entry"),
     "wall-term": (lambda v: number_wall([1, v, 3], 2).row(2, 1, 1), 2, "term"),
     "wall-first": (lambda v: number_wall([1, 2, 3], 2, first=v).first, 2, "first"),
