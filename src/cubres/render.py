@@ -154,7 +154,12 @@ def emit_svg(table: "DeterminantTable", scheme: ColorScheme = DEFAULT_SCHEME, ce
     """One sign-colored rectangle per cell, orders running downward and
     shifts rightward; each rectangle carries its exact value as hover
     text. Output bytes are a pure function of the inputs. A cell_px below
-    1 raises ValueError."""
+    1 raises ValueError.
+
+    The text that repeats is formatted once per table: each column's
+    ``<rect x="…" y="`` prefix and `` c=…: `` label, and each sign class's
+    middle, from the cell size to ``<title>n=``. A cell is those pieces
+    joined with its row's y and n and its value."""
     cell_px = as_int(cell_px, "cell_px")
     if cell_px < 1:
         raise ValueError(f"cell_px must be >= 1, got {cell_px}")
@@ -165,15 +170,12 @@ def emit_svg(table: "DeterminantTable", scheme: ColorScheme = DEFAULT_SCHEME, ce
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
     ]
-    fills = [_hex(scheme.for_sign(s)) for s in _BY_SIGN]
+    columns = [(f'<rect x="{(c - c_lo) * cell_px}" y="', f" c={c}: ") for c in table.shifts()]
+    middles = [f'" width="{cell_px}" height="{cell_px}" fill="{_hex(scheme.for_sign(s))}"><title>n='
+               for s in _BY_SIGN]
     for n in table.orders():
-        y = (n - n_lo) * cell_px
-        for c, v in zip(table.shifts(), table.row(n)):
-            x = (c - c_lo) * cell_px
-            fill = fills[(v > 0) - (v < 0)]
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" fill="{fill}">'
-                f"<title>n={n} c={c}: {v}</title></rect>"
-            )
+        y, order = str((n - n_lo) * cell_px), str(n)
+        parts += [f"{x}{y}{middles[(v > 0) - (v < 0)]}{order}{label}{v}</title></rect>"
+                  for (x, label), v in zip(columns, table.row(n))]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -69,9 +69,18 @@ def is_prime(m: int) -> bool:
 
 
 def odd_primes_up_to(limit: int) -> list[int]:
-    """All odd primes p with 3 <= p <= limit, ascending: one `is_prime`
-    call per odd number, so O(limit) calls."""
-    return [m for m in range(3, as_int(limit, "limit") + 1, 2) if is_prime(m)]
+    """All odd primes p with 3 <= p <= limit, ascending, by a sieve of
+    Eratosthenes over the odd numbers: sieve[i] stands for 2i + 3, and each
+    odd prime q up to sqrt(limit) strikes its odd multiples from q**2 on.
+    A limit below 3 gives []."""
+    size = max(0, (as_int(limit, "limit") - 1) // 2)
+    sieve = bytearray([1]) * size
+    for i in range((math.isqrt(2 * size + 1) - 1) // 2):
+        if sieve[i]:
+            q = 2 * i + 3
+            start = (q * q - 3) // 2  # the index of q**2
+            sieve[start::q] = bytes(len(range(start, size, q)))
+    return [2 * i + 3 for i, prime in enumerate(sieve) if prime]
 
 
 class Record:

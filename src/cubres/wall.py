@@ -9,16 +9,17 @@ Desnanot-Jacobi (Dodgson condensation) its rows obey
 
 so each cell costs O(1) exact integer steps, and every division is
 checked. The zeros of a wall form g x g square windows with a nonzero
-inner frame. A row's zero divisors, counted once per row, must be the
-cells of the windows that hold row n - 2. Below such a divisor the cell
-is either zero (inside the window) or on one of the two rows below it,
-solved when the wall reaches them from frame cells read off the wall, by
-Lunnon's frame theorem (W. F. Lunnon, "The number-wall algorithm: an LFSR
-cookbook", J. Integer Sequences 4, 2001). Index the inner frame's top
-side A and left side B from its top-left corner, its right side C and
-bottom side D from its bottom-right corner, and call the outer frame next
-to them E, F, G and H. Then A, B, C and D are geometric with ratios P, Q,
-R and S, where PS/QR = (-1)**g, and for 1 <= k <= g
+inner frame. Row n is computed only outside the spans of the windows
+that hold row n - 2: every divisor under such a span must be zero, and
+every divisor outside the spans nonzero. Under a span the cell is either
+zero (inside the window, left as the row starts) or on one of the two
+rows below it, solved when the wall reaches them from frame cells read
+off the wall, by Lunnon's frame theorem (W. F. Lunnon, "The number-wall
+algorithm: an LFSR cookbook", J. Integer Sequences 4, 2001). Index the
+inner frame's top side A and left side B from its top-left corner, its
+right side C and bottom side D from its bottom-right corner, and call the
+outer frame next to them E, F, G and H. Then A, B, C and D are geometric
+with ratios P, Q, R and S, where PS/QR = (-1)**g, and for 1 <= k <= g
 
     Q*E_k/A_k + (-1)**k * P*F_k/B_k = R*H_k/D_k + (-1)**k * S*G_k/C_k.
 
@@ -27,10 +28,12 @@ determinant reads only known terms. A window whose top row touches the
 triangle's edge is cut: only the square of its visible top run is known
 to be zero, and none of its bottom frame lies inside the triangle.
 
-The run scan that registers windows also ends the wall: a cut window
-whose top run spans the whole row n ends it, since row n + k is 2k cells
-narrower than row n, so it lies in the run's square for as long as it
-has cells. The rows below are left as they start, zero.
+A new window's top is a run of zeros under nonzero cells, so it lies in
+the cells condensation computed or on an outer bottom row (H) just
+solved, and the run scan looks only there. The scan also ends the wall:
+a cut window whose top run spans the whole row n ends it, since row
+n + k is 2k cells narrower than row n, so it lies in the run's square for
+as long as it has cells. The rows below are left as they start, zero.
 
 `number_wall` returns a `Wall`, which keeps the triangle as one list per
 row: readers take a row as one list slice, or a column, with one bounds
@@ -65,9 +68,11 @@ class Wall:
     position outside the triangle, or a reversed range, raises IndexError.
 
     The counters record the engine's work, counted per row and per window:
-    cells_computed, the cells of the rows below row 1 that it computed;
-    windows_opened, the zero windows it registered; frame_solves, the
-    bottom-row solves of Lunnon's frame theorem, one per window and row.
+    cells_computed, the cells below row 1 that Dodgson condensation
+    computed, which are those outside every window's span, so a window's
+    interior costs nothing; windows_opened, the zero windows it
+    registered; frame_solves, the bottom-row solves of Lunnon's frame
+    theorem, one per window and row.
     """
 
     __slots__ = ("first", "size", "depth", "cells_computed", "windows_opened", "frame_solves",
@@ -104,10 +109,11 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
     seq[i] is the term s(first + i). W(n, c) is defined for -1 <= n <= depth
     and c in [first + n - 1, first + len(seq) - n], the cells whose
     determinant reads only terms of seq; anything else raises IndexError.
-    Each row's zero divisors are counted once and must be the cells of
-    the windows that hold row n - 2; any other, or an inexact division,
-    breaks an invariant and raises ArithmeticError. A zero row under a
-    row with no zeros, both across the whole triangle, ends the computation.
+    Row n is computed outside the spans of the windows that hold row
+    n - 2; a nonzero divisor under a span, a zero divisor outside every
+    span or an inexact division breaks an invariant and raises
+    ArithmeticError. A zero row under a row with no zeros, both across
+    the whole triangle, ends the computation.
     """
     terms, depth = [as_int(v, "term") for v in seq], as_int(depth, "depth")
     first = as_int(first, "first")
@@ -132,53 +138,67 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
         return rows[n + 1][j]
 
     # windows as (t, a, b, cut): first zero row t, array indices a..b, and
-    # whether the triangle's edge cuts the window
+    # whether the triangle's edge cuts the window; kept in column order
     windows: list[tuple] = []
-    full = _open_windows(rows, 1, size, windows)
-    opened, solves, n = len(windows), 0, 1
+    full = _open_windows(rows, 1, size, [(2, size + 1)], windows)
+    opened, solves, computed, n = len(windows), 0, 0, 1
     while not full and n < depth:
         n += 1
         up2, up, row = rows[n - 1], rows[n], rows[n + 1]
         j_lo, j_hi = n + 1, size + 2 - n
-        for j in range(j_lo, j_hi + 1):
-            d = up2[j]
-            if d:
-                x = up[j]
-                q, r = divmod(x * x - up[j - 1] * up[j + 1], d)
-                if r:
-                    raise _broken("inexact Dodgson division")
-                row[j] = q
-        owned = 0
+        # the span of each window that holds row n - 2, clipped to the row:
+        # its divisors are zero, and row n under it is window interior (left
+        # zero) or a bottom row solved from the frame. Dodgson condensation
+        # computes the stretches between the spans.
+        stretches, outer, j = [], [], j_lo
         for t, a, b, cut in windows:
             if t <= n - 2:  # the filter below keeps t + g + 1 > n, so n - 2 <= t + b - a always
                 lo, hi = max(a, j_lo), min(b, j_hi)
-                owned += max(0, hi - lo + 1)
+                if any(up2[lo:hi + 1]):
+                    raise _broken(f"nonzero divisors in row {n} under the window from row {t}")
+                if lo <= hi:
+                    stretches.append((j, lo - 1))
+                    j = hi + 1
                 if not cut and n - t > b - a:
-                    _solve_frame(row, n - t == b - a + 1, t, a, b, lo, hi, at)
+                    inner = n - t == b - a + 1
+                    _solve_frame(row, inner, t, a, b, lo, hi, at)
                     solves += 1
-        zeros = up2[j_lo:j_hi + 1].count(0)
-        if zeros != owned:
-            raise _broken(f"{zeros} zero divisors in row {n}, {owned} inside windows")
+                    if not inner:
+                        outer.append((lo, hi))
+        stretches.append((j, j_hi))
+        try:
+            for lo, hi in stretches:
+                for j in range(lo, hi + 1):
+                    x = up[j]
+                    q, r = divmod(x * x - up[j - 1] * up[j + 1], up2[j])
+                    if r:
+                        raise _broken("inexact Dodgson division")
+                    row[j] = q
+                computed += hi - lo + 1
+        except ZeroDivisionError:  # every divisor outside the spans must be nonzero
+            raise _broken(f"zero divisors in row {n} outside every window") from None
         # keep the windows whose outer bottom row t + g + 1 is still to come
         windows = [w for w in windows if w[0] + (w[2] - w[1] + 1) + 1 > n]
         kept = len(windows)
-        full = _open_windows(rows, n, size, windows)
-        opened += len(windows) - kept
-    # rows 2..n were computed, and row k holds size + 2 - 2k cells
-    wall.cells_computed = (n - 1) * (size - n)
-    wall.windows_opened, wall.frame_solves = opened, solves
+        # a new window's top lies in a computed stretch or on a solved H row
+        full = _open_windows(rows, n, size, sorted(stretches + outer), windows)
+        if len(windows) > kept:
+            opened += len(windows) - kept
+            windows.sort(key=lambda w: w[1])
+    wall.cells_computed, wall.windows_opened, wall.frame_solves = computed, opened, solves
     return wall
 
 
-def _open_windows(rows: list, n: int, size: int, windows: list) -> bool:
+def _open_windows(rows: list, n: int, size: int, pieces: list, windows: list) -> bool:
     """Register every window whose first zero row is n: a maximal run of
-    zeros in row n under nonzero cells of row n - 1. True when one run
-    spans the triangle's whole row n: that cut window ends the wall."""
+    zeros in row n under nonzero cells of row n - 1. Tops are looked for
+    only in pieces, the ranges (lo, hi) of row n, in column order, that
+    can hold one. True when one run spans the triangle's whole row n: that
+    cut window ends the wall."""
     row, up = rows[n + 1], rows[n]
     j_lo, j_hi = n + 1, size + 2 - n
-    if 0 not in row[j_lo:j_hi + 1]:
-        return False
-    tops = [j for j in range(j_lo, j_hi + 1) if not row[j] and up[j]]
+    tops = [j for lo, hi in pieces if 0 in row[lo:hi + 1]
+            for j in range(lo, hi + 1) if not row[j] and up[j]]
     # a run starts where the previous top is not j - 1, and ends where the next is not j + 1
     starts = [j for i, j in enumerate(tops) if i == 0 or tops[i - 1] != j - 1]
     ends = [j for i, j in enumerate(tops, 1) if i == len(tops) or tops[i] != j + 1]

@@ -50,8 +50,9 @@ CORPUS = (
            "if t <= n - 2:", "if t <= n - 1:", WALL),
     Mutant("M2", "every top starts a run of its own", "wall.py",
            "tops[i - 1] != j - 1", "tops[i - 1] != j", WALL),
-    Mutant("M3", "the zero divisors are taken to be the window cells", "wall.py",
-           "zeros = up2[j_lo:j_hi + 1].count(0)", "zeros = owned", WALL),
+    Mutant("M3", "a zero divisor outside the window spans leaves its cell zero", "wall.py",
+           "q, r = divmod(x * x - up[j - 1] * up[j + 1], up2[j])",
+           "q, r = divmod(x * x - up[j - 1] * up[j + 1], up2[j]) if up2[j] else (0, 0)", WALL),
     Mutant("M4", "P2_3 compares s(a) with itself for parity", "verify.py",
            "_Line(s, s[::-1],", "_Line(s, s,", VERIFY),
     Mutant("M5", "P2_3 compares s(a) with itself for the class", "verify.py",
@@ -79,7 +80,8 @@ CORPUS = (
     Mutant("mirror", "the even-power mirror repeats s(0)", "tables.py",
            "terms = (*half[:0:-1], *half)", "terms = (*half[::-1], *half)", TABLES),
     Mutant("dodgson-cell", "one Dodgson cell of row 3 is off by one", "wall.py",
-           "                row[j] = q\n", "                row[j] = q + (n == 3 and j == j_lo)\n", WALL),
+           "                    row[j] = q\n",
+           "                    row[j] = q + (n == 3 and j == j_lo)\n", WALL),
     Mutant("inversions", "the elimination drops the inversion sign", "determinant.py",
            "minors[k] = -piv if inversions & 1 else piv", "minors[k] = piv", DETERMINANT),
     Mutant("rightmost-pivot", "the elimination pivots on the rightmost nonzero column", "determinant.py",
@@ -120,8 +122,8 @@ CORPUS = (
     Mutant("base-41", "the strong test drops its last base, 41", "residues.py",
            "29, 31, 37, 41)", "29, 31, 37)", RESIDUES),
     Mutant("float-dodgson", "the Dodgson division rounds through a float", "wall.py",
-           "q, r = divmod(x * x - up[j - 1] * up[j + 1], d)",
-           "q, r = round((x * x - up[j - 1] * up[j + 1]) / d), 0", WALL),
+           "q, r = divmod(x * x - up[j - 1] * up[j + 1], up2[j])",
+           "q, r = round((x * x - up[j - 1] * up[j + 1]) / up2[j]), 0", WALL),
     Mutant("even-power-sign", "the even-power argument is k**(2t) - c", "matrices.py",
            "pow(k, 2 * self.t, p) + self.c", "pow(k, 2 * self.t, p) - self.c", TABLES),
     Mutant("cubic-euler", "the cubic symbol of a 3k+1 prime tests squares", "residues.py",
@@ -134,6 +136,21 @@ CORPUS = (
     Mutant("composite-piece", "a composite piece of p - 1 is taken as prime", "residues.py",
            "        if is_prime(m):\n            factors.add(m)\n",
            "        if True:\n            factors.add(m)\n", RESIDUES),
+    Mutant("span-divisors", "a window span's divisors are not checked to be zero", "wall.py",
+           "if any(up2[lo:hi + 1]):", "if False:", WALL),
+    Mutant("H-scan", "solved H rows are not scanned for new windows", "wall.py",
+           "sorted(stretches + outer)", "stretches", WALL),
+    Mutant("x-fragment", "a column's x is taken at c, not c - c_lo", "render.py",
+           '(c - c_lo) * cell_px}" y="', 'c * cell_px}" y="', RENDER),
+    Mutant("previous-sign", "a cell's fill comes from the previous cell's sign", "render.py",
+           '        parts += [f"{x}{y}{middles[(v > 0) - (v < 0)]}{order}{label}{v}</title></rect>"\n'
+           "                  for (x, label), v in zip(columns, table.row(n))]\n",
+           "        row = table.row(n)\n"
+           '        parts += [f"{x}{y}{middles[(u > 0) - (u < 0)]}{order}{label}{v}</title></rect>"\n'
+           "                  for (x, label), v, u in zip(columns, row, [0, *row])]\n", RENDER),
+    Mutant("sieve-bound", "the sieve stops one prime short of sqrt(limit)", "residues.py",
+           "range((math.isqrt(2 * size + 1) - 1) // 2)", "range((math.isqrt(2 * size + 1) - 3) // 2)",
+           RESIDUES),
 )
 
 

@@ -258,13 +258,22 @@ def test_verify_lines_format(capsys):
          "306ca85ca67f9d53ff850d92f0591a1c3ad7a18860ca15bf02da7363e92ba634"),
         (("table", "-p", "29", "--even-power", "--t", "2", "--format", "svg", "--cell-px", "7"),
          "546ac52c92bafbb8ec0cd5494ed09bf55156bd43070d32bb9ae8f563d372446b"),
+        # the table-3k2 benchmark workload, with the benchmark's pin
+        (("table", "-p", "71", "--diff", "--extended", "--format", "svg"),
+         "32914d35b1ce3ee41b81af31507f198bb98a90e0b3d4544ff9c0fcd962448ac0"),
+        # a 3k+1 SVG over a box of negative shifts, with negative and
+        # multi-digit cells, at a small cell size
+        (("table", "-p", "31", "--diff", "--n-min", "3", "--n-max", "20", "--c-min", "-9",
+          "--c-max", "40", "--format", "svg", "--cell-px", "5"),
+         "9a54c7cb924c647859e927d08f2844674d500fb72186f50f89d5e3480ba8bd4f"),
     ],
     ids=["verify-lines", "table-3k1-csv", "table-3k2-p101-extended", "table-3k1-diff",
          "table-sum-offset-box", "table-even-power-t2", "table-even-power-p101",
          "det-3k1-diff-195",
          "det-3k1-cube-diff-200", "det-3k1-even-power-200", "det-p3", "det-zero-band",
          "matrix-sum-199", "table-text-p11", "table-3k1-text", "table-3k1-ansi",
-         "table-ansi-no-color-extended", "table-even-power-svg-cell-px-7"],
+         "table-ansi-no-color-extended", "table-even-power-svg-cell-px-7", "table-3k2-svg",
+         "table-3k1-svg-negative-shifts-cell-px-5"],
 )
 def test_output_bytes_are_pinned(capsys, monkeypatch, argv, sha256):
     # recorded from an earlier engine; a faster engine must not move a byte

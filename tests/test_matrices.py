@@ -287,16 +287,20 @@ _PLAIN_FAMILIES = (
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
+    data=st.data(),
     family=st.sampled_from(_PLAIN_FAMILIES),
     p=st.sampled_from(odd_primes_up_to(199)),
-    c=st.integers(-(10**12), 10**12),
     t=st.integers(1, 6),
     orders=st.lists(st.integers(1, 30), min_size=2, max_size=2).map(sorted),
 )
-def test_build_matches_plain_expression_and_leading_blocks(family, p, c, t, orders):
+def test_build_matches_plain_expression_and_leading_blocks(data, family, p, t, orders):
+    # every entry is compared with the symbol of the paper's expression in
+    # (i, j), for shifts within two periods of 0 and far from it, and each
+    # leading block of a larger matrix is the smaller matrix
     make, plain = family
+    c = data.draw(st.integers(-2 * p, 2 * p) | st.integers(-(10**12), 10**12), label="c")
     n, big = orders
     formula = make(c, t)
     m = build_matrix(formula, p, n)
@@ -305,29 +309,6 @@ def test_build_matches_plain_expression_and_leading_blocks(family, p, c, t, orde
     symbol = {r: 0 if r == 0 else 1 if r in cubes else -1 for r in range(p)}
     want = [[symbol[plain(i, j, c, t) % p] for j in range(1, n + 1)] for i in range(1, n + 1)]
     assert m.rows() == want
+    assert [[m.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)] == want
     assert all(type(v) is int for row in m.entries for v in row)
     assert tuple(row[:n] for row in build_matrix(formula, p, big).entries[:n]) == m.entries
-
-
-# the primes to 200 by form, 3k+1 and 3k+2; the two shift families take p = 3 too
-_PRIMES_BY_FORM = {form: [q for q in odd_primes_up_to(200) if q % 3 == form] for form in (1, 2)}
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    data=st.data(),
-    family=st.sampled_from(range(len(_PLAIN_FAMILIES))),
-    form=st.sampled_from(sorted(_PRIMES_BY_FORM)),
-    n=st.integers(1, 12),
-    t=st.integers(1, 5),
-)
-def test_every_entry_is_the_symbol_of_the_papers_expression(data, family, form, n, t):
-    # family < 2 is diff or sum; each entry is read off the matrix and
-    # compared with the symbol of the paper's expression in (i, j)
-    make, plain = _PLAIN_FAMILIES[family]
-    p = data.draw(st.sampled_from(_PRIMES_BY_FORM[form] + [3] * (family < 2)), label="p")
-    c = data.draw(st.integers(-2 * p, 2 * p), label="c")
-    m = build_matrix(make(c, t), p, n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            assert m.entry(i, j) == cubic_residue_symbol(plain(i, j, c, t), p), (i, j)

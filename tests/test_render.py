@@ -4,6 +4,8 @@ import re
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubres import (
     ColorScheme,
@@ -16,6 +18,7 @@ from cubres import (
     emit_csv,
     emit_svg,
     generate_table,
+    odd_primes_up_to,
     matrix_text,
     parse_csv,
     table_text,
@@ -150,6 +153,11 @@ def test_svg_geometry_and_hover_text():
     assert '<rect x="10" y="10" width="10" height="10"' in out
     assert "<title>n=2 c=0: -1</title>" in out
     assert "<title>n=1 c=1: 1</title>" in out
+    # x and y count from the box's corner, here a negative shift
+    t = _tiny_table({(3, -2): 5, (3, -1): 0}, (3, 3), (-2, -1))
+    out = emit_svg(t, cell_px=10)
+    assert '<rect x="0" y="0" width="10" height="10"' in out and "<title>n=3 c=-2: 5</title>" in out
+    assert '<rect x="10" y="0" width="10" height="10"' in out
 
 
 def test_svg_extended_zero_band_color():
@@ -183,3 +191,46 @@ def test_emitters_are_deterministic():
     assert emit_svg(a) == emit_svg(b)
     assert emit_ansi(a) == emit_ansi(b)
     assert table_text(a) == table_text(b)
+
+
+def _plain_svg(table, scheme, cell_px):
+    """emit_svg as one plain loop over the cells, with every field of every
+    rectangle formatted in place and the sign rule written out."""
+    n_lo, n_hi = table.n_range
+    c_lo, c_hi = table.c_range
+    w, h = (c_hi - c_lo + 1) * cell_px, (n_hi - n_lo + 1) * cell_px
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">']
+    for n in table.orders():
+        for c in table.shifts():
+            v = table.cell(n, c)
+            rgb = scheme.zero if v == 0 else scheme.positive if v > 0 else scheme.negative
+            parts.append(f'<rect x="{(c - c_lo) * cell_px}" y="{(n - n_lo) * cell_px}" '
+                         f'width="{cell_px}" height="{cell_px}" fill="#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}">'
+                         f"<title>n={n} c={c}: {v}</title></rect>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+_RGB = st.tuples(*[st.integers(0, 255)] * 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(["diff", "sum", "even-power"]),
+    p=st.sampled_from(odd_primes_up_to(31)[1:]),
+    t=st.integers(1, 3),
+    n_lo=st.integers(1, 6),
+    n_len=st.integers(0, 8),
+    c_lo=st.integers(-12, 12),
+    c_len=st.integers(0, 14),
+    colors=st.none() | st.lists(_RGB, min_size=3, max_size=3, unique=True),
+    cell_px=st.integers(1, 20),
+)
+def test_svg_matches_a_plain_per_cell_loop(family, p, t, n_lo, n_len, c_lo, c_len, colors, cell_px):
+    # boxes off the origin, with orders from n_lo > 1 and negative shifts,
+    # and a scheme of its own or the default one
+    table = generate_table(family, p, (n_lo, n_lo + n_len), (c_lo, c_lo + c_len), t=t)
+    scheme = DEFAULT_SCHEME if colors is None else ColorScheme(*colors)
+    # compared line by line: a failure then names the first rectangle that
+    # differs without a text diff of the whole document
+    assert emit_svg(table, scheme, cell_px).split("\n") == _plain_svg(table, scheme, cell_px).split("\n")

@@ -361,6 +361,11 @@ def test_root_and_prime_bounds_are_read_as_integers(call, name):
 def test_odd_primes_up_to():
     assert odd_primes_up_to(20) == [3, 5, 7, 11, 13, 17, 19]
     assert odd_primes_up_to(2) == []
+    # the sieve against is_prime at every limit to 2,000, and at the limits
+    # below 3, which hold no odd prime
+    expected = [m for m in range(3, 2001, 2) if is_prime(m)]
+    for limit in range(-7, 2001):
+        assert odd_primes_up_to(limit) == [m for m in expected if m <= limit], limit
 
 
 class _Index:
@@ -378,6 +383,7 @@ class _Index:
 _INTEGER_READERS = {
     "Prime": (lambda v: Prime(v), 7, "modulus"),
     "as_prime": (lambda v: as_prime(v), 7, "modulus"),
+    "odd-primes-limit": (lambda v: odd_primes_up_to(v), 7, "limit"),
     "symbol": (lambda v: cubic_residue_symbol(v, 7), 6, "a"),
     "ResidueMatrix-order": (lambda v: ResidueMatrix(DiffPlusC(1), 7, v).order, 1, "n"),
     "determinant-entry": (lambda v: determinant([[v, 1], [1, 3]]), 2, "entry"),

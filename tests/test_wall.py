@@ -25,6 +25,30 @@ def _check_against_minors(seq, first, depth):
         assert (w(0, c), w(-1, c)) == (1, 0)
 
 
+def _condensed(w):
+    """The cells of rows 2..depth whose divisor W(n - 2, c) is nonzero.
+    Dodgson condensation computes exactly these when no row ends the wall:
+    every other cell is a window's interior or one of its bottom rows."""
+    last = w.first + w.size - 1
+    divisors = (w.row(n - 2, w.first + n - 1, last - n + 1) for n in range(2, w.depth + 1))
+    return sum(len(row) - row.count(0) for row in divisors)
+
+
+def _spy_windows(monkeypatch):
+    """Record every window the run scan opens, as (t, a, b, cut)."""
+    opened = []
+    real = wall_module._open_windows
+
+    def spy(rows, n, size, pieces, windows):
+        kept = len(windows)
+        full = real(rows, n, size, pieces, windows)
+        opened.extend(windows[kept:])
+        return full
+
+    monkeypatch.setattr(wall_module, "_open_windows", spy)
+    return opened
+
+
 def _spy_frames(monkeypatch):
     """Count the inner (D) and outer (H) bottom-row solves."""
     seen = {True: 0, False: 0}
@@ -65,6 +89,33 @@ def test_cut_windows_at_both_edges():
     # a periodic sequence: every row past its period is zero
     w = number_wall([1, -1, 0, 1] * 6, 12)
     assert all(w(n, c) == 0 for n in range(5, 13) for c in range(n - 1, 25 - n))
+
+
+@pytest.mark.parametrize("seq", [
+    # a 2 x 2 window from row 1 whose outer bottom row, row 4, opens
+    # another, between zero runs that the triangle cuts at both edges
+    [0, 0, 0, -1, 0, 0, -1, 0, 0, 0],
+    # three windows, each stacked on the one above with only a frame between
+    [-1, 0, -1, 0, -1, -1, 0, 0, 1, 0, -1, 0, 1, -1, 1, 1, 1],
+    # a zero term between x, y and u, v with u**2 * x + v * y**2 = 0: the
+    # 1 x 1 window of row 1 has W(3, c) = 0 on its outer bottom row
+    [1, -1, 1, 1, 0, 1, -1, 1, -1],
+])
+def test_windows_stacked_with_only_a_frame_between(monkeypatch, seq):
+    opened = _spy_windows(monkeypatch)
+    _check_against_minors(seq, 0, len(seq))
+    # a window opens on the solved outer bottom row (H) of one above it
+    assert any(t2 == t1 + (b1 - a1 + 1) + 1 and a2 <= b1 and a1 <= b2
+               for t1, a1, b1, cut in opened if not cut for t2, a2, b2, _ in opened)
+
+
+@pytest.mark.parametrize("p", [5, 11, 29, 59])
+def test_3k2_diff_walls_of_verifys_box(p):
+    # orders 1..p + 10 at shifts -1..2p - 1, over the terms s(-p - 10)..
+    # s(3p + 8): nearly every cell lies in a window that the loop skips,
+    # and the rows past p are the zero band
+    depth = p + 10
+    _check_against_minors(sequence(DiffPlusC(0), p, -depth, 2 * p + depth - 2), -depth, depth)
 
 
 def test_triangle_bounds():
@@ -118,7 +169,8 @@ def test_a_full_width_zero_row_ends_the_wall(seq, stop):
 def test_a_zero_run_short_of_the_whole_row_does_not_end_the_wall(seq):
     _check_against_minors(seq, 0, len(seq))
     w = number_wall(seq, len(seq))
-    assert w.cells_computed == (w.depth - 1) * (len(seq) - w.depth)
+    # every row down to depth was condensed, outside the window spans
+    assert w.cells_computed == _condensed(w)
     assert any(w.row(n, n - 1, len(seq) - n) != [0] * (len(seq) - 2 * n + 2)
                for n in range(3, w.depth + 1))
 
@@ -129,30 +181,35 @@ def test_the_stop_rule_asks_for_the_whole_row(seq):
     # but only a run across the whole row ends the wall
     _check_against_minors(seq, 0, len(seq))
     w = number_wall(seq, len(seq))
-    assert w.cells_computed == (w.depth - 1) * (len(seq) - w.depth)
+    assert w.cells_computed == _condensed(w)
     assert w.row(2, 1, len(seq) - 2).count(0) == len(seq) - 3
 
 
 def test_counters_on_a_planted_recurrence(monkeypatch):
     # a Fibonacci stretch between noise opens windows with both bottom rows
-    # inside the triangle; every row is computed, nothing ends the wall
+    # inside the triangle; nothing ends the wall, and condensation computes
+    # the 100 cells of rows 2..11 less the 38 under window spans
     seen = _spy_frames(monkeypatch)
     seq = [1, -1, 0, 1, 1] + FIB + [2, -1, 0, 1, 1, 1]
     w = number_wall(seq, 20, first=-4)
-    assert (w.depth, w.cells_computed, w.windows_opened, w.frame_solves) == (11, 100, 6, 7)
+    assert (w.depth, w.cells_computed, w.windows_opened, w.frame_solves) == (11, 62, 6, 7)
+    assert w.cells_computed == _condensed(w)
     assert w.frame_solves == seen[True] + seen[False]
-    # a periodic sequence: row 5 is zero across the triangle and ends the wall
+    # a periodic sequence: row 5 is zero across the triangle and ends the
+    # wall; 76 cells of rows 2..5, of which 5 lie under window spans
     w = number_wall([1, -1, 0, 1] * 6, 12)
-    assert (w.cells_computed, w.windows_opened, w.frame_solves) == (4 * 19, 7, 6)
+    assert (w.cells_computed, w.windows_opened, w.frame_solves) == (71, 7, 6)
 
 
 def test_counters_on_a_3k1_symbol_wall(monkeypatch):
     # the p = 37 diff wall of verify's box, orders 1..47 and shifts -1..73:
     # the windows of a 3k+1 symbol sequence, with frames solved at both
-    # bottom rows
+    # bottom rows. The p-periodic sequence's zero band ends the wall at row
+    # 38, and condensation computes the 4,773 cells of rows 2..38 less the
+    # 497 under window spans
     seen = _spy_frames(monkeypatch)
     w = number_wall(sequence(DiffPlusC(0), 37, -47, 119), 47, first=-47)
-    assert (w.depth, w.cells_computed, w.windows_opened, w.frame_solves) == (47, 4773, 108, 146)
+    assert (w.depth, w.cells_computed, w.windows_opened, w.frame_solves) == (47, 4276, 108, 146)
     assert w.frame_solves == seen[True] + seen[False] and seen[True] and seen[False]
 
 
@@ -182,9 +239,19 @@ def _solve_off_a_doubled_frame(real):
 
 def _register_uncut(real):
     """A run scan that marks every window as not cut by the triangle."""
-    def scan(rows, n, size, windows):
-        full = real(rows, n, size, windows)
+    def scan(rows, n, size, pieces, windows):
+        full = real(rows, n, size, pieces, windows)
         windows[:] = [(t, a, b, False) for t, a, b, _ in windows]
+        return full
+    return scan
+
+
+def _register_wider(real):
+    """A run scan that widens each new window one cell to the right."""
+    def scan(rows, n, size, pieces, windows):
+        kept = len(windows)
+        full = real(rows, n, size, pieces, windows)
+        windows[kept:] = [(t, a, b + 1, cut) for t, a, b, cut in windows[kept:]]
         return full
     return scan
 
@@ -196,10 +263,14 @@ def _register_uncut(real):
      "inexact division"),
     ("_open_windows", _register_uncut, [0, 0, 0, 0, 1, 2, -1, 1, 1, 3, -2, 1, 1], 0,
      r"frame read at \(1, 1\) outside the triangle"),
-], ids=["frame-cell-off-by-one", "frame-read-doubled", "cut-window-read-as-whole"])
+    ("_open_windows", _register_wider, [1, -1, 1, 0, 0, 0, 1, 1, -1, 1, -1, 1, 1, 1, -1], 0,
+     "nonzero divisors in row 3 under the window from row 1"),
+], ids=["frame-cell-off-by-one", "frame-read-doubled", "cut-window-read-as-whole",
+        "window-wider-than-its-run"])
 def test_a_broken_invariant_raises_rather_than_returns(monkeypatch, name, sabotage, seq, first, message):
-    # a wrong frame cell is caught by the next division that reads it, and
-    # a frame read outside the triangle by the read itself
+    # a wrong frame cell is caught by the next division that reads it, a
+    # frame read outside the triangle by the read itself, and a window
+    # that claims a nonzero cell by the divisor check under its span
     monkeypatch.setattr(wall_module, name, sabotage(getattr(wall_module, name)))
     with pytest.raises(ArithmeticError, match=f"^{message}; number-wall invariant broken$"):
         number_wall(seq, len(seq), first=first)
