@@ -287,6 +287,18 @@ _PLAIN_FAMILIES = (
 )
 
 
+def _draw_shift(data, p):
+    # shifts within two periods of 0 and far from it
+    return data.draw(st.integers(-2 * p, 2 * p) | st.integers(-(10**12), 10**12), label="c")
+
+
+def _plain_symbols(plain, c, t, p, n):
+    # the symbol by cube enumeration, sharing no code with the package
+    cubes = {y**3 % p for y in range(1, p)}
+    symbol = {r: 0 if r == 0 else 1 if r in cubes else -1 for r in range(p)}
+    return [[symbol[plain(i, j, c, t) % p] for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
@@ -296,19 +308,32 @@ _PLAIN_FAMILIES = (
     orders=st.lists(st.integers(1, 30), min_size=2, max_size=2).map(sorted),
 )
 def test_build_matches_plain_expression_and_leading_blocks(data, family, p, t, orders):
-    # every entry is compared with the symbol of the paper's expression in
-    # (i, j), for shifts within two periods of 0 and far from it, and each
-    # leading block of a larger matrix is the smaller matrix
+    # the rows of the larger matrix are the paper's expression, its entries
+    # are plain ints, and its leading block is the smaller matrix
     make, plain = family
-    c = data.draw(st.integers(-2 * p, 2 * p) | st.integers(-(10**12), 10**12), label="c")
+    c = _draw_shift(data, p)
     n, big = orders
     formula = make(c, t)
-    m = build_matrix(formula, p, n)
-    # the symbol by cube enumeration, sharing no code with the package
-    cubes = {y**3 % p for y in range(1, p)}
-    symbol = {r: 0 if r == 0 else 1 if r in cubes else -1 for r in range(p)}
-    want = [[symbol[plain(i, j, c, t) % p] for j in range(1, n + 1)] for i in range(1, n + 1)]
-    assert m.rows() == want
-    assert [[m.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)] == want
-    assert all(type(v) is int for row in m.entries for v in row)
-    assert tuple(row[:n] for row in build_matrix(formula, p, big).entries[:n]) == m.entries
+    large = build_matrix(formula, p, big)
+    assert large.rows() == _plain_symbols(plain, c, t, p, big)
+    assert all(type(v) is int for row in large.entries for v in row)
+    assert tuple(row[:n] for row in large.entries[:n]) == build_matrix(formula, p, n).entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    family=st.sampled_from(_PLAIN_FAMILIES),
+    p=st.sampled_from(odd_primes_up_to(199)),
+    n=st.integers(1, 12),
+    t=st.integers(1, 5),
+)
+def test_every_entry_is_the_symbol_of_the_papers_expression(data, family, p, n, t):
+    # each entry read one at a time through entry(i, j)
+    make, plain = family
+    c = _draw_shift(data, p)
+    m = build_matrix(make(c, t), p, n)
+    want = _plain_symbols(plain, c, t, p, n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert m.entry(i, j) == want[i - 1][j - 1], (i, j)
