@@ -13,16 +13,17 @@ sum tables read it, and so does `formula_minors`, whose last value the
 per distinct even-power sequence, for even-power tables and the T3_7
 checker. None of this imports numpy.
 
-A table keeps one list per order, a wall row or a row of transposed wall
-columns. `DeterminantTable.cells` is a read-only mapping view over those
-rows, keyed (n, c) in row-major order, and `row`, `column` and `cell`
-read the same lists.
+A `DeterminantTable` computes its own cells from what it is given, and
+`generate_table` is one call to it. A table keeps one list per order, a
+wall row or a row of transposed wall columns. `DeterminantTable.cells` is
+a read-only mapping view over those rows, keyed (n, c) in row-major
+order, and `row`, `column` and `cell` read the same lists.
 """
 
 from collections.abc import Iterable, Iterator, Mapping
 
 from .matrices import HANKEL, EvenPowerPlusC, Formula, _order, _window, family_formula, sequence
-from .residues import Prime, Record, _rebuild, as_int, as_prime
+from .residues import Prime, Record, as_int, as_prime
 from .wall import number_wall
 
 __all__ = [
@@ -71,28 +72,37 @@ class _RowCells(Mapping):
 
 
 class DeterminantTable(Record):
-    """Exact determinants on an inclusive (n, c) grid for one prime and
-    one formula family. t is only meaningful for the even-power family.
+    """Exact determinants cell(n, c) = det of one family's order-n matrix
+    built with shift c, on an inclusive (n, c) grid for one prime. t is
+    only meaningful for the even-power family.
 
     The constructor reads the prime by `as_prime`, t by `as_int`, the
-    family against FAMILIES and the box by `table_box`. cells may be any
-    mapping that holds exactly the grid's keys; each value is read by
-    `as_int`, into one list per order and a read-only view over them that
-    `row`, `column` and `cell` read. A key outside the grid, or a reversed range, raises KeyError.
-    A table is not hashable, since its cells are not.
+    family against FAMILIES and the box, with extended, by `table_box`;
+    even-power rejects t < 1. A diff or sum table is one number wall of
+    s(m) = [m/p], over the terms its box reads, so shifts c and c + p are
+    separate cells, computed from s(m) over different m. Even-power
+    columns with equal terms, c and c + p among them, share one wall. No
+    claim reads an even-power table from here, so sharing makes no check a
+    tautology; a future claim of even-power periodicity must compute its
+    own side. Rows 1..n_hi are computed whatever n_lo is. A key outside
+    the grid, or a reversed range, raises KeyError. A table is not
+    hashable, since its cells are not.
     """
 
     __slots__ = ("prime", "family", "t", "n_range", "c_range", "cells")
 
-    def __init__(self, prime: Prime, family: str, t: int, n_range: tuple[int, int],
-                 c_range: tuple[int, int], cells: Mapping[tuple[int, int], int]) -> None:
+    def __init__(self, family: str, prime: "Prime | int", n_range: "tuple[int, int] | None" = None,
+                 c_range: "tuple[int, int] | None" = None, *, t: int = 1, extended: bool = False) -> None:
         prime, t, family = as_prime(prime), as_int(t, "t"), _family(family)
-        (n_lo, n_hi), (c_lo, c_hi) = box = table_box(prime, n_range, c_range)
-        view = _RowCells([[as_int(cells[n, c], "cell") for c in range(c_lo, c_hi + 1)]
-                          for n in range(n_lo, n_hi + 1)], *box)
-        if len(cells) != len(view):
-            raise ValueError(f"{len(cells)} cells given for a grid of {len(view)}")
-        self._store(prime, family, t, *box, view)
+        formula = family_formula(family, 0, t)  # rejects t < 1 for even-power
+        (n_lo, n_hi), (c_lo, c_hi) = box = table_box(prime, n_range, c_range, extended=extended)
+        if family == "even-power":
+            cases = ((t, c) for c in range(c_lo, c_hi + 1))
+            columns = [minors for _, minors in even_power_minors(prime, cases, n_hi)]
+            rows = [list(row) for row in zip(*columns)]
+        else:
+            rows = _shifted_minors(formula, prime, n_hi, c_lo, c_hi)
+        self._store(prime, family, t, *box, _RowCells(rows[n_lo - 1:], *box))
 
     def orders(self) -> range:
         return range(self.n_range[0], self.n_range[1] + 1)
@@ -157,38 +167,12 @@ def table_box(p: "Prime | int", n_range: "tuple | None" = None, c_range: "tuple 
     return (n_lo, n_hi), (c_lo, c_hi)
 
 
-def generate_table(
-    family: str,
-    p: "Prime | int",
-    n_range: "tuple[int, int] | None" = None,
-    c_range: "tuple[int, int] | None" = None,
-    *,
-    t: int = 1,
-    extended: bool = False,
-) -> DeterminantTable:
-    """Tabulate cell(n, c) = det of the order-n matrix built with shift c.
-
-    The ranges and extended resolve to a box as in `table_box`. A diff or
-    sum table is one number wall of s(m) = [m/p], over the terms its box
-    reads, so shifts c and c + p are separate cells, computed from s(m)
-    over different m. Even-power columns with equal terms, c and c + p
-    among them, share one wall. No claim reads an even-power table from
-    here, so sharing makes no check a tautology; a future claim of
-    even-power periodicity must compute its own side. Rows 1..n_hi are
-    computed whatever n_lo is. The result is a pure function of the
-    arguments, each read as `DeterminantTable` reads it, and its cells are
-    stored as computed, with no second check.
-    """
-    p, t, family = as_prime(p), as_int(t, "t"), _family(family)
-    formula = family_formula(family, 0, t)  # rejects t < 1 for even-power
-    (n_lo, n_hi), (c_lo, c_hi) = box = table_box(p, n_range, c_range, extended=extended)
-    if family == "even-power":
-        cases = ((t, c) for c in range(c_lo, c_hi + 1))
-        columns = [minors for _, minors in even_power_minors(p, cases, n_hi)]
-        rows = [list(row) for row in zip(*columns)]
-    else:
-        rows = _shifted_minors(formula, p, n_hi, c_lo, c_hi)
-    return _rebuild(DeterminantTable, (p, family, t, *box, _RowCells(rows[n_lo - 1:], *box)))
+def generate_table(family: str, p: "Prime | int", n_range: "tuple[int, int] | None" = None,
+                   c_range: "tuple[int, int] | None" = None, *, t: int = 1,
+                   extended: bool = False) -> DeterminantTable:
+    """The `DeterminantTable` of these arguments: cell(n, c) = det of the
+    order-n matrix built with shift c, over the box `table_box` resolves."""
+    return DeterminantTable(family, p, n_range, c_range, t=t, extended=extended)
 
 
 def _shifted_minors(formula: Formula, p: Prime, n_hi: int, c_lo: int, c_hi: int) -> list[list[int]]:

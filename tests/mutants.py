@@ -116,6 +116,14 @@ CORPUS = (
            "return operator.index(value)", "return int(value)", RESIDUES),
     Mutant("table-prime", "DeterminantTable stores its prime as given", "tables.py",
            "prime, t, family = as_prime(prime),", "prime, t, family = prime,", TABLES),
+    Mutant("table-extended", "DeterminantTable drops extended when it resolves its box", "tables.py",
+           "table_box(prime, n_range, c_range, extended=extended)",
+           "table_box(prime, n_range, c_range, extended=False)", TABLES),
+    Mutant("table-t", "DeterminantTable stores t as given", "tables.py",
+           'as_prime(prime), as_int(t, "t"), _family(family)', "as_prime(prime), t, _family(family)", TABLES),
+    Mutant("even-power-t", "an even-power table reads t = 1 whatever t is", "tables.py",
+           "cases = ((t, c) for c in range(c_lo, c_hi + 1))",
+           "cases = ((1, c) for c in range(c_lo, c_hi + 1))", TABLES),
     Mutant("sign-order", "positive and negative cells swap colors", "render.py",
            "_BY_SIGN = (SignClass.ZERO, SignClass.POSITIVE, SignClass.NEGATIVE)",
            "_BY_SIGN = (SignClass.ZERO, SignClass.NEGATIVE, SignClass.POSITIVE)", RENDER),

@@ -27,25 +27,37 @@ def _spy_walls(monkeypatch):
 @pytest.mark.parametrize("args, kwargs, ledger", [
     # the table-3k2 benchmark workload, `table -p 71 --diff --extended`:
     # one wall of 302 terms, 81 rows deep
-    (("diff", 71), {"extended": True}, (1404, 12, 13)),
+    (("diff", 71), {"extended": True}, (1, 1404, 12, 13)),
     # verify's diff box at p = 389, the largest 3k+2 prime under the 400
     # cap: one wall of 1,575 terms, ended by the zero band at row 390. Its
     # rows 2..390 hold 389 * 1,185 = 460,965 cells; 1.6 % are condensed
-    (("diff", 389, (1, 399), (-1, 777)), {}, (7452, 12, 13)),
-], ids=["table-3k2", "verify-box-389"])
+    (("diff", 389, (1, 399), (-1, 777)), {}, (1, 7452, 12, 13)),
+    # `table -p 101 --even-power --t 1`: shifts 0..201, one wall per
+    # distinct tuple of terms, each 201 terms and 101 rows deep. Every unit
+    # is a cube mod 101 = 3k+2, so s(k) = [k**2 + c] is 0 just where
+    # k**2 = -c: c = 0 mod p gives one tuple, the 50 classes with -c a
+    # nonzero square one each, and the 50 with -c a non-square share the
+    # all-ones tuple. The wall count grows if walls are shared by less than
+    # their terms; c and c + p share one today
+    (("even-power", 101), {"t": 1}, (52, 58889, 1043, 1281)),
+    # `table -p 199 --sum`: shifts 0..397 of a 3k+1 prime read off one
+    # Hankel wall of 794 terms, 199 rows deep, whose cells reach 635 bits
+    (("sum", 199), {}, (1, 114679, 527, 734)),
+], ids=["table-3k2", "verify-box-389", "even-power-101", "sum-199"])
 def test_wall_ledger(monkeypatch, args, kwargs, ledger):
     walls = _spy_walls(monkeypatch)
     generate_table(*args, **kwargs)
-    [w] = walls
-    cells, windows, solves = ledger
+    built, cells, windows, solves = ledger
+    # walls built: one per diff or sum table, and one per distinct tuple of
+    # even-power terms
+    assert len(walls) == built
     # cells condensed: those outside every window's span, in the rows down
     # to the stop. It grows if the loop visits window interiors again, or if
     # the stop moves down
-    assert w.cells_computed == cells
+    assert sum(w.cells_computed for w in walls) == cells
     # windows registered by the run scan: moves if the scan misses tops, or
     # splits or merges runs
-    assert w.windows_opened == windows
+    assert sum(w.windows_opened for w in walls) == windows
     # bottom-row solves, one per uncut window and bottom row inside the
     # triangle: moves if cut windows get frames, or windows are missed
-    assert w.frame_solves == solves
-
+    assert sum(w.frame_solves for w in walls) == solves

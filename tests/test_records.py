@@ -144,9 +144,8 @@ def test_a_theorem_report_is_mutable_and_unhashable():
     (lambda: ColorScheme((1, 2, 3), (1, 2, 3)), ValueError, "scheme colors must be pairwise distinct"),
     (lambda: ResidueMatrix(DiffPlusC(0), Prime(5), 0), ValueError, "matrix order must be >= 1, got 0"),
     (lambda: ResidueMatrix(DiffPlusC(0), 9, 1), ValueError, "modulus must be prime, got 9"),
-    (lambda: DeterminantTable(Prime(5), "diff", 1, (1, 1), (0, 0), {(1, 0): 1, (2, 0): 3}),
-     ValueError, "2 cells given for a grid of 1"),
-    (lambda: DeterminantTable(Prime(5), "diff", 1, (1, 1), (0, 1), {(1, 0): 1}), KeyError, "(1, 1)"),
+    (lambda: DeterminantTable("diff", 5, (1, 1), (0, 0), 1), TypeError,
+     "DeterminantTable.__init__() takes from 3 to 5 positional arguments but 6 were given"),
     (lambda: DiffPlusC(), TypeError,
      "DiffPlusC.__init__() missing 1 required positional argument: 'c'"),
     (lambda: SumPlusC(1, 2), TypeError,
@@ -173,6 +172,8 @@ def test_keyword_arguments_and_defaults_are_kept():
     assert ColorScheme(negative=(1, 2, 3)).zero == (59, 117, 196)
     assert Counterexample(n=1, c=2, expected=3, actual=4, detail="d").detail == "d"
     table = generate_table("diff", 5, (1, 2), (0, 1))
-    again = DeterminantTable(prime=table.prime, family="diff", t=1, n_range=(1, 2),
-                             c_range=(0, 1), cells=dict(table.cells))
+    again = DeterminantTable(family="diff", prime=Prime(5), n_range=(1, 2), c_range=(0, 1),
+                             t=1, extended=False)
     assert again == table
+    # orders 1..p and shifts 0..2p - 1, with t = 1
+    assert DeterminantTable("diff", 5) == DeterminantTable("diff", 5, (1, 5), (0, 9), t=1)

@@ -1,7 +1,6 @@
 """Emitters: CSV, text grid, ANSI, SVG."""
 
 import re
-from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +9,7 @@ from hypothesis import strategies as st
 from cubres import (
     ColorScheme,
     DEFAULT_SCHEME,
-    DeterminantTable,
     DiffPlusC,
-    Prime,
     build_matrix,
     emit_ansi,
     emit_csv,
@@ -25,8 +22,21 @@ from cubres import (
 )
 
 
-def _tiny_table(cells, n_range, c_range, p=5):
-    return DeterminantTable(Prime(p), "diff", 1, n_range, c_range, MappingProxyType(dict(cells)))
+class _StandIn:
+    """A table of chosen cells, with only what the emitters read:
+    n_range, c_range, orders(), shifts() and row(n)."""
+
+    def __init__(self, cells, n_range, c_range):
+        self._cells, self.n_range, self.c_range = dict(cells), n_range, c_range
+
+    def orders(self):
+        return range(self.n_range[0], self.n_range[1] + 1)
+
+    def shifts(self):
+        return range(self.c_range[0], self.c_range[1] + 1)
+
+    def row(self, n):
+        return [self._cells[n, c] for c in self.shifts()]
 
 
 def test_matrix_text():
@@ -35,17 +45,17 @@ def test_matrix_text():
 
 
 def test_csv_minimal():
-    t = _tiny_table({(1, 1): 1}, (1, 1), (1, 1))
+    t = _StandIn({(1, 1): 1}, (1, 1), (1, 1))
     assert emit_csv(t) == "n\\c,1\n1,1\n"
 
 
 def test_csv_layout():
-    t = _tiny_table({(1, 0): 0, (1, 1): 1, (2, 0): -1, (2, 1): 1}, (1, 2), (0, 1))
+    t = _StandIn({(1, 0): 0, (1, 1): 1, (2, 0): -1, (2, 1): 1}, (1, 2), (0, 1))
     assert emit_csv(t) == "n\\c,0,1\n1,0,1\n2,-1,1\n"
 
 
 def test_csv_negative_shifts():
-    t = _tiny_table({(1, -1): 1, (1, 0): 0}, (1, 1), (-1, 0))
+    t = _StandIn({(1, -1): 1, (1, 0): 0}, (1, 1), (-1, 0))
     text = emit_csv(t)
     assert text == "n\\c,-1,0\n1,1,0\n"
     assert parse_csv(text) == {(1, -1): 1, (1, 0): 0}
@@ -58,8 +68,10 @@ def test_csv_round_trip():
 
 @pytest.mark.parametrize("family, t", [("diff", 1), ("sum", 1), ("even-power", 2)])
 def test_a_table_from_a_plain_dict_renders_the_same_bytes(family, t):
+    # the stand-in renders what a table renders: over a plain dict of a
+    # real table's cells, every emitter writes that table's bytes
     made = generate_table(family, 11, (2, 14), (-3, 12), t=t)
-    given = DeterminantTable(made.prime, family, t, made.n_range, made.c_range, dict(made.cells))
+    given = _StandIn(dict(made.cells), made.n_range, made.c_range)
     for emit in (emit_csv, table_text, emit_ansi, emit_svg,
                  lambda table: emit_ansi(table, color=False)):
         assert emit(given) == emit(made)
@@ -85,7 +97,7 @@ def test_parse_csv_rejects_a_repeated_order_or_shift(text, message):
 
 
 def test_table_text_grid():
-    t = _tiny_table({(1, 0): 0, (1, 1): 1, (2, 0): -1, (2, 1): 1}, (1, 2), (0, 1))
+    t = _StandIn({(1, 0): 0, (1, 1): 1, (2, 0): -1, (2, 1): 1}, (1, 2), (0, 1))
     lines = table_text(t).split("\n")
     assert lines[0].split() == ["n\\c", "0", "1"]
     assert lines[1].split() == ["1", "0", "1"]
@@ -100,7 +112,7 @@ _DISTINCT = ColorScheme(zero=(1, 2, 3), negative=(4, 5, 6), positive=(7, 8, 9))
 
 
 def test_ansi_color_codes_by_sign():
-    t = _tiny_table(_SIGNED, (1, 1), (0, 2))
+    t = _StandIn(_SIGNED, (1, 1), (0, 2))
     for scheme in (DEFAULT_SCHEME, _DISTINCT):
         out = emit_ansi(t, scheme=scheme)
         z, n, p = ("\x1b[48;2;{};{};{}m".format(*rgb) for rgb in (scheme.zero, scheme.negative, scheme.positive))
@@ -110,7 +122,7 @@ def test_ansi_color_codes_by_sign():
 
 
 def test_svg_fill_by_sign():
-    t = _tiny_table(_SIGNED, (1, 1), (0, 2))
+    t = _StandIn(_SIGNED, (1, 1), (0, 2))
     for scheme in (DEFAULT_SCHEME, _DISTINCT):
         z, n, p = ("#{:02x}{:02x}{:02x}".format(*rgb) for rgb in (scheme.zero, scheme.negative, scheme.positive))
         cells = re.findall(r'fill="(#[0-9a-f]{6})"><title>n=1 c=(\d): (-?\d+)</title>', emit_svg(t, scheme=scheme))
@@ -118,7 +130,7 @@ def test_svg_fill_by_sign():
 
 
 def test_ansi_no_color_uses_glyphs():
-    t = _tiny_table(_SIGNED, (1, 1), (0, 2))
+    t = _StandIn(_SIGNED, (1, 1), (0, 2))
     out = emit_ansi(t, color=False)
     assert "\x1b[" not in out
     cells = out.split("\n")[1].split()[1:]
@@ -133,7 +145,7 @@ def test_custom_scheme_validation():
     with pytest.raises(ValueError):
         ColorScheme(zero=(1, 1, 1), negative=(1, 1, 1), positive=(2, 2, 2))
     s = ColorScheme(zero=(0, 0, 0), negative=(10, 10, 10), positive=(250, 250, 250))
-    t = _tiny_table({(1, 0): 0}, (1, 1), (0, 0))
+    t = _StandIn({(1, 0): 0}, (1, 1), (0, 0))
     assert "#000000" in emit_svg(t, scheme=s)
 
 
@@ -146,7 +158,7 @@ def test_svg_rect_per_cell():
 
 
 def test_svg_geometry_and_hover_text():
-    t = _tiny_table({(1, 0): 0, (1, 1): 1, (2, 0): -1, (2, 1): 1}, (1, 2), (0, 1))
+    t = _StandIn({(1, 0): 0, (1, 1): 1, (2, 0): -1, (2, 1): 1}, (1, 2), (0, 1))
     out = emit_svg(t, cell_px=10)
     assert 'width="20" height="20"' in out
     assert '<rect x="0" y="0" width="10" height="10"' in out
@@ -154,7 +166,7 @@ def test_svg_geometry_and_hover_text():
     assert "<title>n=2 c=0: -1</title>" in out
     assert "<title>n=1 c=1: 1</title>" in out
     # x and y count from the box's corner, here a negative shift
-    t = _tiny_table({(3, -2): 5, (3, -1): 0}, (3, 3), (-2, -1))
+    t = _StandIn({(3, -2): 5, (3, -1): 0}, (3, 3), (-2, -1))
     out = emit_svg(t, cell_px=10)
     assert '<rect x="0" y="0" width="10" height="10"' in out and "<title>n=3 c=-2: 5</title>" in out
     assert '<rect x="10" y="0" width="10" height="10"' in out
@@ -169,13 +181,13 @@ def test_svg_extended_zero_band_color():
 
 
 def test_svg_rejects_bad_cell_px():
-    t = _tiny_table({(1, 0): 0}, (1, 1), (0, 0))
+    t = _StandIn({(1, 0): 0}, (1, 1), (0, 0))
     with pytest.raises(ValueError):
         emit_svg(t, cell_px=0)
 
 
 def test_svg_reads_cell_px_as_an_integer():
-    t = _tiny_table({(1, 0): 0}, (1, 1), (0, 0))
+    t = _StandIn({(1, 0): 0}, (1, 1), (0, 0))
     with pytest.raises(ValueError, match="^cell_px must be >= 1, got -3$"):
         emit_svg(t, cell_px=-3)
     # a float would write float geometry, x="0.0"

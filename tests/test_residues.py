@@ -390,11 +390,8 @@ _INTEGER_READERS = {
     "wall-term": (lambda v: number_wall([1, v, 3], 2).row(2, 1, 1), 2, "term"),
     "wall-first": (lambda v: number_wall([1, 2, 3], 2, first=v).first, 2, "first"),
     "color-component": (lambda v: ColorScheme(zero=(v, 0, 0)).zero, 1, "color component"),
-    "table-t": (lambda v: DeterminantTable(5, "diff", v, (1, 1), (0, 0), {(1, 0): 0}).t, 2, "t"),
-    "table-cell": (lambda v: DeterminantTable(5, "diff", 1, (1, 1), (0, 0), {(1, 0): v}).cells[1, 0],
-                   2, "cell"),
-    "table-box": (lambda v: DeterminantTable(5, "diff", 1, (v, 2), (0, 0), {(1, 0): 0, (2, 0): 0})
-                  .n_range, 1, "n_range"),
+    "table-t": (lambda v: DeterminantTable("even-power", 5, (1, 1), (0, 0), t=v).t, 2, "t"),
+    "table-box": (lambda v: DeterminantTable("diff", 5, (v, 2), (0, 0)).n_range, 1, "n_range"),
 }
 
 

@@ -76,31 +76,52 @@ def test_extended_extents():
         table_box(5, (1, None), extended=True)
 
 
-@pytest.mark.parametrize("args, error, message", [
-    ((4, "diff", 1, (1, 1), (0, 0)), ValueError, "modulus must be prime, got 4"),
-    ((3, "diff", 1, (1, 1), (0, 0)), ValueError,
+@pytest.mark.parametrize("args, kwargs, error, message", [
+    (("diff", 4, (1, 1), (0, 0)), {}, ValueError, "modulus must be prime, got 4"),
+    (("diff", 3, (1, 1), (0, 0)), {}, ValueError,
      "tables need a prime of the form 3k+1 or 3k+2; 3 is neither"),
-    ((5, "nope", 1, (1, 1), (0, 0)), ValueError,
+    (("nope", 5, (1, 1), (0, 0)), {}, ValueError,
      "unknown family 'nope'; expected one of ('diff', 'sum', 'even-power')"),
-    ((5, "cube-diff", 1, (1, 1), (0, 0)), ValueError,
+    (("cube-diff", 5, (1, 1), (0, 0)), {}, ValueError,
      "unknown family 'cube-diff'; expected one of ('diff', 'sum', 'even-power')"),
-    ((5, "diff", 1.5, (1, 1), (0, 0)), TypeError, "t must be an integer, got float"),
-    ((5, "diff", 1, (2, 1), (0, 0)), ValueError, "order and shift ranges must be nonempty"),
-    ((5, "diff", 1, (1, 1), (0, -1)), ValueError, "order and shift ranges must be nonempty"),
-    ((5, "diff", 1, (0, 1), (0, 0)), ValueError, "orders start at 1, got n_range (0, 1)"),
+    (("diff", 5, (1, 1), (0, 0)), {"t": 1.5}, TypeError, "t must be an integer, got float"),
+    (("diff", 5, (2, 1), (0, 0)), {}, ValueError, "order and shift ranges must be nonempty"),
+    (("diff", 5, (1, 1), (0, -1)), {}, ValueError, "order and shift ranges must be nonempty"),
+    (("diff", 5, (0, 1), (0, 0)), {}, ValueError, "orders start at 1, got n_range (0, 1)"),
+    (("even-power", 5, (1, 1), (0, 0)), {"t": 0}, ValueError, "t must be a positive integer, got 0"),
+    (("diff", 5, (1, 1)), {"extended": True}, ValueError, "pass either n_range or extended, not both"),
 ], ids=["p-4", "p-3", "family-nope", "family-cube-diff", "t-float", "orders-reversed",
-        "shifts-reversed", "order-0"])
-def test_a_table_reads_its_inputs_as_a_matrix_does(args, error, message):
+        "shifts-reversed", "order-0", "even-power-t-0", "extended-and-n_range"])
+def test_a_table_reads_its_inputs_as_a_matrix_does(args, kwargs, error, message):
     # the constructor once stored p = 4, family "nope", t = 1.5 and the box (2, 1) as given
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        DeterminantTable(*args, {(1, 0): 0})
+        DeterminantTable(*args, **kwargs)
 
 
 def test_a_table_stores_what_it_reads():
-    table = DeterminantTable(np.int64(5), "diff", True, [1, np.int64(2)], (0, 0), {(1, 0): 0, (2, 0): -1})
-    assert table == DeterminantTable(Prime(5), "diff", 1, (1, 2), (0, 0), {(1, 0): 0, (2, 0): -1})
+    table = DeterminantTable("diff", np.int64(5), [1, np.int64(2)], (0, 0), t=True)
+    assert table == DeterminantTable("diff", Prime(5), (1, 2), (0, 0), t=1)
     assert repr((table.prime, table.t, table.n_range)) == f"({Prime(5)!r}, 1, (1, 2))"
     assert generate_table("diff", 5, (1, 2), (0, 0)) == table
+    assert table.column(0) == [0, -1]
+
+
+def test_a_table_takes_no_cells():
+    # a table holds only the cells it computed: neither the (prime, family, t,
+    # n_range, c_range, cells) call nor a cells keyword is taken
+    with pytest.raises(TypeError, match="positional arguments but 7 were given"):
+        DeterminantTable(Prime(5), "diff", 1, (1, 2), (0, 0), {(1, 0): 0, (2, 0): -1})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'cells'"):
+        DeterminantTable("diff", 5, (1, 2), (0, 0), cells={(1, 0): 0, (2, 0): -1})
+
+
+@pytest.mark.parametrize("family, t", [("diff", 1), ("sum", 1), ("even-power", 2)])
+@pytest.mark.parametrize("extended", [False, True])
+def test_the_constructor_is_generate_table(family, t, extended):
+    table = DeterminantTable(family, 11, c_range=(-3, 12), t=t, extended=extended)
+    assert table == generate_table(family, 11, None, (-3, 12), t=t, extended=extended)
+    assert table.n_range == (1, 21 if extended else 11) and table.c_range == (-3, 12)
+    assert table.family == family and table.t == t
 
 
 def test_shift_zero_column_alternates():
@@ -417,8 +438,6 @@ def test_cells_is_a_read_only_view_over_the_rows(family, n_range, c_range):
     (n_lo, n_hi), (c_lo, c_hi) = n_range, c_range
     assert table.row(n_hi, c_lo + 1, c_hi - 1) == [rebuilt[n_hi, c] for c in range(c_lo + 1, c_hi)]
     assert table.column(c_hi, n_lo + 1, n_hi) == [rebuilt[n, c_hi] for n in range(n_lo + 1, n_hi + 1)]
-    # the same table from a plain dict
-    assert DeterminantTable(table.prime, family, 2, n_range, c_range, rebuilt) == table
     # read-only, and reads return copies
     with pytest.raises(TypeError):
         table.cells[n_lo, c_lo] = 0
@@ -438,18 +457,6 @@ def test_cells_is_a_read_only_view_over_the_rows(family, n_range, c_range):
                  lambda: table.column(c_lo, n_lo - 1, n_hi), lambda: table.cell(n_hi + 1, c_lo)):
         with pytest.raises(KeyError):
             read()
-
-
-def test_a_table_from_a_mapping_must_hold_exactly_its_grid():
-    cells = {(n, c): n * c for n in (1, 2) for c in (0, 1, 2)}
-    table = DeterminantTable(Prime(5), "diff", 1, (1, 2), (0, 2), cells)
-    assert table.row(2) == [0, 2, 4] and table.column(1) == [1, 2]
-    cells[1, 0] = 7  # the table keeps its own rows
-    assert table.cell(1, 0) == 0
-    with pytest.raises(KeyError):
-        DeterminantTable(Prime(5), "diff", 1, (1, 3), (0, 2), cells)
-    with pytest.raises(ValueError, match="7 cells given for a grid of 6"):
-        DeterminantTable(Prime(5), "diff", 1, (1, 2), (0, 2), {**cells, (3, 0): 1})
 
 
 _FORMULAS = (
