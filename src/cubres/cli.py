@@ -34,7 +34,7 @@ __all__ = ["main", "build_parser"]
 
 DEFAULT_MAX_ORDER = 200
 PRIME_CAP = 2**31
-# verify caps: with all three at once the sweep takes about 2.1 s on a 2-vCPU
+# verify caps: with all three at once the sweep takes about 1.1 s on a 2-vCPU
 # x86 host. T3_7 reads one number wall of depth --n-max per distinct sequence.
 P_MAX_CAP = 400
 T_MAX_CAP = 5

@@ -30,10 +30,10 @@ to be zero, and none of its bottom frame lies inside the triangle.
 
 A new window's top is a run of zeros under nonzero cells, so it lies in
 the cells condensation computed or on an outer bottom row (H) just
-solved, and the run scan looks only there. The scan also ends the wall:
-a cut window whose top run spans the whole row n ends it, since row
-n + k is 2k cells narrower than row n, so it lies in the run's square for
-as long as it has cells. The rows below are left as they start, zero.
+solved, and the run scan looks only there. A cut window whose top run
+spans the whole row n holds the rows below: row n + k is 2k cells
+narrower, so it lies in the run's square. Row n + 1 is condensed to
+zeros, as row n - 1 has none, and each later row stays zero as it starts.
 
 `number_wall` returns a `Wall`, which keeps the triangle as one list per
 row: readers take a row as one list slice, or a column, with one bounds
@@ -68,11 +68,11 @@ class Wall:
     position outside the triangle, or a reversed range, raises IndexError.
 
     The counters record the engine's work, counted per row and per window:
-    cells_computed, the cells below row 1 that Dodgson condensation
-    computed, which are those outside every window's span, so a window's
-    interior costs nothing; windows_opened, the zero windows it
-    registered; frame_solves, the bottom-row solves of Lunnon's frame
-    theorem, one per window and row.
+    cells_computed, the cells of rows 2..depth whose divisor W(n - 2, c)
+    is nonzero, which Dodgson condensation computed: those outside every
+    window's span, so a window's interior costs nothing; windows_opened,
+    the zero windows it registered; frame_solves, the bottom-row solves of
+    Lunnon's frame theorem, one per window and row.
     """
 
     __slots__ = ("first", "size", "depth", "cells_computed", "windows_opened", "frame_solves",
@@ -112,8 +112,8 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
     Row n is computed outside the spans of the windows that hold row
     n - 2; a nonzero divisor under a span, a zero divisor outside every
     span or an inexact division breaks an invariant and raises
-    ArithmeticError. A zero row under a row with no zeros, both across
-    the whole triangle, ends the computation.
+    ArithmeticError. No frame solve is owed below a whole zero row: the row
+    above it has no zero, so no other window's interior reaches it.
     """
     terms, depth = [as_int(v, "term") for v in seq], as_int(depth, "depth")
     first = as_int(first, "first")
@@ -140,9 +140,9 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
     # windows as (t, a, b, cut): first zero row t, array indices a..b, and
     # whether the triangle's edge cuts the window; kept in column order
     windows: list[tuple] = []
-    full = _open_windows(rows, 1, size, [(2, size + 1)], windows)
+    _open_windows(rows, 1, size, [(2, size + 1)], windows)
     opened, solves, computed, n = len(windows), 0, 0, 1
-    while not full and n < depth:
+    while n < depth:
         n += 1
         up2, up, row = rows[n - 1], rows[n], rows[n + 1]
         j_lo, j_hi = n + 1, size + 2 - n
@@ -181,7 +181,7 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
         windows = [w for w in windows if w[0] + (w[2] - w[1] + 1) + 1 > n]
         kept = len(windows)
         # a new window's top lies in a computed stretch or on a solved H row
-        full = _open_windows(rows, n, size, sorted(stretches + outer), windows)
+        _open_windows(rows, n, size, sorted(stretches + outer), windows)
         if len(windows) > kept:
             opened += len(windows) - kept
             windows.sort(key=lambda w: w[1])
@@ -189,12 +189,11 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
     return wall
 
 
-def _open_windows(rows: list, n: int, size: int, pieces: list, windows: list) -> bool:
+def _open_windows(rows: list, n: int, size: int, pieces: list, windows: list) -> None:
     """Register every window whose first zero row is n: a maximal run of
     zeros in row n under nonzero cells of row n - 1. Tops are looked for
     only in pieces, the ranges (lo, hi) of row n, in column order, that
-    can hold one. True when one run spans the triangle's whole row n: that
-    cut window ends the wall."""
+    can hold one."""
     row, up = rows[n + 1], rows[n]
     j_lo, j_hi = n + 1, size + 2 - n
     tops = [j for lo, hi in pieces if 0 in row[lo:hi + 1]
@@ -210,7 +209,6 @@ def _open_windows(rows: list, n: int, size: int, pieces: list, windows: list) ->
             # cut window's bottom frame is inside the triangle
             raise _broken(f"cut window at row {n} has frame cells inside the triangle")
         windows.append((n, a, b, cut))
-    return len(tops) == j_hi - j_lo + 1
 
 
 def _solve_frame(row: list, inner: bool, t: int, a: int, b: int, lo: int, hi: int, at) -> None:

@@ -159,6 +159,8 @@ CORPUS = (
     Mutant("sieve-bound", "the sieve stops one prime short of sqrt(limit)", "residues.py",
            "range((math.isqrt(2 * size + 1) - 1) // 2)", "range((math.isqrt(2 * size + 1) - 3) // 2)",
            RESIDUES),
+    Mutant("zero-row-stop", "the wall stops after a row of zeros, short of its depth", "wall.py",
+           "while n < depth:", "while n < depth and any(rows[n + 1]):", WALL),
 )
 
 

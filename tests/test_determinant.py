@@ -37,6 +37,10 @@ def test_oracle_base_cases():
     assert determinant_oracle([[0, 1], [1, 0]]) == -1
     assert determinant_oracle([[1, 2], [3, 4]]) == -2
     assert determinant_oracle(EXAMPLE_3X3) == -2
+    # a ResidueMatrix: the oracle expands its rows, the engine reads its wall
+    for formula, p, n in ((SumPlusC(2), 13, 7), (CubeDiffPlusOne(), 13, 6)):
+        m = build_matrix(formula, p, n)
+        assert determinant_oracle(m) == determinant(m) != 0
 
 
 def test_oracle_rejects_large_orders():

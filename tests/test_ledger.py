@@ -26,12 +26,14 @@ def _spy_walls(monkeypatch):
 
 @pytest.mark.parametrize("args, kwargs, ledger", [
     # the table-3k2 benchmark workload, `table -p 71 --diff --extended`:
-    # one wall of 302 terms, 81 rows deep
-    (("diff", 71), {"extended": True}, (1, 1404, 12, 13)),
+    # one wall of 302 terms, 81 rows deep, whose zero band starts at row 72
+    (("diff", 71), {"extended": True}, (1, 1562, 12, 13)),
     # verify's diff box at p = 389, the largest 3k+2 prime under the 400
-    # cap: one wall of 1,575 terms, ended by the zero band at row 390. Its
-    # rows 2..390 hold 389 * 1,185 = 460,965 cells; 1.6 % are condensed
-    (("diff", 389, (1, 399), (-1, 777)), {}, (1, 7452, 12, 13)),
+    # cap: one wall of 1,575 terms, 399 rows deep, whose zero band starts
+    # at row 390. Its rows 2..399 hold 468,048 cells; 1.8 % are condensed,
+    # the 795 zeros of row 391 among them, and the rows below it lie under
+    # the band's span
+    (("diff", 389, (1, 399), (-1, 777)), {}, (1, 8247, 12, 13)),
     # `table -p 101 --even-power --t 1`: shifts 0..201, one wall per
     # distinct tuple of terms, each 201 terms and 101 rows deep. Every unit
     # is a cube mod 101 = 3k+2, so s(k) = [k**2 + c] is 0 just where
@@ -39,7 +41,7 @@ def _spy_walls(monkeypatch):
     # nonzero square one each, and the 50 with -c a non-square share the
     # all-ones tuple. The wall count grows if walls are shared by less than
     # their terms; c and c + p share one today
-    (("even-power", 101), {"t": 1}, (52, 58889, 1043, 1281)),
+    (("even-power", 101), {"t": 1}, (52, 59086, 1043, 1281)),
     # `table -p 199 --sum`: shifts 0..397 of a 3k+1 prime read off one
     # Hankel wall of 794 terms, 199 rows deep, whose cells reach 635 bits
     (("sum", 199), {}, (1, 114679, 527, 734)),
@@ -51,9 +53,9 @@ def test_wall_ledger(monkeypatch, args, kwargs, ledger):
     # walls built: one per diff or sum table, and one per distinct tuple of
     # even-power terms
     assert len(walls) == built
-    # cells condensed: those outside every window's span, in the rows down
-    # to the stop. It grows if the loop visits window interiors again, or if
-    # the stop moves down
+    # cells condensed: those of rows 2..depth whose divisor is nonzero, the
+    # cells outside every window's span. It grows if the loop visits window
+    # interiors again, and moves if the wall's depth does
     assert sum(w.cells_computed for w in walls) == cells
     # windows registered by the run scan: moves if the scan misses tops, or
     # splits or merges runs

@@ -181,6 +181,9 @@ def test_matrix_accessors_and_immutability():
         m.entry(0, 1)
     with pytest.raises(IndexError):
         m.entry(1, 4)
+    for i in (0, 4):
+        with pytest.raises(IndexError, match=rf"^row index must be in \[1, 3\], got {i}$"):
+            m.row(i)
     # the entries are a tuple of tuples, so a write raises TypeError
     with pytest.raises(TypeError):
         m.entries[0][0] = 1

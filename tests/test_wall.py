@@ -23,12 +23,13 @@ def _check_against_minors(seq, first, depth):
         assert [w(n, c) for n in range(1, top + 1)] == leading_minors(block), c
     for c in range(first - 1, last + 2):
         assert (w(0, c), w(-1, c)) == (1, 0)
+    assert w.cells_computed == _condensed(w)
 
 
 def _condensed(w):
     """The cells of rows 2..depth whose divisor W(n - 2, c) is nonzero.
-    Dodgson condensation computes exactly these when no row ends the wall:
-    every other cell is a window's interior or one of its bottom rows."""
+    Dodgson condensation computes exactly these: every other cell is a
+    window's interior or one of its bottom rows."""
     last = w.first + w.size - 1
     divisors = (w.row(n - 2, w.first + n - 1, last - n + 1) for n in range(2, w.depth + 1))
     return sum(len(row) - row.count(0) for row in divisors)
@@ -41,9 +42,8 @@ def _spy_windows(monkeypatch):
 
     def spy(rows, n, size, pieces, windows):
         kept = len(windows)
-        full = real(rows, n, size, pieces, windows)
+        real(rows, n, size, pieces, windows)
         opened.extend(windows[kept:])
-        return full
 
     monkeypatch.setattr(wall_module, "_open_windows", spy)
     return opened
@@ -147,13 +147,15 @@ def test_terms_and_depth_that_are_not_integers_raise_type_error(seq, depth):
 
 
 @pytest.mark.parametrize("seq, stop", [([0] * 12, 1), ([1] * 12, 2), ([-1] * 11, 2), ([3] * 7, 2)])
-def test_a_full_width_zero_row_ends_the_wall(seq, stop):
+def test_rows_past_a_full_width_zero_row_cost_no_condensation(seq, stop):
     # all zeros: row 1 is zero under the ones of row 0; a constant: row 2
-    # is zero under row 1. Every later row lies in that window's square.
+    # is zero under row 1. Condensation computes rows 2..stop + 1, the row
+    # under the zero row among them, whose divisors have no zero. Every
+    # later row lies in that cut window's square, and stays zero as it starts
     _check_against_minors(seq, 0, len(seq))
     w = number_wall(seq, len(seq))
     assert (w.cells_computed, w.windows_opened, w.frame_solves) == \
-        ((stop - 1) * (len(seq) - stop), 1, 0)
+        (stop * (len(seq) - stop - 1), 1, 0)
 
 
 @pytest.mark.parametrize("seq", [
@@ -167,49 +169,51 @@ def test_a_full_width_zero_row_ends_the_wall(seq, stop):
     [1, 1, 1, 1, 1, 1, 1, 2, -1, 3, 1],
 ])
 def test_a_zero_run_short_of_the_whole_row_does_not_end_the_wall(seq):
+    # a zero run that leaves part of its row nonzero opens a window, and the
+    # wall goes on below it: some row past row 2 keeps a nonzero cell
     _check_against_minors(seq, 0, len(seq))
     w = number_wall(seq, len(seq))
-    # every row down to depth was condensed, outside the window spans
-    assert w.cells_computed == _condensed(w)
     assert any(w.row(n, n - 1, len(seq) - n) != [0] * (len(seq) - 2 * n + 2)
                for n in range(3, w.depth + 1))
 
 
 @pytest.mark.parametrize("seq", [[2] + [1] * 10, [1] * 10 + [2], [0] + [1] * 11])
 def test_the_stop_rule_asks_for_the_whole_row(seq):
-    # row 2 is zero but for one edge cell; every later row is zero as well,
-    # but only a run across the whole row ends the wall
+    # row 2 is zero but for one edge cell, and every later row is zero as
+    # well. Row 3 is condensed, as its divisors in row 1 have no zero, and
+    # the rows below it lie in the square of row 2's cut run
     _check_against_minors(seq, 0, len(seq))
     w = number_wall(seq, len(seq))
-    assert w.cells_computed == _condensed(w)
     assert w.row(2, 1, len(seq) - 2).count(0) == len(seq) - 3
 
 
 def test_counters_on_a_planted_recurrence(monkeypatch):
     # a Fibonacci stretch between noise opens windows with both bottom rows
-    # inside the triangle; nothing ends the wall, and condensation computes
-    # the 100 cells of rows 2..11 less the 38 under window spans
+    # inside the triangle, and condensation computes the 100 cells of rows
+    # 2..11 less the 38 under window spans
     seen = _spy_frames(monkeypatch)
     seq = [1, -1, 0, 1, 1] + FIB + [2, -1, 0, 1, 1, 1]
     w = number_wall(seq, 20, first=-4)
     assert (w.depth, w.cells_computed, w.windows_opened, w.frame_solves) == (11, 62, 6, 7)
     assert w.cells_computed == _condensed(w)
     assert w.frame_solves == seen[True] + seen[False]
-    # a periodic sequence: row 5 is zero across the triangle and ends the
-    # wall; 76 cells of rows 2..5, of which 5 lie under window spans
+    # a periodic sequence: row 5 is zero across the triangle, so row 6 is
+    # condensed to zeros and every later row lies under row 5's span; 90
+    # cells of rows 2..6, of which 5 lie under window spans
     w = number_wall([1, -1, 0, 1] * 6, 12)
-    assert (w.cells_computed, w.windows_opened, w.frame_solves) == (71, 7, 6)
+    assert (w.cells_computed, w.windows_opened, w.frame_solves) == (85, 7, 6)
 
 
 def test_counters_on_a_3k1_symbol_wall(monkeypatch):
     # the p = 37 diff wall of verify's box, orders 1..47 and shifts -1..73:
     # the windows of a 3k+1 symbol sequence, with frames solved at both
-    # bottom rows. The p-periodic sequence's zero band ends the wall at row
-    # 38, and condensation computes the 4,773 cells of rows 2..38 less the
+    # bottom rows. The p-periodic sequence's zero band starts at row 38, so
+    # row 39 is condensed to zeros and the rows below lie under the band's
+    # span: condensation computes the 4,864 cells of rows 2..39 less the
     # 497 under window spans
     seen = _spy_frames(monkeypatch)
     w = number_wall(sequence(DiffPlusC(0), 37, -47, 119), 47, first=-47)
-    assert (w.depth, w.cells_computed, w.windows_opened, w.frame_solves) == (47, 4276, 108, 146)
+    assert (w.depth, w.cells_computed, w.windows_opened, w.frame_solves) == (47, 4367, 108, 146)
     assert w.frame_solves == seen[True] + seen[False] and seen[True] and seen[False]
 
 
@@ -240,9 +244,8 @@ def _solve_off_a_doubled_frame(real):
 def _register_uncut(real):
     """A run scan that marks every window as not cut by the triangle."""
     def scan(rows, n, size, pieces, windows):
-        full = real(rows, n, size, pieces, windows)
+        real(rows, n, size, pieces, windows)
         windows[:] = [(t, a, b, False) for t, a, b, _ in windows]
-        return full
     return scan
 
 
@@ -250,9 +253,8 @@ def _register_wider(real):
     """A run scan that widens each new window one cell to the right."""
     def scan(rows, n, size, pieces, windows):
         kept = len(windows)
-        full = real(rows, n, size, pieces, windows)
+        real(rows, n, size, pieces, windows)
         windows[kept:] = [(t, a, b + 1, cut) for t, a, b, cut in windows[kept:]]
-        return full
     return scan
 
 
@@ -355,8 +357,8 @@ def test_wall_matches_leading_minors(seq, first, extra):
 
 @st.composite
 def planted_runs(draw):
-    """{-1, 0, 1} sequences with planted constant runs, which end the wall
-    when one covers the whole sequence, and zero runs."""
+    """{-1, 0, 1} sequences with planted constant runs, which zero the
+    wall from row 2 when one covers the whole sequence, and zero runs."""
     size = draw(st.integers(1, 40))
     seq = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=size, max_size=size))
     for at, length, value in draw(st.lists(st.tuples(
