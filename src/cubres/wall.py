@@ -24,16 +24,24 @@ with ratios P, Q, R and S, where PS/QR = (-1)**g, and for 1 <= k <= g
     Q*E_k/A_k + (-1)**k * P*F_k/B_k = R*H_k/D_k + (-1)**k * S*G_k/C_k.
 
 A finite sequence gives a triangle: row n holds the cells whose
-determinant reads only known terms. A window whose top row touches the
-triangle's edge is cut: only the square of its visible top run is known
-to be zero, and none of its bottom frame lies inside the triangle.
+determinant reads only known terms, at array indices n + 1 .. size + 2 - n.
+A window is its top run a..b in row t, g = b - a + 1 wide; a bottom row
+is solved only where the span a..b, clipped to the row, holds a cell.
+1. A run at row t's edge has an empty span on both bottom rows: if
+   a = t + 1, b = t + g is left of row t + g's first index t + g + 1, and
+   if b = size + 2 - t, a = size + 3 - t - g is right of its last. Row
+   t + g + 1 is narrower still, so such a window is never solved.
+2. Any other window's solve reads only cells of the triangle: its corners
+   lie on rows t - 1 and t at columns a - 1..b + 1, and on row H,
+   j >= t + g + 2 gives k = b + 1 - j <= a - t - 2, which keeps F_k at
+   column a - 2 inside, and j <= size + 1 - t - g keeps G_k at b + 2.
 
 A new window's top is a run of zeros under nonzero cells, so it lies in
 the cells condensation computed or on an outer bottom row (H) just
-solved, and the run scan looks only there. A cut window whose top run
-spans the whole row n holds the rows below: row n + k is 2k cells
-narrower, so it lies in the run's square. Row n + 1 is condensed to
-zeros, as row n - 1 has none, and each later row stays zero as it starts.
+solved, and the run scan looks only there. A top run that spans the
+whole row n holds the rows below: row n + k is 2k cells narrower, so it
+lies in the run's square. Row n + 1 is condensed to zeros, as row n - 1
+has none, and each later row stays zero as it starts.
 
 `number_wall` returns a `Wall`, which keeps the triangle as one list per
 row: readers take a row as one list slice, or a column, with one bounds
@@ -72,7 +80,8 @@ class Wall:
     is nonzero, which Dodgson condensation computed: those outside every
     window's span, so a window's interior costs nothing; windows_opened,
     the zero windows it registered; frame_solves, the bottom-row solves of
-    Lunnon's frame theorem, one per window and row.
+    Lunnon's frame theorem, one per window and bottom row whose span,
+    clipped to the row, holds a cell.
     """
 
     __slots__ = ("first", "size", "depth", "cells_computed", "windows_opened", "frame_solves",
@@ -132,15 +141,9 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
         return wall
     rows[2][2:size + 2] = terms
 
-    def at(n: int, j: int) -> int:
-        if not (-1 <= n <= depth and n + 1 <= j <= size + 2 - n):
-            raise _broken(f"frame read at ({n}, {j}) outside the triangle")
-        return rows[n + 1][j]
-
-    # windows as (t, a, b, cut): first zero row t, array indices a..b, and
-    # whether the triangle's edge cuts the window; kept in column order
+    # windows as (t, a, b): first zero row, top run's array indices; in column order
     windows: list[tuple] = []
-    _open_windows(rows, 1, size, [(2, size + 1)], windows)
+    _open_windows(rows, 1, [(2, size + 1)], windows)
     opened, solves, computed, n = len(windows), 0, 0, 1
     while n < depth:
         n += 1
@@ -151,17 +154,18 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
         # zero) or a bottom row solved from the frame. Dodgson condensation
         # computes the stretches between the spans.
         stretches, outer, j = [], [], j_lo
-        for t, a, b, cut in windows:
+        for t, a, b in windows:
             if t <= n - 2:  # the filter below keeps t + g + 1 > n, so n - 2 <= t + b - a always
                 lo, hi = max(a, j_lo), min(b, j_hi)
+                if lo > hi:
+                    continue
                 if any(up2[lo:hi + 1]):
                     raise _broken(f"nonzero divisors in row {n} under the window from row {t}")
-                if lo <= hi:
-                    stretches.append((j, lo - 1))
-                    j = hi + 1
-                if not cut and n - t > b - a:
+                stretches.append((j, lo - 1))
+                j = hi + 1
+                if n - t > b - a:
                     inner = n - t == b - a + 1
-                    _solve_frame(row, inner, t, a, b, lo, hi, at)
+                    _solve_frame(rows, n, inner, t, a, b, lo, hi)
                     solves += 1
                     if not inner:
                         outer.append((lo, hi))
@@ -181,7 +185,7 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
         windows = [w for w in windows if w[0] + (w[2] - w[1] + 1) + 1 > n]
         kept = len(windows)
         # a new window's top lies in a computed stretch or on a solved H row
-        _open_windows(rows, n, size, sorted(stretches + outer), windows)
+        _open_windows(rows, n, sorted(stretches + outer), windows)
         if len(windows) > kept:
             opened += len(windows) - kept
             windows.sort(key=lambda w: w[1])
@@ -189,39 +193,33 @@ def number_wall(seq: Sequence[int], depth: int, *, first: int = 0) -> Wall:
     return wall
 
 
-def _open_windows(rows: list, n: int, size: int, pieces: list, windows: list) -> None:
+def _open_windows(rows: list, n: int, pieces: list, windows: list) -> None:
     """Register every window whose first zero row is n: a maximal run of
     zeros in row n under nonzero cells of row n - 1. Tops are looked for
     only in pieces, the ranges (lo, hi) of row n, in column order, that
     can hold one."""
     row, up = rows[n + 1], rows[n]
-    j_lo, j_hi = n + 1, size + 2 - n
     tops = [j for lo, hi in pieces if 0 in row[lo:hi + 1]
             for j in range(lo, hi + 1) if not row[j] and up[j]]
     # a run starts where the previous top is not j - 1, and ends where the next is not j + 1
     starts = [j for i, j in enumerate(tops) if i == 0 or tops[i - 1] != j - 1]
     ends = [j for i, j in enumerate(tops, 1) if i == len(tops) or tops[i] != j + 1]
-    for a, b in zip(starts, ends):
-        cut = a == j_lo or b == j_hi
-        v = b - a + 1
-        if cut and max(a, n + v + 1) <= min(b, size + 2 - n - v):
-            # the run's square ends before the rows past it, so none of a
-            # cut window's bottom frame is inside the triangle
-            raise _broken(f"cut window at row {n} has frame cells inside the triangle")
-        windows.append((n, a, b, cut))
+    windows.extend((n, a, b) for a, b in zip(starts, ends))
 
 
-def _solve_frame(row: list, inner: bool, t: int, a: int, b: int, lo: int, hi: int, at) -> None:
-    """Write the cells lo..hi of the window's inner bottom row D (inner) or
-    outer bottom row H into row, reading the frame off the wall.
+def _solve_frame(rows: list, n: int, inner: bool, t: int, a: int, b: int, lo: int, hi: int) -> None:
+    """Write the cells lo..hi of row n, the window's inner bottom row D
+    (inner) or outer bottom row H, reading the frame straight off rows;
+    fact 2 of the module docstring keeps every read inside the triangle.
 
     A_k = W(t - 1, a - 1 + k), B_k = W(t - 1 + k, a - 1), C_k = W(t + g - k, b + 1)
     and D_k = W(t + g, b + 1 - k). The corners C_0 and D_{g+1} may lie
     outside the triangle, so D is solved as C_0 * S**k, with C_0 = C_g / R**g
     and R = A_{g+1} / C_g; H reads D_k off the row above it."""
     g = b - a + 1
-    a0, a1, ag1 = at(t - 1, a - 1), at(t - 1, a), at(t - 1, b + 1)
-    b1, cg = at(t, a - 1), at(t, b + 1)
+    e_row, a_row, row = rows[t - 1], rows[t], rows[n + 1]  # rows t - 2, t - 1 and n
+    a0, a1, ag1 = a_row[a - 1], a_row[a], a_row[b + 1]
+    b1, cg = rows[t + 1][a - 1], rows[t + 1][b + 1]
     # S = (-1)**g * Q * R / P with P = A_1/A_0, Q = B_1/A_0, R = A_{g+1}/C_g
     s_num, s_den = (-1) ** g * b1 * ag1, a1 * cg
     if inner:
@@ -234,9 +232,10 @@ def _solve_frame(row: list, inner: bool, t: int, a: int, b: int, lo: int, hi: in
     for j in range(lo, hi + 1):
         k = b + 1 - j
         # H_k = (D_k / R) * (Q E_k/A_k + (-1)**k * (P F_k/B_k - S G_k/C_k))
-        ak, ek = at(t - 1, a - 1 + k), at(t - 2, a - 1 + k)
-        bk, fk = at(t - 1 + k, a - 1), at(t - 1 + k, a - 2)
-        ck, gk = at(t + g - k, b + 1), at(t + g - k, b + 2)
+        ak, ek = a_row[a - 1 + k], e_row[a - 1 + k]
+        b_side, c_side = rows[t + k], rows[t + g + 1 - k]  # rows t - 1 + k and t + g - k
+        bk, fk = b_side[a - 1], b_side[a - 2]
+        ck, gk = c_side[b + 1], c_side[b + 2]
         num = b1 * ek * bk * s_den * ck + (-1) ** k * ak * (
             a1 * fk * s_den * ck - s_num * gk * a0 * bk)
-        row[j] = _exact(at(t + g, j) * cg * num, ag1 * a0 * ak * bk * s_den * ck)
+        row[j] = _exact(rows[n][j] * cg * num, ag1 * a0 * ak * bk * s_den * ck)

@@ -106,7 +106,7 @@ CORPUS = (
            "                    ces.append(Counterexample(n, c, want, got, detail))\n"
            "                    break\n", VERIFY),
     Mutant("H-column", "H reads D_k one column off", "wall.py",
-           "_exact(at(t + g, j) * cg * num", "_exact(at(t + g, j - 1) * cg * num", WALL),
+           "_exact(rows[n][j] * cg * num", "_exact(rows[n][j - 1] * cg * num", WALL),
     Mutant("S-sign", "S has its sign flipped in _solve_frame", "wall.py",
            "s_num, s_den = (-1) ** g * b1 * ag1", "s_num, s_den = (-1) ** (g + 1) * b1 * ag1", WALL),
     Mutant("symbol", "the symbol of 2 mod a 3k+2 prime is -1", "residues.py",
@@ -161,6 +161,12 @@ CORPUS = (
            RESIDUES),
     Mutant("zero-row-stop", "the wall stops after a row of zeros, short of its depth", "wall.py",
            "while n < depth:", "while n < depth and any(rows[n + 1]):", WALL),
+    Mutant("empty-span", "a window whose clipped span is empty still splits a stretch and is solved",
+           "wall.py", "                if lo > hi:\n                    continue\n", "", WALL),
+    Mutant("F-column", "H reads F_k from column a - 1, the B side", "wall.py",
+           "bk, fk = b_side[a - 1], b_side[a - 2]", "bk, fk = b_side[a - 1], b_side[a - 1]", WALL),
+    Mutant("C_g-row", "C_g is read from row t - 1, where A_{g+1} lies", "wall.py",
+           "rows[t + 1][b + 1]", "rows[t][b + 1]", WALL),
 )
 
 

@@ -8,7 +8,7 @@ raises a count says why.
 import pytest
 
 import cubres.tables as tables_module
-from cubres import generate_table
+from cubres import generate_table, verify_all
 
 
 def _spy_walls(monkeypatch):
@@ -41,10 +41,10 @@ def _spy_walls(monkeypatch):
     # nonzero square one each, and the 50 with -c a non-square share the
     # all-ones tuple. The wall count grows if walls are shared by less than
     # their terms; c and c + p share one today
-    (("even-power", 101), {"t": 1}, (52, 59086, 1043, 1281)),
+    (("even-power", 101), {"t": 1}, (52, 59086, 1043, 1251)),
     # `table -p 199 --sum`: shifts 0..397 of a 3k+1 prime read off one
     # Hankel wall of 794 terms, 199 rows deep, whose cells reach 635 bits
-    (("sum", 199), {}, (1, 114679, 527, 734)),
+    (("sum", 199), {}, (1, 114679, 527, 731)),
 ], ids=["table-3k2", "verify-box-389", "even-power-101", "sum-199"])
 def test_wall_ledger(monkeypatch, args, kwargs, ledger):
     walls = _spy_walls(monkeypatch)
@@ -60,6 +60,26 @@ def test_wall_ledger(monkeypatch, args, kwargs, ledger):
     # windows registered by the run scan: moves if the scan misses tops, or
     # splits or merges runs
     assert sum(w.windows_opened for w in walls) == windows
-    # bottom-row solves, one per uncut window and bottom row inside the
-    # triangle: moves if cut windows get frames, or windows are missed
+    # bottom-row solves, one per window and per bottom row whose span,
+    # clipped to that row, holds a cell: moves if windows are missed, or if
+    # a bottom row with no cell to solve is counted again
     assert sum(w.frame_solves for w in walls) == solves
+
+
+@pytest.mark.parametrize("p_max, ledger, cases, reports", [
+    # `verify --p-max 60`, the CLI default: for each of the nine 3k+2
+    # primes, its diff box and T3_7's two even-power walls (orders 8 and 2)
+    (60, (27, 6888, 131, 124), 34797, 135),
+    # the CI sweep `verify --p-max 200`: the same three walls for each of
+    # its 23 3k+2 primes
+    (200, (69, 47978, 327, 306), 671081, 362),
+], ids=["verify-p60", "verify-p200"])
+def test_verify_ledger(monkeypatch, p_max, ledger, cases, reports):
+    walls = _spy_walls(monkeypatch)
+    done = verify_all(p_max)
+    # the walls and their counters move as in test_wall_ledger
+    assert (len(walls), sum(w.cells_computed for w in walls), sum(w.windows_opened for w in walls),
+            sum(w.frame_solves for w in walls)) == ledger
+    # claim cases checked, summed over the reports: moves if a claim reads
+    # more or fewer cells, or a prime's reports come or go
+    assert (sum(r.cases_checked for r in done), len(done)) == (cases, reports)

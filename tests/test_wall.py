@@ -1,5 +1,7 @@
 """The number wall against the leading minors of Toeplitz matrices."""
 
+from itertools import groupby
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ def _check_against_minors(seq, first, depth):
     for c in range(first - 1, last + 2):
         assert (w(0, c), w(-1, c)) == (1, 0)
     assert w.cells_computed == _condensed(w)
+    assert w.frame_solves == _solved(w)
 
 
 def _condensed(w):
@@ -35,14 +38,32 @@ def _condensed(w):
     return sum(len(row) - row.count(0) for row in divisors)
 
 
+def _solved(w):
+    """One solve per top run, a maximal run of g zeros in row t under
+    nonzero cells of row t - 1, and per bottom row t + g, t + g + 1 within
+    the depth where the run's span, clipped to that row, holds a cell. Row
+    t + 1 under a run of one cell has its divisors in row t - 1, which is
+    nonzero there, so it is condensed."""
+    last, solves = w.first + w.size - 1, 0
+    for t in range(1, w.depth + 1):
+        left = w.first + t - 1
+        row, up = w.row(t, left, last - t + 1), w.row(t - 1, left, last - t + 1)
+        tops = [c for c, v, u in zip(range(left, last - t + 2), row, up) if not v and u]
+        for _, run in groupby(enumerate(tops), lambda ic: ic[1] - ic[0]):
+            run = [c for _, c in run]
+            for n in range(t + max(2, len(run)), min(t + len(run) + 1, w.depth) + 1):
+                solves += max(run[0], w.first + n - 1) <= min(run[-1], last - n + 1)
+    return solves
+
+
 def _spy_windows(monkeypatch):
-    """Record every window the run scan opens, as (t, a, b, cut)."""
+    """Record every window the run scan opens, as (t, a, b)."""
     opened = []
     real = wall_module._open_windows
 
-    def spy(rows, n, size, pieces, windows):
+    def spy(rows, n, pieces, windows):
         kept = len(windows)
-        real(rows, n, size, pieces, windows)
+        real(rows, n, pieces, windows)
         opened.extend(windows[kept:])
 
     monkeypatch.setattr(wall_module, "_open_windows", spy)
@@ -50,16 +71,33 @@ def _spy_windows(monkeypatch):
 
 
 def _spy_frames(monkeypatch):
-    """Count the inner (D) and outer (H) bottom-row solves."""
-    seen = {True: 0, False: 0}
+    """Record every bottom-row solve, as (n, inner, t, a, b, lo, hi)."""
+    solves = []
     real = wall_module._solve_frame
 
-    def spy(row, inner, *args):
-        seen[inner] += 1
-        return real(row, inner, *args)
+    def spy(rows, *args):
+        solves.append(args)
+        return real(rows, *args)
 
     monkeypatch.setattr(wall_module, "_solve_frame", spy)
-    return seen
+    return solves
+
+
+def _guarded(real):
+    """A frame solve that reads a copy of rows with None at every cell
+    outside the triangle, so that any read there raises TypeError, and
+    copies the cells lo..hi it solved back into the row."""
+    def solve(rows, n, inner, t, a, b, lo, hi):
+        size = len(rows[0]) - 4
+        inside = [[v if m + 1 <= j <= size + 2 - m else None for j, v in enumerate(row)]
+                  for m, row in enumerate(rows, -1)]
+        real(inside, n, inner, t, a, b, lo, hi)
+        rows[n + 1][lo:hi + 1] = inside[n + 1][lo:hi + 1]
+    return solve
+
+
+def _guard_frames(monkeypatch):
+    monkeypatch.setattr(wall_module, "_solve_frame", _guarded(wall_module._solve_frame))
 
 
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
@@ -75,17 +113,33 @@ FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
     ([0, 1, -1] + [1, 0, 0, 1, 1, 1, 2, 3, 4, 6, 9, 13, 19, 28] + [-1, 1, 1, 0, 1, 1, 1], 7),
 ])
 def test_windows_with_frames_inside_the_triangle(monkeypatch, seq, first):
-    seen = _spy_frames(monkeypatch)
+    _guard_frames(monkeypatch)
+    solves = _spy_frames(monkeypatch)
     _check_against_minors(seq, first, (len(seq) + 1) // 2)
     # both bottom rows of a window, inner (D) and outer (H), were solved
-    assert seen[True] > 0 and seen[False] > 0
+    assert {inner for _, inner, *_ in solves} == {True, False}
 
 
-def test_cut_windows_at_both_edges():
+def test_cut_windows_at_both_edges(monkeypatch):
+    _guard_frames(monkeypatch)
+    opened, solves = _spy_windows(monkeypatch), _spy_frames(monkeypatch)
     # zero runs at both ends of the sequence, and a recurrence up to the
-    # right edge: the triangle cuts their windows
-    _check_against_minors([0, 0, 0, 1, -1, 1, 1, 1, -1, 0, 0], 0, 6)
-    _check_against_minors([1, 0, 1, -1, 1, 1, 0, 1] + FIB, 3, 9)
+    # right edge: the triangle cuts their windows. A run that touches its
+    # row's edge has an empty span on both of its bottom rows, so the wall
+    # never solves its frame
+    for seq, first, depth in (([0, 0, 0, 1, -1, 1, 1, 1, -1, 0, 0], 0, 6),
+                              ([1, 0, 1, -1, 1, 1, 0, 1] + FIB, 3, 9),
+                              ([0, 0, 1, 0, 0, 0, 1, -1, 1, 1, -1, 1, 0, 0, 1, 0], 0, 8)):
+        del opened[:], solves[:]
+        _check_against_minors(seq, first, depth)
+        edge = {(t, a, b) for t, a, b in opened if a == t + 1 or b == len(seq) + 2 - t}
+        assert edge and not edge & {(t, a, b) for _, _, t, a, b, _, _ in solves}
+    # a solve forced onto such a run reads a corner outside the triangle,
+    # which the guard turns into TypeError
+    t, a, b = min(edge)
+    with pytest.raises(TypeError):
+        _guarded(wall_module._solve_frame)(number_wall(seq, depth)._rows, t + b - a + 1, True,
+                                           t, a, b, a, b)
     # a periodic sequence: every row past its period is zero
     w = number_wall([1, -1, 0, 1] * 6, 12)
     assert all(w(n, c) == 0 for n in range(5, 13) for c in range(n - 1, 25 - n))
@@ -102,18 +156,32 @@ def test_cut_windows_at_both_edges():
     [1, -1, 1, 1, 0, 1, -1, 1, -1],
 ])
 def test_windows_stacked_with_only_a_frame_between(monkeypatch, seq):
+    _guard_frames(monkeypatch)
     opened = _spy_windows(monkeypatch)
     _check_against_minors(seq, 0, len(seq))
     # a window opens on the solved outer bottom row (H) of one above it
     assert any(t2 == t1 + (b1 - a1 + 1) + 1 and a2 <= b1 and a1 <= b2
-               for t1, a1, b1, cut in opened if not cut for t2, a2, b2, _ in opened)
+               for t1, a1, b1 in opened for t2, a2, b2 in opened)
+
+
+def test_a_run_one_cell_from_the_edge_solves_one_cell_of_d(monkeypatch):
+    # row-1 zero runs one cell from each end, of 3 and 2 zeros: each D span
+    # is one cell, and each H span is empty
+    _guard_frames(monkeypatch)
+    seq = [1, 0, 0, 0, 1, -1, 1, 1, -1, 1, 0, 0, 1]
+    opened, solves = _spy_windows(monkeypatch), _spy_frames(monkeypatch)
+    _check_against_minors(seq, 0, len(seq))
+    assert {(1, 3, 5), (1, 12, 13)} <= set(opened)
+    assert [s for s in solves if s[2:4] in ((1, 3), (1, 12))] == \
+        [(3, True, 1, 12, 13, 12, 12), (4, True, 1, 3, 5, 5, 5)]
 
 
 @pytest.mark.parametrize("p", [5, 11, 29, 59])
-def test_3k2_diff_walls_of_verifys_box(p):
+def test_3k2_diff_walls_of_verifys_box(monkeypatch, p):
     # orders 1..p + 10 at shifts -1..2p - 1, over the terms s(-p - 10)..
     # s(3p + 8): nearly every cell lies in a window that the loop skips,
     # and the rows past p are the zero band
+    _guard_frames(monkeypatch)
     depth = p + 10
     _check_against_minors(sequence(DiffPlusC(0), p, -depth, 2 * p + depth - 2), -depth, depth)
 
@@ -190,18 +258,20 @@ def test_the_stop_rule_asks_for_the_whole_row(seq):
 def test_counters_on_a_planted_recurrence(monkeypatch):
     # a Fibonacci stretch between noise opens windows with both bottom rows
     # inside the triangle, and condensation computes the 100 cells of rows
-    # 2..11 less the 38 under window spans
-    seen = _spy_frames(monkeypatch)
+    # 2..11 less the 38 under window spans. A bottom row whose clipped span
+    # is empty costs no solve: one such H row here, and one in the periodic
+    # wall below
+    solves = _spy_frames(monkeypatch)
     seq = [1, -1, 0, 1, 1] + FIB + [2, -1, 0, 1, 1, 1]
     w = number_wall(seq, 20, first=-4)
-    assert (w.depth, w.cells_computed, w.windows_opened, w.frame_solves) == (11, 62, 6, 7)
-    assert w.cells_computed == _condensed(w)
-    assert w.frame_solves == seen[True] + seen[False]
+    assert (w.depth, w.cells_computed, w.windows_opened, w.frame_solves) == (11, 62, 6, 6)
+    assert (w.cells_computed, w.frame_solves) == (_condensed(w), _solved(w))
+    assert w.frame_solves == len(solves)
     # a periodic sequence: row 5 is zero across the triangle, so row 6 is
     # condensed to zeros and every later row lies under row 5's span; 90
     # cells of rows 2..6, of which 5 lie under window spans
     w = number_wall([1, -1, 0, 1] * 6, 12)
-    assert (w.cells_computed, w.windows_opened, w.frame_solves) == (85, 7, 6)
+    assert (w.cells_computed, w.windows_opened, w.frame_solves) == (85, 7, 5)
 
 
 def test_counters_on_a_3k1_symbol_wall(monkeypatch):
@@ -211,10 +281,11 @@ def test_counters_on_a_3k1_symbol_wall(monkeypatch):
     # row 39 is condensed to zeros and the rows below lie under the band's
     # span: condensation computes the 4,864 cells of rows 2..39 less the
     # 497 under window spans
-    seen = _spy_frames(monkeypatch)
+    solves = _spy_frames(monkeypatch)
     w = number_wall(sequence(DiffPlusC(0), 37, -47, 119), 47, first=-47)
     assert (w.depth, w.cells_computed, w.windows_opened, w.frame_solves) == (47, 4367, 108, 146)
-    assert w.frame_solves == seen[True] + seen[False] and seen[True] and seen[False]
+    assert w.frame_solves == len(solves) == _solved(w)
+    assert {inner for _, inner, *_ in solves} == {True, False}
 
 
 def test_zero_divisor_outside_every_window_is_an_error(monkeypatch):
@@ -228,33 +299,28 @@ def test_zero_divisor_outside_every_window_is_an_error(monkeypatch):
 
 def _bump_after_solve(real):
     """A frame solve that writes one cell off by one."""
-    def solve(row, inner, t, a, b, lo, hi, at):
-        real(row, inner, t, a, b, lo, hi, at)
-        row[lo] += 1
+    def solve(rows, n, inner, t, a, b, lo, hi):
+        real(rows, n, inner, t, a, b, lo, hi)
+        rows[n + 1][lo] += 1
     return solve
 
 
 def _solve_off_a_doubled_frame(real):
     """A frame solve that reads every frame cell doubled, and A_1 one more."""
-    def solve(row, inner, t, a, b, lo, hi, at):
-        real(row, inner, t, a, b, lo, hi, lambda n, j: 2 * at(n, j) + (n == t - 1 and j == a))
+    def solve(rows, n, inner, t, a, b, lo, hi):
+        doubled = [[2 * v for v in row] for row in rows]
+        doubled[t][a] += 1  # A_1 = W(t - 1, a)
+        real(doubled, n, inner, t, a, b, lo, hi)
+        rows[n + 1][lo:hi + 1] = doubled[n + 1][lo:hi + 1]
     return solve
-
-
-def _register_uncut(real):
-    """A run scan that marks every window as not cut by the triangle."""
-    def scan(rows, n, size, pieces, windows):
-        real(rows, n, size, pieces, windows)
-        windows[:] = [(t, a, b, False) for t, a, b, _ in windows]
-    return scan
 
 
 def _register_wider(real):
     """A run scan that widens each new window one cell to the right."""
-    def scan(rows, n, size, pieces, windows):
+    def scan(rows, n, pieces, windows):
         kept = len(windows)
-        real(rows, n, size, pieces, windows)
-        windows[kept:] = [(t, a, b + 1, cut) for t, a, b, cut in windows[kept:]]
+        real(rows, n, pieces, windows)
+        windows[kept:] = [(t, a, b + 1) for t, a, b in windows[kept:]]
     return scan
 
 
@@ -263,16 +329,12 @@ def _register_wider(real):
      "inexact Dodgson division"),
     ("_solve_frame", _solve_off_a_doubled_frame, [1, -1, 0, 1, 1] + FIB + [2, -1, 0, 1, 1, 1], -4,
      "inexact division"),
-    ("_open_windows", _register_uncut, [0, 0, 0, 0, 1, 2, -1, 1, 1, 3, -2, 1, 1], 0,
-     r"frame read at \(1, 1\) outside the triangle"),
     ("_open_windows", _register_wider, [1, -1, 1, 0, 0, 0, 1, 1, -1, 1, -1, 1, 1, 1, -1], 0,
      "nonzero divisors in row 3 under the window from row 1"),
-], ids=["frame-cell-off-by-one", "frame-read-doubled", "cut-window-read-as-whole",
-        "window-wider-than-its-run"])
+], ids=["frame-cell-off-by-one", "frame-read-doubled", "window-wider-than-its-run"])
 def test_a_broken_invariant_raises_rather_than_returns(monkeypatch, name, sabotage, seq, first, message):
-    # a wrong frame cell is caught by the next division that reads it, a
-    # frame read outside the triangle by the read itself, and a window
-    # that claims a nonzero cell by the divisor check under its span
+    # a wrong frame cell is caught by the next division that reads it, and
+    # a window that claims a nonzero cell by the divisor check under its span
     monkeypatch.setattr(wall_module, name, sabotage(getattr(wall_module, name)))
     with pytest.raises(ArithmeticError, match=f"^{message}; number-wall invariant broken$"):
         number_wall(seq, len(seq), first=first)
@@ -352,7 +414,9 @@ def sequences(draw):
 @settings(max_examples=150, deadline=None)
 @given(seq=sequences(), first=st.integers(-6, 6), extra=st.integers(-2, 2))
 def test_wall_matches_leading_minors(seq, first, extra):
-    _check_against_minors(seq, first, max(0, (len(seq) + 1) // 2 + extra))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _guard_frames(monkeypatch)
+        _check_against_minors(seq, first, max(0, (len(seq) + 1) // 2 + extra))
 
 
 @st.composite
