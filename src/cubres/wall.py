@@ -43,6 +43,10 @@ whole row n holds the rows below: row n + k is 2k cells narrower, so it
 lies in the run's square. Row n + 1 is condensed to zeros, as row n - 1
 has none, and each later row stays zero as it starts.
 
+The cost model: each condensed cell costs one divmod, each frame-solved
+cell one exact division (on D as on H: a D solve starts at the first cell
+it writes), and a window's interior nothing.
+
 `number_wall` returns a `Wall`, which keeps the triangle as one list per
 row: readers take a row as one list slice, or a column, with one bounds
 check per read rather than one per cell.
@@ -77,11 +81,12 @@ class Wall:
 
     The counters record the engine's work, counted per row and per window:
     cells_computed, the cells of rows 2..depth whose divisor W(n - 2, c)
-    is nonzero, which Dodgson condensation computed: those outside every
-    window's span, so a window's interior costs nothing; windows_opened,
-    the zero windows it registered; frame_solves, the bottom-row solves of
-    Lunnon's frame theorem, one per window and bottom row whose span,
-    clipped to the row, holds a cell.
+    is nonzero, which Dodgson condensation computed at one divmod each:
+    those outside every window's span, so a window's interior costs
+    nothing; windows_opened, the zero windows it registered; frame_solves,
+    the bottom-row solves of Lunnon's frame theorem, one per window and
+    bottom row whose span, clipped to the row, holds a cell, each costing
+    one exact division per cell it writes.
     """
 
     __slots__ = ("first", "size", "depth", "cells_computed", "windows_opened", "frame_solves",
@@ -215,7 +220,12 @@ def _solve_frame(rows: list, n: int, inner: bool, t: int, a: int, b: int, lo: in
     A_k = W(t - 1, a - 1 + k), B_k = W(t - 1 + k, a - 1), C_k = W(t + g - k, b + 1)
     and D_k = W(t + g, b + 1 - k). The corners C_0 and D_{g+1} may lie
     outside the triangle, so D is solved as C_0 * S**k, with C_0 = C_g / R**g
-    and R = A_{g+1} / C_g; H reads D_k off the row above it."""
+    and R = A_{g+1} / C_g. The first cell written, hi, is D_{k0} with
+    k0 = b + 1 - hi, one exact division of C_g**(g + 1) * S_num**k0 by
+    A_{g+1}**g * S_den**k0; each cell left of it is S times its right
+    neighbour, one exact division more. H reads D_k off the row above it,
+    one exact division per cell. So a solve costs one exact division per
+    cell it writes, and each division checks that its cell is exact."""
     g = b - a + 1
     e_row, a_row, row = rows[t - 1], rows[t], rows[n + 1]  # rows t - 2, t - 1 and n
     a0, a1, ag1 = a_row[a - 1], a_row[a], a_row[b + 1]
@@ -223,11 +233,10 @@ def _solve_frame(rows: list, n: int, inner: bool, t: int, a: int, b: int, lo: in
     # S = (-1)**g * Q * R / P with P = A_1/A_0, Q = B_1/A_0, R = A_{g+1}/C_g
     s_num, s_den = (-1) ** g * b1 * ag1, a1 * cg
     if inner:
-        d = [_exact(cg ** (g + 1), ag1 ** g)]
-        for _ in range(b + 1 - lo):
-            d.append(_exact(d[-1] * s_num, s_den))
-        for j in range(lo, hi + 1):
-            row[j] = d[b + 1 - j]
+        k0 = b + 1 - hi  # cell hi is D_{k0}
+        row[hi] = d = _exact(cg ** (g + 1) * s_num ** k0, ag1 ** g * s_den ** k0)
+        for j in range(hi - 1, lo - 1, -1):
+            row[j] = d = _exact(d * s_num, s_den)
         return
     for j in range(lo, hi + 1):
         k = b + 1 - j

@@ -10,7 +10,9 @@ mutants along. Entries are only added; removing one needs a reason in
 CHANGES.md.
 
 pytest does not collect this file. Run it as `python tests/mutants.py`; it
-prints each verdict with the time its run took.
+prints each verdict with the time its run took, and ends with one line,
+`caught N of M entries`, where M is the number of entries. Two entries
+that share a name fail the run before any selection runs.
 
 Selections run under -W error, as tier-1 does, with the one filter that
 README's Tests section names: where libcst is installed beside
@@ -167,6 +169,10 @@ CORPUS = (
            "bk, fk = b_side[a - 1], b_side[a - 2]", "bk, fk = b_side[a - 1], b_side[a - 1]", WALL),
     Mutant("C_g-row", "C_g is read from row t - 1, where A_{g+1} lies", "wall.py",
            "rows[t + 1][b + 1]", "rows[t][b + 1]", WALL),
+    Mutant("D-start", "D's first written cell is one power of S short", "wall.py",
+           "        k0 = b + 1 - hi", "        k0 = b - hi", WALL),
+    Mutant("D-step", "D steps by 1/S, not by S", "wall.py",
+           "_exact(d * s_num, s_den)", "_exact(d * s_den, s_num)", WALL),
 )
 
 
@@ -184,6 +190,10 @@ def _run(work: Path, selection: str) -> subprocess.CompletedProcess:
 
 
 def main() -> int:
+    names = [m.name for m in CORPUS]
+    if len(set(names)) != len(names):
+        print(f"entries share a name: {sorted({n for n in names if names.count(n) > 1})}")
+        return 1
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -210,6 +220,7 @@ def main() -> int:
                     done.returncode, f"pytest exit {done.returncode}:\n{done.stdout[-2000:]}")
             bad += verdict != "caught"
             print(f"{m.name:<15} {verdict}  ({m.file}: {m.what}; {time.perf_counter() - start:.0f} s)")
+    print(f"caught {len(CORPUS) - bad} of {len(CORPUS)} entries")
     return 1 if bad else 0
 
 

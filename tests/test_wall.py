@@ -14,8 +14,12 @@ from cubres.wall import number_wall
 
 def _check_against_minors(seq, first, depth):
     """Every cell of the wall's triangle equals the matching leading minor
-    of the Toeplitz matrix (s(c + j - i)) of its column c."""
-    w = number_wall(seq, depth, first=first)
+    of the Toeplitz matrix (s(c + j - i)) of its column c, and every cell
+    of rows 2..depth is condensed, frame-solved at the cost of one exact
+    division, or a window's interior."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        divisions = _spy_exact(monkeypatch)
+        w = number_wall(seq, depth, first=first)
     last = first + len(seq) - 1
     for c in range(first, last + 1):
         top = min(depth, c - first + 1, last - c + 1)
@@ -27,6 +31,10 @@ def _check_against_minors(seq, first, depth):
         assert (w(0, c), w(-1, c)) == (1, 0)
     assert w.cells_computed == _condensed(w)
     assert w.frame_solves == _solved(w)
+    cells = sum(w.size + 2 - 2 * n for n in range(2, w.depth + 1))
+    solved, interior = _solved_cells(w), _interior_cells(w)
+    assert cells == w.cells_computed + solved + interior
+    assert divisions[0] == solved
 
 
 def _condensed(w):
@@ -38,22 +46,64 @@ def _condensed(w):
     return sum(len(row) - row.count(0) for row in divisors)
 
 
-def _solved(w):
-    """One solve per top run, a maximal run of g zeros in row t under
-    nonzero cells of row t - 1, and per bottom row t + g, t + g + 1 within
-    the depth where the run's span, clipped to that row, holds a cell. Row
-    t + 1 under a run of one cell has its divisors in row t - 1, which is
-    nonzero there, so it is condensed."""
-    last, solves = w.first + w.size - 1, 0
+def _top_runs(w):
+    """Each top run, a maximal run of zeros in row t under nonzero cells of
+    row t - 1, as (t, c_lo, c_hi)."""
+    last = w.first + w.size - 1
     for t in range(1, w.depth + 1):
         left = w.first + t - 1
         row, up = w.row(t, left, last - t + 1), w.row(t - 1, left, last - t + 1)
         tops = [c for c, v, u in zip(range(left, last - t + 2), row, up) if not v and u]
         for _, run in groupby(enumerate(tops), lambda ic: ic[1] - ic[0]):
             run = [c for _, c in run]
-            for n in range(t + max(2, len(run)), min(t + len(run) + 1, w.depth) + 1):
-                solves += max(run[0], w.first + n - 1) <= min(run[-1], last - n + 1)
-    return solves
+            yield t, run[0], run[-1]
+
+
+def _span(w, n, c_lo, c_hi):
+    """The number of cells of row n in columns c_lo..c_hi."""
+    return max(0, min(c_hi, w.first + w.size - n) - max(c_lo, w.first + n - 1) + 1)
+
+
+def _bottom_spans(w):
+    """The span, as a cell count, of each top run's bottom rows t + g and
+    t + g + 1 within the depth. Row t + 1 under a run of one cell has its
+    divisors in row t - 1, which is nonzero there, so it is condensed."""
+    for t, c_lo, c_hi in _top_runs(w):
+        g = c_hi - c_lo + 1
+        for n in range(t + max(2, g), min(t + g + 1, w.depth) + 1):
+            yield _span(w, n, c_lo, c_hi)
+
+
+def _solved(w):
+    """One solve per top run and bottom row where the run's span, clipped
+    to that row, holds a cell."""
+    return sum(cells > 0 for cells in _bottom_spans(w))
+
+
+def _solved_cells(w):
+    """The cells of the bottom rows under the top runs' spans."""
+    return sum(_bottom_spans(w))
+
+
+def _interior_cells(w):
+    """The cells of rows t + 2..t + g - 1 under each top run's span: those
+    whose divisors, two rows up, lie in the window too. Row t + 1 has its
+    divisors on row t - 1, nonzero above the run, and is condensed."""
+    return sum(_span(w, n, c_lo, c_hi) for t, c_lo, c_hi in _top_runs(w)
+               for n in range(t + 2, min(t + c_hi - c_lo, w.depth) + 1))
+
+
+def _spy_exact(monkeypatch):
+    """Count the wall's exact divisions, in a one-item list."""
+    calls = [0]
+    real = wall_module._exact
+
+    def spy(num, den):
+        calls[0] += 1
+        return real(num, den)
+
+    monkeypatch.setattr(wall_module, "_exact", spy)
+    return calls
 
 
 def _spy_windows(monkeypatch):
